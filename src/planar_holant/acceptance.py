@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import fixtures, gadgets
-from .classifier import classify, dispatch_solve
+from .classifier import classify, dispatch_solve, solve_case
 from .generators import generate_cubic_bipartite_plane, generate_cubic_plane, move_closure
 from .holant_core import eval_grid
 from .p3em import (ExceptionalGraph, check_sigma, exceptional_kind, find_p3em,
@@ -165,23 +165,6 @@ _CLASS_CASE = {"degenerate": 1, "gen-eq": 2, "affine-even": 3,
                "linear-family": 5}
 
 
-def _solve_as(label: str, grid, f: SymSignature):
-    """Run the solver of the tested class, not the lowest matching one."""
-    from . import solvers
-    from .classifier import extract_params
-    p = extract_params(f, _CLASS_CASE[label])
-    if label == "degenerate":
-        return solvers.solve_degenerate(grid, [p["u0"], p["u1"]], p["scale"])
-    if label == "gen-eq":
-        return solvers.solve_geneq(grid, p["a"], p["b"])
-    if label.startswith("affine"):
-        return solvers.solve_affine(grid, p["family"], p["a"])
-    if label.startswith("matchgate"):
-        return solvers.solve_matchgate(grid, p["a"], p["b"],
-                                       1 if p["sign"] == 1 else -1)
-    return solvers.solve_case5(grid, p["a"], p["b"])
-
-
 def criterion_5(rep: Report) -> None:
     t0 = time.time()
     checked = 0
@@ -195,7 +178,8 @@ def criterion_5(rep: Report) -> None:
                 ok = False
                 continue
             grid = grid_from_cubic_bipartite(g, f)
-            got = _solve_as(label, grid, f)
+            # the solver of the tested class, not the lowest matching one
+            got = solve_case(grid, f, _CLASS_CASE[label])
             also = dispatch_solve(grid, f)
             want = eval_grid(grid)
             checked += 1

@@ -17,7 +17,8 @@ from typing import Dict, List, Optional
 from .scalars import Scalar, format_scalar
 from .signatures import (StraddledMatrix, SymSignature, sig_is_degenerate,
                          works, works_diagnostics)
-from .solvers import affine_family_of
+from . import solvers
+from .solvers import AFFINE_PATTERNS, affine_family_of
 
 
 class InconsistentCase(ValueError):
@@ -153,11 +154,8 @@ def _reconstructs(f: SymSignature, m: CaseMatch) -> bool:
     if m.case == 2:
         return f.values == (m.params["a"], 0, 0, m.params["b"])
     if m.case == 3:
-        pats = {"even": (1, 0, 1, 0), "even_signed": (1, 0, -1, 0),
-                "odd": (0, 1, 0, 1), "odd_signed": (0, 1, 0, -1),
-                "alternating": (1, -1, -1, 1), "two_block": (1, 1, -1, -1)}
         a = m.params["a"]
-        return f.values == tuple(a * p for p in pats[m.family])
+        return f.values == tuple(a * p for p in AFFINE_PATTERNS[m.family])
     if m.case == 4:
         a, b, sg = m.params["a"], m.params["b"], m.params["sign"]
         if sg == 1:
@@ -169,21 +167,28 @@ def _reconstructs(f: SymSignature, m: CaseMatch) -> bool:
     return False
 
 
+# case -> solver on (grid, extract_params); solvers are looked up on the
+# module at call time so that rebinding a solver there takes effect
+_SOLVERS = {
+    1: lambda g, p: solvers.solve_degenerate(g, [p["u0"], p["u1"]], p["scale"]),
+    2: lambda g, p: solvers.solve_geneq(g, p["a"], p["b"]),
+    3: lambda g, p: solvers.solve_affine(g, p["family"], p["a"]),
+    4: lambda g, p: solvers.solve_matchgate(g, p["a"], p["b"],
+                                            1 if p["sign"] == 1 else -1),
+    5: lambda g, p: solvers.solve_case5(g, p["a"], p["b"]),
+}
+
+
+def solve_case(grid, f: SymSignature, case: int) -> Scalar:
+    """Run the solver of the given case on the grid; raises
+    InconsistentCase when f is not in that case."""
+    params = extract_params(f, case)
+    return _SOLVERS[case](grid, params)
+
+
 def dispatch_solve(grid, f: SymSignature) -> Scalar:
     """Classify f and run the matching tractable solver on the grid."""
-    from . import solvers
     v = classify(f)
     if not v.planar_fp:
         raise solvers.SolverError("signature is #P-hard on planar grids")
-    m = v.primary
-    p = m.params
-    if m.case == 1:
-        return solvers.solve_degenerate(grid, [p["u0"], p["u1"]], p["scale"])
-    if m.case == 2:
-        return solvers.solve_geneq(grid, p["a"], p["b"])
-    if m.case == 3:
-        return solvers.solve_affine(grid, m.family, p["a"])
-    if m.case == 4:
-        return solvers.solve_matchgate(grid, p["a"], p["b"],
-                                       1 if p["sign"] == 1 else -1)
-    return solvers.solve_case5(grid, p["a"], p["b"])
+    return solve_case(grid, f, v.primary.case)

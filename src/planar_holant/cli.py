@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .classifier import classify, classify_binary, dispatch_solve
+from .classifier import classify, classify_binary, dispatch_solve, solve_case
 from .generators import generate_cubic_bipartite_plane, generate_cubic_plane
 from .holant_core import SignatureGrid, eval_collapsed, eval_gadget, eval_grid
 from .p3em import ExceptionalGraph, find_p3em, materialize, triples, verify
@@ -163,29 +163,11 @@ def cmd_solve(args) -> int:
     if f is None:
         raise CliError("left nodes must carry symmetric signatures")
     if args.force_case is not None:
-        value = _solve_forced(grid, f, args.force_case)
+        value = solve_case(grid, f, args.force_case)
     else:
         value = dispatch_solve(grid, f)
     _emit({"value": format_scalar(value)})
     return EXIT_OK
-
-
-def _solve_forced(grid, f, case: int):
-    from . import solvers
-    from .classifier import extract_params
-    p = extract_params(f, case)
-    if case == 1:
-        return solvers.solve_degenerate(grid, [p["u0"], p["u1"]], p["scale"])
-    if case == 2:
-        return solvers.solve_geneq(grid, p["a"], p["b"])
-    if case == 3:
-        return solvers.solve_affine(grid, p["family"], p["a"])
-    if case == 4:
-        return solvers.solve_matchgate(grid, p["a"], p["b"],
-                                       1 if p["sign"] == 1 else -1)
-    if case == 5:
-        return solvers.solve_case5(grid, p["a"], p["b"])
-    raise CliError(f"no case {case}")
 
 
 def cmd_pm(args) -> int:

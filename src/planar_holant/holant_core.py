@@ -1,11 +1,15 @@
 """Signature grids and exact brute-force Holant evaluation.
 
 A grid is a bipartite network: every internal edge joins an L-facing slot
-to an R-facing slot.  Nodes carry either a symmetric signature or an
-explicit row-major table; table nodes may mix slot sides (straddled
-signatures, cross-over).  Raw evaluation sums over all 2^|E_in|
-assignments and is capped by HOLANT_MAX_EDGES; the collapsed path
-exploits right-hand equalities and scales to one boolean per right node.
+to an R-facing slot.  Left nodes face only L, right nodes only R; table
+nodes carry an explicit row-major table and may mix slot sides (straddled
+signatures, cross-over).  Symmetric nodes carry a SymSignature.
+
+One evaluator, _terms, serves every entry point.  Its state has one
+boolean per right-hand equality node, whose slots all copy it, and one per
+remaining internal edge; dangling slots are pinned.  HOLANT_MAX_EDGES
+(default 24) caps the number of these free variables, so a grid whose
+right nodes are all equalities costs 2^#right whatever its edge count.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .scalars import Scalar, format_scalar, parse_scalar
 from .signatures import SymSignature
@@ -37,7 +41,12 @@ class TooManyEdges(GridError):
 
 
 def max_edges_cap() -> int:
-    return int(os.environ.get("HOLANT_MAX_EDGES", DEFAULT_MAX_EDGES))
+    raw = os.environ.get("HOLANT_MAX_EDGES", DEFAULT_MAX_EDGES)
+    try:
+        return int(raw)
+    except ValueError:
+        raise GridError(f"HOLANT_MAX_EDGES must be an integer, got {raw!r}") \
+            from None
 
 
 @dataclass
@@ -51,6 +60,8 @@ class GridNode:
     def __post_init__(self):
         if self.sym is None and self.table is None:
             raise GridError(f"node {self.id} has no signature")
+        if self.sym is not None and self.sym.arity != self.arity:
+            raise GridError(f"node {self.id}: signature arity mismatch")
         if self.table is not None:
             self.table = tuple(Fraction(v) if isinstance(v, int) else v
                                for v in self.table)
@@ -84,21 +95,25 @@ class SignatureGrid:
     embedding: Optional[Dict[int, Tuple[int, ...]]] = None  # node -> ccw slot order
 
     def __post_init__(self):
+        for n in self.nodes.values():
+            bad = {"left": "R", "right": "L"}.get(n.side)
+            if bad in n.slots:
+                raise GridError(f"{n.side} node {n.id} has a {bad}-facing slot")
+        want = {(n, s) for n, node in self.nodes.items() for s in range(node.arity)}
         used = set()
         for (na, sa, nb, sb) in self.edges:
-            fa = self.nodes[na].slots[sa]
-            fb = self.nodes[nb].slots[sb]
-            if {fa, fb} != {"L", "R"}:
-                raise GridError(f"edge {(na, sa, nb, sb)} is not L-R bipartite")
             for key in ((na, sa), (nb, sb)):
+                if key not in want:
+                    raise GridError(f"edge {(na, sa, nb, sb)}: no slot {key}")
                 if key in used:
                     raise GridError(f"slot {key} used twice")
                 used.add(key)
+            if {self.nodes[na].slots[sa], self.nodes[nb].slots[sb]} != {"L", "R"}:
+                raise GridError(f"edge {(na, sa, nb, sb)} is not L-R bipartite")
         for key in self.dangling:
             if key in used:
                 raise GridError(f"slot {key} both internal and dangling")
             used.add(key)
-        want = {(n, s) for n, node in self.nodes.items() for s in range(node.arity)}
         if used != want:
             raise GridError("every slot must be used exactly once")
 
@@ -169,118 +184,72 @@ class SignatureGrid:
         return SignatureGrid.from_json_dict(json.loads(text))
 
 
-def _slot_feed(grid: SignatureGrid):
-    """Map (node, slot) -> edge index, and list of dangling keys."""
-    feed = {}
-    for idx, (na, sa, nb, sb) in enumerate(grid.edges):
-        feed[(na, sa)] = idx
-        feed[(nb, sb)] = idx
-    return feed
+def _terms(grid: SignatureGrid,
+           pin: Dict[Tuple[int, int], int]) -> Iterator[Scalar]:
+    """Yield the product of node values for every internal state.
+
+    Dangling slots read their bit from pin.  A right equality with a pinned
+    slot is fixed to that bit (conflicting pins yield nothing).  Every slot
+    compiles to an index into bits + (0, 1): a free variable's position, or
+    -2 / -1 for a constant 0 / 1.  SignatureGrid guarantees that an edge
+    has at most one right endpoint, so no edge joins two equalities."""
+    col: Dict[int, Optional[int]] = {
+        n.id: None for n in grid.nodes.values()
+        if n.side == "right" and n.is_equality()}
+    for (nid, _), b in pin.items():
+        if nid in col:
+            if col[nid] is not None and col[nid] != b - 2:
+                return
+            col[nid] = b - 2
+    nbits = 0
+    for nid, c in col.items():
+        if c is None:
+            col[nid] = nbits
+            nbits += 1
+    at = {key: b - 2 for key, b in pin.items()}
+    for (na, sa, nb, sb) in grid.edges:
+        c = col[na] if na in col else col.get(nb)
+        if c is None:
+            c = nbits
+            nbits += 1
+        at[(na, sa)] = at[(nb, sb)] = c
+    cap = max_edges_cap()
+    if nbits > cap:
+        raise TooManyEdges(f"{nbits} free variables exceeds cap {cap}")
+    others = [(n.value, [at[(n.id, s)] for s in range(n.arity)])
+              for n in grid.nodes.values() if n.id not in col]
+    for bits in product((0, 1), repeat=nbits):
+        bits += (0, 1)
+        term: Scalar = Fraction(1)
+        for value, cols in others:
+            term = term * value([bits[c] for c in cols])
+            if term == 0:
+                break
+        yield term
+
+
+def _pins(grid: SignatureGrid) -> Iterator[Dict[Tuple[int, int], int]]:
+    """Every assignment of the dangling slots, row-major in grid.dangling."""
+    for ext in product((0, 1), repeat=len(grid.dangling)):
+        yield dict(zip(grid.dangling, ext))
 
 
 def eval_grid(grid: SignatureGrid) -> Scalar:
-    """Exact Holant value: sum over {0,1}^E of products of node values.
-
-    Right-hand equality nodes collapse to one boolean each (their edges all
-    copy it), so only edges between non-equality nodes stay free."""
+    """Exact Holant value: sum over all internal states of the product of
+    node values."""
     if grid.dangling:
         raise DanglingPresent("grid has dangling slots")
-    eq_nodes = [n.id for n in grid.nodes.values()
-                if n.side == "right" and n.is_equality()]
-    eq_set = set(eq_nodes)
-    free_edges = []
-    forced: Dict[int, int] = {}   # edge index -> equality node id
-    for idx, (na, sa, nb, sb) in enumerate(grid.edges):
-        if na in eq_set:
-            forced[idx] = na
-        elif nb in eq_set:
-            forced[idx] = nb
-        else:
-            free_edges.append(idx)
-    nbits = len(eq_nodes) + len(free_edges)
-    if nbits > max_edges_cap():
-        raise TooManyEdges(f"{nbits} free variables exceeds cap {max_edges_cap()}")
-    feed = _slot_feed(grid)
-    others = [n for n in grid.nodes.values() if n.id not in eq_set]
-    total: Scalar = Fraction(0)
-    for bits in product((0, 1), repeat=nbits):
-        y = dict(zip(eq_nodes, bits))
-        ebits = dict(zip(free_edges, bits[len(eq_nodes):]))
-        term: Scalar = Fraction(1)
-        for n in others:
-            vals = []
-            for s in range(n.arity):
-                idx = feed[(n.id, s)]
-                vals.append(y[forced[idx]] if idx in forced else ebits[idx])
-            term = term * n.value(vals)
-            if term == 0:
-                break
-        total = total + term
-    return total
-
-
-def _eval_raw(grid: SignatureGrid, pinned: Dict[int, int]) -> Scalar:
-    m = len(grid.edges)
-    free = [i for i in range(m) if i not in pinned]
-    if len(free) > max_edges_cap():
-        raise TooManyEdges(f"{len(free)} free edges exceeds cap {max_edges_cap()}")
-    feed = _slot_feed(grid)
-    total: Scalar = Fraction(0)
-    assign = dict(pinned)
-    for bits in product((0, 1), repeat=len(free)):
-        for i, b in zip(free, bits):
-            assign[i] = b
-        term: Scalar = Fraction(1)
-        for n in grid.nodes.values():
-            vals = [assign[feed[(n.id, s)]] for s in range(n.arity)]
-            term = term * n.value(vals)
-            if term == 0:
-                break
-        total = total + term
-    return total
-
-
-def _all_right_equalities(grid: SignatureGrid) -> bool:
-    rights = grid.right_nodes()
-    if not rights:
-        return False
-    others = [n for n in grid.nodes.values() if n.side != "right"]
-    if any(n.side == "table" for n in others):
-        return False
-    return all(n.is_equality() for n in rights)
+    return sum(_terms(grid, {}), Fraction(0))
 
 
 def eval_collapsed(grid: SignatureGrid) -> Scalar:
-    """Holant when every right node is an equality: one boolean per right
-    node determines all edges; sum over 2^{#right} states."""
+    """eval_grid, after checking that every right node is an equality and
+    every other node is a left node."""
     rights = grid.right_nodes()
-    if not _all_right_equalities(grid):
+    if (not rights or not all(n.is_equality() for n in rights)
+            or len(rights) + len(grid.left_nodes()) != len(grid.nodes)):
         raise GridError("collapsed evaluation needs all right nodes = equality")
-    if grid.dangling:
-        raise DanglingPresent("grid has dangling slots")
-    if len(rights) > max_edges_cap():
-        raise TooManyEdges(f"{len(rights)} right nodes exceeds cap")
-    # each edge's value = the boolean of its right endpoint
-    right_of_edge = {}
-    for idx, (na, sa, nb, sb) in enumerate(grid.edges):
-        rn = na if grid.nodes[na].side == "right" else nb
-        if grid.nodes[rn].side != "right":
-            raise GridError("edge with no right endpoint")
-        right_of_edge[idx] = rn
-    feed = _slot_feed(grid)
-    lefts = grid.left_nodes()
-    rids = [n.id for n in rights]
-    total: Scalar = Fraction(0)
-    for bits in product((0, 1), repeat=len(rids)):
-        y = dict(zip(rids, bits))
-        term: Scalar = Fraction(1)
-        for n in lefts:
-            vals = [y[right_of_edge[feed[(n.id, s)]]] for s in range(n.arity)]
-            term = term * n.value(vals)
-            if term == 0:
-                break
-        total = total + term
-    return total
+    return eval_grid(grid)
 
 
 def eval_gadget(grid: SignatureGrid) -> List[Scalar]:
@@ -288,141 +257,11 @@ def eval_gadget(grid: SignatureGrid) -> List[Scalar]:
     slots, row-major in the order of grid.dangling."""
     if not grid.dangling:
         raise GridError("eval_gadget expects dangling slots")
-    k = len(grid.dangling)
-    rights = grid.right_nodes()
-    collapsible = (_all_right_equalities_gadget(grid)
-                   and len(rights) <= max_edges_cap())
-    out = []
-    for ext in product((0, 1), repeat=k):
-        pin = dict(zip(grid.dangling, ext))
-        if collapsible:
-            out.append(_gadget_term_collapsed(grid, pin))
-        else:
-            out.append(_gadget_term_raw(grid, pin))
-    return out
-
-
-def _all_right_equalities_gadget(grid: SignatureGrid) -> bool:
-    rights = grid.right_nodes()
-    others = [n for n in grid.nodes.values() if n.side != "right"]
-    return (bool(rights) and all(n.is_equality() for n in rights)
-            and all(n.side == "left" for n in others))
-
-
-def _gadget_term_raw(grid: SignatureGrid, pin: Dict[Tuple[int, int], int]) -> Scalar:
-    m = len(grid.edges)
-    if m > max_edges_cap():
-        raise TooManyEdges(f"{m} internal edges exceeds cap")
-    feed = _slot_feed(grid)
-    total: Scalar = Fraction(0)
-    for bits in product((0, 1), repeat=m):
-        term: Scalar = Fraction(1)
-        for n in grid.nodes.values():
-            vals = []
-            for s in range(n.arity):
-                if (n.id, s) in pin:
-                    vals.append(pin[(n.id, s)])
-                else:
-                    vals.append(bits[feed[(n.id, s)]])
-            term = term * n.value(vals)
-            if term == 0:
-                break
-        total = total + term
-    return total
-
-
-def _gadget_term_collapsed(grid: SignatureGrid, pin) -> Scalar:
-    """Gadget term when all internal right nodes are equalities: enumerate
-    one boolean per right node; dangling slots of right nodes must agree."""
-    feed = _slot_feed(grid)
-    rights = grid.right_nodes()
-    lefts = grid.left_nodes()
-    right_of_edge = {}
-    for idx, (na, sa, nb, sb) in enumerate(grid.edges):
-        rn = na if grid.nodes[na].side == "right" else nb
-        right_of_edge[idx] = rn
-    total: Scalar = Fraction(0)
-    rids = [n.id for n in rights]
-    for bits in product((0, 1), repeat=len(rids)):
-        y = dict(zip(rids, bits))
-        ok = True
-        for (nid, slot), b in pin.items():
-            if grid.nodes[nid].side == "right" and y[nid] != b:
-                ok = False
-                break
-        if not ok:
-            continue
-        term: Scalar = Fraction(1)
-        for n in lefts:
-            vals = []
-            for s in range(n.arity):
-                if (n.id, s) in pin:
-                    vals.append(pin[(n.id, s)])
-                else:
-                    vals.append(y[right_of_edge[feed[(n.id, s)]]])
-            term = term * n.value(vals)
-            if term == 0:
-                break
-        total = total + term
-    return total
+    return [sum(_terms(grid, pin), Fraction(0)) for pin in _pins(grid)]
 
 
 def gadget_assignment_counts(grid: SignatureGrid) -> List[int]:
-    """Number of internal assignments with a nonzero product, per external
-    assignment (same order as eval_gadget).  Exhaustive; when all right
-    nodes are equalities the internal assignments are in bijection with
-    right-node states, which keeps large gadgets tractable."""
-    k = len(grid.dangling)
-    feed = _slot_feed(grid)
-    collapsible = _all_right_equalities_gadget(grid)
-    counts = []
-    if collapsible:
-        rights = grid.right_nodes()
-        lefts = grid.left_nodes()
-        right_of_edge = {}
-        for idx, (na, sa, nb, sb) in enumerate(grid.edges):
-            rn = na if grid.nodes[na].side == "right" else nb
-            right_of_edge[idx] = rn
-        rids = [n.id for n in rights]
-        for ext in product((0, 1), repeat=k):
-            pin = dict(zip(grid.dangling, ext))
-            c = 0
-            for bits in product((0, 1), repeat=len(rids)):
-                y = dict(zip(rids, bits))
-                if any(grid.nodes[nid].side == "right" and y[nid] != b
-                       for (nid, slot), b in pin.items()):
-                    continue
-                term: Scalar = Fraction(1)
-                for n in lefts:
-                    vals = [pin[(n.id, s)] if (n.id, s) in pin
-                            else y[right_of_edge[feed[(n.id, s)]]]
-                            for s in range(n.arity)]
-                    term = term * n.value(vals)
-                    if term == 0:
-                        break
-                if term != 0:
-                    c += 1
-            counts.append(c)
-        return counts
-    m = len(grid.edges)
-    if m > max_edges_cap():
-        raise TooManyEdges(f"{m} internal edges exceeds cap")
-    for ext in product((0, 1), repeat=k):
-        pin = dict(zip(grid.dangling, ext))
-        c = 0
-        for bits in product((0, 1), repeat=m):
-            term: Scalar = Fraction(1)
-            for n in grid.nodes.values():
-                vals = []
-                for s in range(n.arity):
-                    if (n.id, s) in pin:
-                        vals.append(pin[(n.id, s)])
-                    else:
-                        vals.append(bits[feed[(n.id, s)]])
-                term = term * n.value(vals)
-                if term == 0:
-                    break
-            if term != 0:
-                c += 1
-        counts.append(c)
-    return counts
+    """Number of internal edge assignments with a nonzero product, per
+    external assignment (same order as eval_gadget).  Edges that disagree
+    at an equality give product 0, so these are the nonzero states."""
+    return [sum(1 for t in _terms(grid, pin) if t != 0) for pin in _pins(grid)]

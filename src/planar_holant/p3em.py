@@ -276,7 +276,7 @@ def find_p3em(g: PlaneGraph):
     bad_kinds: List[str] = []
     bad_comps: List[List[int]] = []
     for comp in g.connected_components():
-        sub = _induced(g, comp)
+        sub = g.induced(comp)
         kind = exceptional_kind(sub)
         if kind is not None:
             bad_kinds.append(kind)
@@ -289,14 +289,6 @@ def find_p3em(g: PlaneGraph):
     if not rep.ok:
         raise P3emError(f"internal: constructed assignment invalid: {rep.reason}")
     return sigma
-
-
-def _induced(g: PlaneGraph, comp: List[int]) -> PlaneGraph:
-    keep = set(comp)
-    twin = {d: t for d, t in g.twin.items() if g.vertex_of[d] in keep}
-    vo = {d: v for d, v in g.vertex_of.items() if v in keep}
-    rot = {v: g.rotation[v] for v in comp}
-    return PlaneGraph(twin, vo, rot)
 
 
 def __getattr__(name):

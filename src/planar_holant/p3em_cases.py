@@ -197,17 +197,6 @@ def _standard_lift(parent: PlaneGraph, children: List[PlaneGraph],
     return lift
 
 
-def _split_components(g: PlaneGraph) -> List[PlaneGraph]:
-    out = []
-    for comp in g.connected_components():
-        keep = set(comp)
-        twin = {d: t for d, t in g.twin.items() if g.vertex_of[d] in keep}
-        vo = {d: v for d, v in g.vertex_of.items() if v in keep}
-        rot = {v: g.rotation[v] for v in comp}
-        out.append(PlaneGraph(twin, vo, rot))
-    return out
-
-
 def _other_darts(g: PlaneGraph, v: int, exclude: Sequence[int]) -> List[int]:
     return [d for d in g.rotation[v] if d not in exclude]
 
@@ -317,7 +306,8 @@ def _case_bridge(g: PlaneGraph, e: int) -> ReductionStep:
     b.delete_edge(e)
     b.contract_edge(dBA, new_vertex=g.vertex_of[g.twin[dBA]])
     b.contract_edge(dED, new_vertex=g.vertex_of[g.twin[dED]])
-    children = _split_components(b.freeze())
+    rest = b.freeze()
+    children = [rest.induced(c) for c in rest.connected_components()]
     if len(children) != 2:
         raise P3emError("bridge surgery did not split the graph")
     return ReductionStep("bridge", children, _standard_lift(g, children, pool))

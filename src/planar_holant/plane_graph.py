@@ -186,6 +186,16 @@ class PlaneGraph:
             comps.append(sorted(comp))
         return comps
 
+    def induced(self, comp: Sequence[int]) -> "PlaneGraph":
+        """The subgraph on comp, a union of connected components.  Darts
+        keep this graph's dict order; building the dicts in rotation order
+        instead made the P3EM benchmarks measurably slower."""
+        keep = set(comp)
+        return PlaneGraph(
+            {d: t for d, t in self.twin.items() if self.vertex_of[d] in keep},
+            {d: v for d, v in self.vertex_of.items() if v in keep},
+            {v: self.rotation[v] for v in comp})
+
     def bridges(self) -> set:
         """Edge ids whose removal disconnects their component."""
         # lowpoint DFS over darts; skips exactly one reverse dart per tree edge,

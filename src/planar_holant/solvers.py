@@ -160,19 +160,11 @@ def count_pm(g: PlaneGraph, weights: Optional[Dict[int, Scalar]] = None) -> Scal
     weights = dict(weights or {})
     total: Scalar = Fraction(1)
     for comp in g.connected_components():
-        sub = _induced(g, comp)
+        sub = g.induced(comp)
         total = total * _count_pm_connected(sub, weights)
         if total == 0:
             return Fraction(0)
     return total
-
-
-def _induced(g: PlaneGraph, comp: List[int]) -> PlaneGraph:
-    keep = set(comp)
-    twin = {d: t for d, t in g.twin.items() if g.vertex_of[d] in keep}
-    vo = {d: v for d, v in g.vertex_of.items() if v in keep}
-    rot = {v: g.rotation[v] for v in comp}
-    return PlaneGraph(twin, vo, rot)
 
 
 def _count_pm_connected(g: PlaneGraph, weights: Dict[int, Scalar]) -> Scalar:
@@ -357,25 +349,19 @@ def solve_geneq(grid: SignatureGrid, a: Scalar, b: Scalar) -> Scalar:
     return total
 
 
-AFFINE_FAMILIES = ("even", "even_signed", "odd", "odd_signed",
-                   "alternating", "two_block")
+# affine family -> pattern; the signature is a times the pattern
+AFFINE_PATTERNS = {
+    "even": (1, 0, 1, 0), "even_signed": (1, 0, -1, 0),
+    "odd": (0, 1, 0, 1), "odd_signed": (0, 1, 0, -1),
+    "alternating": (1, -1, -1, 1), "two_block": (1, 1, -1, -1),
+}
 
 
 def affine_family_of(f: SymSignature) -> Optional[Tuple[str, Scalar]]:
     """Match [a,0,+-a,0], [0,a,0,+-a], [a,-a,-a,a], [a,a,-a,-a]."""
-    a = next((v for v in f.values if v != 0), None)
-    if a is None:
-        return None
-    pats = {
-        "even": (1, 0, 1, 0), "even_signed": (1, 0, -1, 0),
-        "odd": (0, 1, 0, 1), "odd_signed": (0, 1, 0, -1),
-        "alternating": (1, -1, -1, 1), "two_block": (1, 1, -1, -1),
-    }
-    for name, pat in pats.items():
-        base = next((v for v, p in zip(f.values, pat) if p != 0), None)
-        if base == 0 or base is None:
-            continue
-        if all(v == base * p for v, p in zip(f.values, pat)):
+    for name, pat in AFFINE_PATTERNS.items():
+        base = next(v for v, p in zip(f.values, pat) if p != 0)
+        if base != 0 and all(v == base * p for v, p in zip(f.values, pat)):
             return name, base
     return None
 
@@ -431,12 +417,9 @@ def gauss_sum_gf2(n: int, quad: set, lin: set, const: int) -> Scalar:
 def solve_affine(grid: SignatureGrid, family: str, a: Scalar) -> Scalar:
     """Affine classes: one GF(2) variable per right node, per-left-node
     parity constraints and quadratic signs, evaluated as a Gauss sum."""
-    pats = {"even": [1, 0, 1, 0], "even_signed": [1, 0, -1, 0],
-            "odd": [0, 1, 0, 1], "odd_signed": [0, 1, 0, -1],
-            "alternating": [1, -1, -1, 1], "two_block": [1, 1, -1, -1]}
-    if family not in pats:
+    if family not in AFFINE_PATTERNS:
         raise WrongForm(f"unknown affine family {family}")
-    f = SymSignature([a * p for p in pats[family]])
+    f = SymSignature([a * p for p in AFFINE_PATTERNS[family]])
     lefts, rights = _require_case(grid, f)
     nbr = _neighbors(grid)
     rindex = {n.id: i for i, n in enumerate(rights)}

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -9,6 +10,27 @@ def run_cli(*args, expect=0):
                           capture_output=True, text=True)
     assert proc.returncode == expect, proc.stderr
     return json.loads(proc.stdout) if proc.stdout.strip() else {}
+
+
+def cli_input_error(*args, env=None):
+    """Run a command that must end in exit 2 without a traceback; return
+    its stderr."""
+    proc = subprocess.run([sys.executable, "-m", "planar_holant", *args],
+                          capture_output=True, text=True,
+                          env=None if env is None else {**os.environ, **env})
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    return proc.stderr
+
+
+def write_grid(tmp_path, nodes, edges):
+    spec = {"nodes": [{"id": i, "side": side,
+                       "slots": [{"side": s} for s in slots], "symmetric": sym}
+                      for i, side, slots, sym in nodes],
+            "edges": edges}
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
 
 
 def data_path(name):
@@ -153,3 +175,44 @@ def test_solve_force_case():
     out = run_cli("solve", data_path("cover_example_grid.json"),
                   "--force-case", "5")
     assert out["value"] == "9"
+
+
+def test_eval_rejects_slot_facing_the_wrong_side(tmp_path):
+    # two right =2 nodes chained through an L-facing slot: evaluated
+    # anyway, the eq-eq edge would drop one equality (6 instead of 3)
+    path = write_grid(tmp_path,
+                      [(0, "left", "L", ["1", "1"]),
+                       (1, "right", "RL", ["1", "0", "1"]),
+                       (2, "right", "RL", ["1", "0", "1"]),
+                       (3, "left", "R", ["1", "2"])],
+                      [[0, 0, 1, 0], [1, 1, 2, 0], [2, 1, 3, 0]])
+    assert "right node 1 has a L-facing slot" in cli_input_error("eval", path)
+    assert "right node 1" in cli_input_error("eval", "--collapsed", path)
+
+
+def test_eval_rejects_edge_to_unknown_node(tmp_path):
+    path = write_grid(tmp_path, [(0, "left", "L", ["1", "1"]),
+                                 (1, "right", "R", ["1", "1"])],
+                      [[0, 0, 99, 0]])
+    assert "no slot (99, 0)" in cli_input_error("eval", path)
+
+
+def test_eval_rejects_slot_past_arity(tmp_path):
+    path = write_grid(tmp_path, [(0, "left", "L", ["1", "1"]),
+                                 (1, "right", "R", ["1", "1"])],
+                      [[0, 0, 1, 1]])
+    assert "no slot (1, 1)" in cli_input_error("eval", path)
+
+
+def test_eval_rejects_non_integer_cap():
+    err = cli_input_error("eval", data_path("cover_example_grid.json"),
+                          env={"HOLANT_MAX_EDGES": "lots"})
+    assert "HOLANT_MAX_EDGES" in err
+
+
+def test_eval_rejects_signature_arity_mismatch(tmp_path):
+    # a unary signature on a node with two slots
+    path = write_grid(tmp_path, [(0, "left", "LL", ["1", "2"]),
+                                 (1, "right", "RR", ["1", "0", "1"])],
+                      [[0, 0, 1, 0], [0, 1, 1, 1]])
+    assert "signature arity mismatch" in cli_input_error("eval", path)

@@ -1,14 +1,17 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from planar_holant import fixtures
 from planar_holant.generators import generate_cubic_bipartite_plane
-from planar_holant.holant_core import (DanglingPresent, GridNode,
+from planar_holant.holant_core import (DanglingPresent, GridError, GridNode,
                                        SignatureGrid, TooManyEdges,
-                                       eval_collapsed, eval_gadget, eval_grid)
+                                       eval_collapsed, eval_gadget, eval_grid,
+                                       gadget_assignment_counts)
 from planar_holant.plane_graph import grid_from_cubic_bipartite
+from planar_holant.reductions import Crossing, planarize
 from planar_holant.signatures import (EQ3, SymSignature, hadamard3,
                                       hadamard3_inv)
 
@@ -37,28 +40,76 @@ def test_m23_grid_f0_plus_f3():
     assert eval_grid(grid) == f[0] + f[3]
 
 
+def raw_enumeration(grid, pin):
+    """Independent reference: sum and nonzero count of the products over
+    every assignment of the internal edges, dangling slots read from pin."""
+    feed = {}
+    for idx, (na, sa, nb, sb) in enumerate(grid.edges):
+        feed[(na, sa)] = idx
+        feed[(nb, sb)] = idx
+    total, nonzero = Fraction(0), 0
+    for bits in product((0, 1), repeat=len(grid.edges)):
+        term = Fraction(1)
+        for n in grid.nodes.values():
+            vals = [pin[(n.id, s)] if (n.id, s) in pin else bits[feed[(n.id, s)]]
+                    for s in range(n.arity)]
+            term *= n.value(vals)
+            if term == 0:
+                break
+        total += term
+        nonzero += term != 0
+    return total, nonzero
+
+
+def cut_edges(grid, rng, k):
+    """The grid with k random internal edges cut into dangling slot pairs."""
+    edges = list(grid.edges)
+    dangling = []
+    for _ in range(k):
+        na, sa, nb, sb = edges.pop(rng.randrange(len(edges)))
+        dangling += [(na, sa), (nb, sb)]
+    return SignatureGrid(grid.nodes, edges, dangling)
+
+
+def crossed(grid, rng):
+    """planarize with one random crossing; edges run L-end to R-end."""
+    edges = [e if grid.nodes[e[0]].side == "left" else e[2:] + e[:2]
+             for e in grid.edges]
+    a, b = rng.sample(range(len(edges)), 2)
+    return planarize(SignatureGrid(grid.nodes, edges, []),
+                     [Crossing(a, b, orientation=rng.choice([1, -1]))])
+
+
 def test_collapsed_matches_raw_random():
     rng = random.Random(7)
     for seed in range(25):
         g = generate_cubic_bipartite_plane(rng.choice([2, 4, 6, 8]), seed)
         f = rand_sig(rng)
         grid = grid_from_cubic_bipartite(g, f)
-        # raw evaluation forced through edge enumeration
-        raw = Fraction(0)
-        from itertools import product
-        feed = {}
-        for idx, (na, sa, nb, sb) in enumerate(grid.edges):
-            feed[(na, sa)] = idx
-            feed[(nb, sb)] = idx
-        for bits in product((0, 1), repeat=len(grid.edges)):
-            term = Fraction(1)
-            for n in grid.nodes.values():
-                vals = [bits[feed[(n.id, s)]] for s in range(n.arity)]
-                term *= n.value(vals)
-                if term == 0:
-                    break
-            raw += term
+        raw, _ = raw_enumeration(grid, {})
         assert eval_grid(grid) == raw == eval_collapsed(grid)
+    # table nodes: cross-over nodes from planarize, right nodes not =3
+    for seed in range(8):
+        g = generate_cubic_bipartite_plane(rng.choice([2, 4, 6]), seed + 100)
+        grid = grid_from_cubic_bipartite(
+            g, rand_sig(rng), right_sig=None if seed % 2 else rand_sig(rng))
+        pl = crossed(grid, rng)
+        assert eval_grid(pl) == raw_enumeration(pl, {})[0] == eval_grid(grid)
+        with pytest.raises(GridError):
+            eval_collapsed(pl)
+    # dangling slots: gadget tables and support counts, row-major in
+    # grid.dangling order, against pinned raw enumeration
+    for seed in range(12):
+        g = generate_cubic_bipartite_plane(rng.choice([2, 4, 6]), seed + 200)
+        grid = grid_from_cubic_bipartite(
+            g, rand_sig(rng), right_sig=None if seed % 3 else rand_sig(rng))
+        if seed % 4 == 0:
+            grid = crossed(grid, rng)
+        gad = cut_edges(grid, rng, 1 + seed % 2)
+        want = [raw_enumeration(gad, dict(zip(gad.dangling, ext)))
+                for ext in product((0, 1), repeat=len(gad.dangling))]
+        assert eval_gadget(gad) == [v for v, _ in want]
+        assert gadget_assignment_counts(gad) == [c for _, c in want]
 
 
 def test_right_equality_with_unary_ones():
