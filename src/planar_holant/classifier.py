@@ -190,5 +190,5 @@ def dispatch_solve(grid, f: SymSignature) -> Scalar:
     """Classify f and run the matching tractable solver on the grid."""
     v = classify(f)
     if not v.planar_fp:
-        raise solvers.SolverError("signature is #P-hard on planar grids")
+        raise solvers.WrongForm("signature is #P-hard on planar grids")
     return solve_case(grid, f, v.primary.case)

@@ -19,7 +19,7 @@ from .p3em import ExceptionalGraph, find_p3em, materialize, triples, verify
 from .plane_graph import PlaneGraph, from_json
 from .scalars import format_scalar, parse_scalar
 from .signatures import SymSignature
-from .solvers import count_pm
+from .solvers import SolverError, count_pm
 from . import gadgets
 from . import reductions
 
@@ -286,6 +286,9 @@ def main(argv=None) -> int:
     except (CliError, FileNotFoundError, json.JSONDecodeError, ValueError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_INPUT
+    except SolverError as ex:  # WrongForm is a ValueError and exits above
+        print(f"internal error: {ex}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -1,8 +1,11 @@
 """Polynomial-time exact solvers for the tractable signature classes.
 
 count_pm implements the FKT pipeline: Kasteleyn orientation by a dual
-spanning-tree sweep, then an exact fraction-free Pfaffian whose sign is
-fixed by the elimination itself (no determinant square root).  The five
+spanning-tree sweep, then the Pfaffian of the Kasteleyn matrix, kept as
+per-row dicts of nonzeros, by exact sparse skew elimination with greedy
+minimum-degree pivots.  Every perfect matching carries the same sign under
+a Pfaffian orientation; with all weights positive the weighted Pfaffian
+shows it, otherwise a second, unit-weight Pfaffian reads it.  The five
 class solvers reduce to perfect-matching counts (cases 4 and 5), GF(2)
 Gauss sums (affine), or closed products (degenerate, generalized
 equality), and every one is oracle-tested against brute-force evaluation.
@@ -10,7 +13,9 @@ equality), and every one is oracle-tested against brute-force evaluation.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
+from itertools import count
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .plane_graph import (GraphBuilder, PlaneGraph, plane_graph_of_grid)
@@ -19,12 +24,12 @@ from .scalars import Scalar
 from .signatures import SymSignature, hadamard3
 
 
-class SolverError(ValueError):
-    pass
+class SolverError(Exception):
+    """A solver invariant broke: a defect in the solver, not bad input."""
 
 
-class WrongForm(SolverError):
-    pass
+class WrongForm(SolverError, ValueError):
+    """The grid or its parameters do not have the form the solver needs."""
 
 
 # -- Kasteleyn orientation and Pfaffian ---------------------------------
@@ -99,8 +104,9 @@ def kasteleyn_orient(g: PlaneGraph, root_face: Optional[int] = None) -> Kasteley
             ready.append(other)
     if len(decided_edges) != len(cotree):
         raise SolverError("dual sweep failed (graph not plane-connected?)")
+    boundaries = {f.id: f.boundary for f in faces}
     for fid, e in order:
-        boundary = g.face_boundary(fid)
+        boundary = boundaries[fid]
         aligned = 0
         pending_darts = [d for d in boundary if g.edge_of(d) == e]
         for d in boundary:
@@ -119,36 +125,75 @@ def kasteleyn_orient(g: PlaneGraph, root_face: Optional[int] = None) -> Kasteley
     return ko
 
 
-def _pfaffian(mat: List[List[Scalar]]) -> Scalar:
-    """Pfaffian of a skew-symmetric matrix by exact elimination."""
-    n = len(mat)
+def _pfaffian(rows: List[Dict[int, Scalar]]) -> Scalar:
+    """Pfaffian of a skew-symmetric matrix given as one dict of nonzero
+    entries per row (rows[r][s] == -rows[s][r]); the rows are consumed.
+
+    Sparse exact elimination under greedy minimum degree: each step pivots
+    on the live row with the fewest nonzeros and its neighbour with the
+    fewest, multiplies the pivot into the result and takes the Schur
+    complement, which only touches the two pivot rows' neighbours.  With
+    sigma the pivot sequence (i1, j1, i2, j2, ...), the Pfaffian is
+    sgn(sigma) times the product of the pivots.
+    """
+    n = len(rows)
     if n % 2:
         return Fraction(0)
-    a = [row[:] for row in mat]
+    heap = [(len(row), r) for r, row in enumerate(rows)]
+    heapq.heapify(heap)
+    done = [False] * n
+    order: List[int] = []
     pf: Scalar = Fraction(1)
-    for i in range(0, n, 2):
-        pivot = None
-        for j in range(i + 1, n):
-            if a[i][j] != 0:
-                pivot = j
-                break
-        if pivot is None:
+    while heap:
+        deg, i = heapq.heappop(heap)
+        if done[i] or deg != len(rows[i]):
+            continue  # stale heap entry
+        if deg == 0:
             return Fraction(0)
-        if pivot != i + 1:
-            # swap rows/cols pivot <-> i+1; each pair swap flips the sign
-            a[pivot], a[i + 1] = a[i + 1], a[pivot]
-            for row in a:
-                row[pivot], row[i + 1] = row[i + 1], row[pivot]
-            pf = -pf
-        p = a[i][i + 1]
+        ri = rows[i]
+        j = min(ri, key=lambda v: (len(rows[v]), v))
+        rj = rows[j]
+        p = ri.pop(j)
+        del rj[i]
         pf = pf * p
-        # Schur complement on the trailing block, keeping skew symmetry
-        for r in range(i + 2, n):
-            for s in range(r + 1, n):
-                a[r][s] = a[r][s] - (a[i][r] * a[i + 1][s]
-                                     - a[i][s] * a[i + 1][r]) / p
-                a[s][r] = -a[r][s]
-    return pf
+        done[i] = done[j] = True
+        order += (i, j)
+        for r in ri:
+            del rows[r][i]
+        for r in rj:
+            del rows[r][j]
+        # a[r][s] -= (a[i][r] a[j][s] - a[i][s] a[j][r]) / p over N(i) | N(j)
+        x = {r: v / p for r, v in ri.items()}
+        nbrs = list(x.keys() | rj.keys())
+        for k, r in enumerate(nbrs):
+            xr, yr, row = x.get(r), rj.get(r), rows[r]
+            for s in nbrs[k + 1:]:
+                t = 0
+                if xr is not None and s in rj:
+                    t = xr * rj[s]
+                if yr is not None and s in x:
+                    t = t - x[s] * yr
+                if t == 0:
+                    continue
+                v = row.get(s, 0) - t
+                if v != 0:
+                    row[s] = v
+                    rows[s][r] = -v
+                elif s in row:
+                    del row[s], rows[s][r]
+        for r in nbrs:
+            heapq.heappush(heap, (len(rows[r]), r))
+    # sign of sigma from its cycles
+    sign = 1
+    seen = [False] * n
+    for start in range(n):
+        k = start
+        while not seen[k]:
+            seen[k] = True
+            k = order[k]
+            if k != start:
+                sign = -sign
+    return pf if sign > 0 else -pf
 
 
 def count_pm(g: PlaneGraph, weights: Optional[Dict[int, Scalar]] = None) -> Scalar:
@@ -179,26 +224,30 @@ def _count_pm_connected(g: PlaneGraph, weights: Dict[int, Scalar]) -> Scalar:
         if len(comp) % 2:
             return Fraction(0)
     ko = kasteleyn_orient(g2)
-    verts = g2.vertices()
-    idx = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
+    idx = {v: i for i, v in enumerate(g2.vertices())}
 
     def pfaff(weighted: bool) -> Scalar:
-        mat: List[List[Scalar]] = [[Fraction(0)] * n for _ in range(n)]
+        rows: List[Dict[int, Scalar]] = [{} for _ in idx]
         for e in g2.edges():
-            u, v = g2.edge_ends(e)
             w = wmap.get(e, Fraction(1)) if weighted else Fraction(1)
-            sgn = 1 if ko.oriented_out[e] else -1
-            mat[idx[u]][idx[v]] += sgn * w
-            mat[idx[v]][idx[u]] -= sgn * w
-        return _pfaffian(mat)
+            if w == 0:
+                continue
+            u, v = g2.edge_ends(e)
+            if not ko.oriented_out[e]:
+                w = -w
+            rows[idx[u]][idx[v]] = w
+            rows[idx[v]][idx[u]] = -w
+        return _pfaffian(rows)
 
-    # all matchings carry one global sign under a Pfaffian orientation; the
-    # unit-weight Pfaffian exposes it (zero means no matchings at all)
+    # all matchings carry one global sign under a Pfaffian orientation; with
+    # every weight positive the weighted Pfaffian shows it, otherwise the
+    # unit-weight Pfaffian does (zero means no matchings at all)
+    pf = pfaff(True)
+    if all(w > 0 for w in wmap.values()):
+        return pf if pf > 0 else -pf
     unit = pfaff(False)
     if unit == 0:
         return Fraction(0)
-    pf = pfaff(True)
     return pf if unit > 0 else -pf
 
 
@@ -223,27 +272,28 @@ def _simplify_for_pm(g: PlaneGraph, weights: Dict[int, Scalar]):
             pair_seen.add(key)
             wmap[e] = weights.get(e, Fraction(1))
     nv = max(b.rotation) + 1
+    d = b.fresh_dart()
     for e in to_split:
         w = weights.get(e, Fraction(1))
-        d1, d2 = _subdivide_edge(b, e, nv)
-        _subdivide_edge(b, d2, nv + 1)
+        _subdivide_edge(b, e, nv, d)
+        _subdivide_edge(b, d + 1, nv + 1, d + 2)
         nv += 2
+        d += 4
         wmap[min(e, b.twin[e])] = w  # weight on the first segment
     g2 = b.freeze()
     # re-key weights to edge ids of g2 (first segments keep the low dart id)
     return g2, {min(e, g2.twin[e]): w for e, w in wmap.items()}
 
 
-def _subdivide_edge(b: GraphBuilder, dart: int, new_vertex: int) -> Tuple[int, int]:
+def _subdivide_edge(b: GraphBuilder, dart: int, new_vertex: int, d1: int) -> None:
+    """Put new_vertex on dart's edge, with unused darts d1 and d1 + 1."""
     t = b.twin[dart]
-    d1 = b.fresh_dart()
     d2 = d1 + 1
     b.rotation[new_vertex] = [d1, d2]
     b.vertex_of[d1] = new_vertex
     b.vertex_of[d2] = new_vertex
     b.retwin(dart, d1)
     b.retwin(d2, t)
-    return d1, d2
 
 
 def brute_force_pm(g: PlaneGraph, weights: Optional[Dict[int, Scalar]] = None) -> Scalar:
@@ -539,10 +589,7 @@ def _decorate(grid: SignatureGrid, left_kind: str, right_kind: str,
     b = GraphBuilder(g)
     weights: Dict[int, Scalar] = {}
     next_v = max(b.rotation) + 1
-
-    def fresh_pair():
-        d = max(b.twin, default=max(b.vertex_of, default=0)) + 1
-        return d, d + 1
+    fresh = count(b.fresh_dart())
 
     for nid in sorted(grid.nodes):
         node = grid.nodes[nid]
@@ -562,7 +609,7 @@ def _decorate(grid: SignatureGrid, left_kind: str, right_kind: str,
             # wire triangle cycle
             tri_darts = {}
             for i in range(k):
-                d1, d2 = fresh_pair()
+                d1, d2 = next(fresh), next(fresh)
                 b.twin[d1] = d2
                 b.twin[d2] = d1
                 tri_darts[(i, (i + 1) % k)] = d1
@@ -571,7 +618,7 @@ def _decorate(grid: SignatureGrid, left_kind: str, right_kind: str,
             leg_darts = {}
             if kind == "even":
                 for i in range(k):
-                    d1, d2 = fresh_pair()
+                    d1, d2 = next(fresh), next(fresh)
                     b.twin[d1] = d2
                     b.twin[d2] = d1
                     leg_darts[i] = (d1, d2)  # d1 at triangle vertex, d2 at leg
@@ -593,7 +640,7 @@ def _decorate(grid: SignatureGrid, left_kind: str, right_kind: str,
             del b.rotation[nid]
             c_rot = []
             for i in range(k):
-                d1, d2 = fresh_pair()
+                d1, d2 = next(fresh), next(fresh)
                 b.twin[d1] = d2
                 b.twin[d2] = d1
                 b.add_vertex(ports[i], [rot[i], d2])

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from importlib import resources
 
+import pytest
+
 
 def run_cli(*args, expect=0):
     proc = subprocess.run([sys.executable, "-m", "planar_holant", *args],
@@ -216,3 +218,40 @@ def test_eval_rejects_signature_arity_mismatch(tmp_path):
                                  (1, "right", "RR", ["1", "0", "1"])],
                       [[0, 0, 1, 0], [0, 1, 1, 1]])
     assert "signature arity mismatch" in cli_input_error("eval", path)
+
+
+def write_cubic_grid(tmp_path, sig):
+    from planar_holant.generators import generate_cubic_bipartite_plane
+    from planar_holant.plane_graph import grid_from_cubic_bipartite
+    from planar_holant.signatures import SymSignature
+    grid = grid_from_cubic_bipartite(generate_cubic_bipartite_plane(8, 1),
+                                     SymSignature(sig))
+    path = tmp_path / "cubic.json"
+    path.write_text(grid.to_json())
+    return str(path)
+
+
+def test_solve_hard_signature_is_an_input_error(tmp_path):
+    path = write_cubic_grid(tmp_path, [0, 1, 0, 0])
+    assert "#P-hard" in cli_input_error("solve", path)
+
+
+@pytest.mark.parametrize("breakage", ["orientation", "decoration"])
+def test_solver_invariant_failure_exits_4(tmp_path, monkeypatch, capsys, breakage):
+    from planar_holant import cli, solvers
+    from planar_holant.signatures import SymSignature
+    if breakage == "orientation":
+        monkeypatch.setattr(solvers.KasteleynOrientation, "verify",
+                            lambda self: False)
+        argv = ["pm", data_path("cover_example_graph.json")]
+        message = "Kasteleyn verification failed"
+    else:
+        monkeypatch.setattr(solvers, "pm_fragment_signature",
+                            lambda kind, w=1: SymSignature([0, 0, 0, 0]))
+        argv = ["solve", write_cubic_grid(tmp_path, [3, 1, 1, 3])]
+        message = "decoration even realizes"
+    assert cli.main(argv) == cli.EXIT_INTERNAL
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: " + message)
+    assert err.count("\n") == 1

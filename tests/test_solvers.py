@@ -9,8 +9,10 @@ from planar_holant.generators import (generate_cubic_bipartite_plane,
 from planar_holant.holant_core import eval_grid
 from planar_holant.plane_graph import grid_from_cubic_bipartite
 from planar_holant.signatures import SymSignature
-from planar_holant.solvers import (WrongForm, _pfaffian, brute_force_pm,
-                                   count_pm, gauss_sum_gf2, kasteleyn_orient,
+from planar_holant.plane_graph import PlaneGraph
+from planar_holant.solvers import (WrongForm, _decorate, _pfaffian,
+                                   brute_force_pm, count_pm, gauss_sum_gf2,
+                                   kasteleyn_orient,
                                    pm_fragment_signature, solve_affine,
                                    solve_case5, solve_degenerate, solve_geneq,
                                    solve_matchgate)
@@ -50,32 +52,96 @@ def test_kasteleyn_on_cycle():
         assert aligned % 2 == 1
 
 
-def test_pfaffian_squares_to_determinant():
-    rng = random.Random(2)
-    for n in (2, 4, 6):
-        mat = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                v = Fraction(rng.randint(-4, 4))
+def dense_pfaffian(mat):
+    """Reference: dense elimination in row order, swapping the first
+    nonzero of each pivot row into the superdiagonal."""
+    n = len(mat)
+    if n % 2:
+        return Fraction(0)
+    a = [row[:] for row in mat]
+    pf = Fraction(1)
+    for i in range(0, n, 2):
+        pivot = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != i + 1:
+            # swap rows/cols pivot <-> i+1; each pair swap flips the sign
+            a[pivot], a[i + 1] = a[i + 1], a[pivot]
+            for row in a:
+                row[pivot], row[i + 1] = row[i + 1], row[pivot]
+            pf = -pf
+        p = a[i][i + 1]
+        pf = pf * p
+        for r in range(i + 2, n):
+            for s in range(r + 1, n):
+                a[r][s] = a[r][s] - (a[i][r] * a[i + 1][s]
+                                     - a[i][s] * a[i + 1][r]) / p
+                a[s][r] = -a[r][s]
+    return pf
+
+
+def determinant(mat):
+    m = [row[:] for row in mat]
+    n = len(m)
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, n):
+            fac = m[r][col] / m[col][col]
+            m[r] = [a - fac * b for a, b in zip(m[r], m[col])]
+    return det
+
+
+def random_skew(rng, n, density):
+    mat = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                v = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                 mat[i][j] = v
                 mat[j][i] = -v
-        pf = _pfaffian(mat)
-        # determinant by fraction-free-ish Gaussian elimination
-        m = [row[:] for row in mat]
-        det = Fraction(1)
-        for col in range(n):
-            piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-            if piv is None:
-                det = Fraction(0)
-                break
-            if piv != col:
-                m[col], m[piv] = m[piv], m[col]
-                det = -det
-            det *= m[col][col]
-            for r in range(col + 1, n):
-                fac = m[r][col] / m[col][col]
-                m[r] = [a - fac * b for a, b in zip(m[r], m[col])]
-        assert pf * pf == det
+    return mat
+
+
+def low_rank_skew(rng, n, k):
+    """B C B^T with C a k x k skew matrix: rank <= k, singular when k < n."""
+    c = random_skew(rng, k, 1.0)
+    b = [[Fraction(rng.randint(-2, 2)) for _ in range(k)] for _ in range(n)]
+    return [[sum(b[r][p] * c[p][q] * b[s][q]
+                 for p in range(k) for q in range(k)) for s in range(n)]
+            for r in range(n)]
+
+
+def sparse_rows(mat):
+    return [{j: v for j, v in enumerate(row) if v != 0} for row in mat]
+
+
+def test_pfaffian_squares_to_determinant():
+    rng = random.Random(2)
+    cases = []
+    for n in range(13):
+        for density in (0.2, 0.5, 1.0):
+            cases += [random_skew(rng, n, density) for _ in range(4)]
+        if n >= 2:
+            cases.append(low_rank_skew(rng, n, 2 * ((n - 1) // 2)))
+        if n >= 4:
+            # a[0][1] = 0 forces a pivot off the superdiagonal
+            mat = random_skew(rng, n, 0.6)
+            mat[0][1] = mat[1][0] = Fraction(0)
+            cases.append(mat)
+    singular = 0
+    for mat in cases:
+        pf = _pfaffian(sparse_rows(mat))
+        assert pf == dense_pfaffian(mat)
+        assert pf * pf == determinant(mat)
+        singular += pf == 0
+    assert singular > len(cases) // 10
 
 
 def test_count_pm_random_weighted():
@@ -85,6 +151,41 @@ def test_count_pm_random_weighted():
         w = {e: Fraction(rng.randint(-3, 3), rng.randint(1, 2))
              for e in g.edges()}
         assert count_pm(g, w) == brute_force_pm(g, w)
+
+
+def relabel_vertices(g, rng):
+    ids = list(g.rotation)
+    new = dict(zip(ids, rng.sample(range(3 * len(ids)), len(ids))))
+    return PlaneGraph(dict(g.twin), {d: new[v] for d, v in g.vertex_of.items()},
+                      {new[v]: r for v, r in g.rotation.items()})
+
+
+def test_count_pm_decorated_signed_weights():
+    # Fisher decorations have triangles and many faces, so the global sign
+    # of the Pfaffian orientation and the pivot-order sign both matter;
+    # negative weights need the unit-weight sign run
+    rng = random.Random(11)
+    kinds = [("even", "even"), ("odd", "even"), ("two", "even"),
+             ("one", "even"), ("odd", "odd")]
+    checked = 0
+    for n in (2, 4):
+        for seed in range(4):
+            grid = grid_from_cubic_bipartite(
+                generate_cubic_bipartite_plane(n, seed), SymSignature([1, 0, 0, 1]))
+            for left, right in kinds:
+                w0 = Fraction(rng.choice([-3, -1, 2]), rng.choice([1, 2, 5]))
+                g, w = _decorate(grid, left, right, w0)
+                if len(g.vertices()) > 30:
+                    continue
+                signed = {e: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                          for e in g.edges()}
+                for weights in (w, signed):
+                    want = brute_force_pm(g, weights)
+                    assert count_pm(g, weights) == want
+                    for _ in range(2):
+                        assert count_pm(relabel_vertices(g, rng), weights) == want
+                checked += 1
+    assert checked >= 30
 
 
 def test_fragment_signatures():
