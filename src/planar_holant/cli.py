@@ -15,7 +15,8 @@ import sys
 from .classifier import classify, classify_binary, dispatch_solve, solve_case
 from .generators import generate_cubic_bipartite_plane, generate_cubic_plane
 from .holant_core import SignatureGrid, eval_collapsed, eval_gadget, eval_grid
-from .p3em import ExceptionalGraph, find_p3em, materialize, triples, verify
+from .p3em import (ExceptionalGraph, P3emError, find_p3em, materialize,
+                   triples, verify)
 from .plane_graph import PlaneGraph, from_json
 from .scalars import format_scalar, parse_scalar
 from .signatures import SymSignature
@@ -286,7 +287,8 @@ def main(argv=None) -> int:
     except (CliError, FileNotFoundError, json.JSONDecodeError, ValueError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_INPUT
-    except SolverError as ex:  # WrongForm is a ValueError and exits above
+    except (SolverError, P3emError) as ex:
+        # WrongForm and InvalidAssignment are ValueErrors and exit above
         print(f"internal error: {ex}", file=sys.stderr)
         return EXIT_INTERNAL
 

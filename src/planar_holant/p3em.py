@@ -12,7 +12,7 @@ steps and their lifts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import fixtures
 from .plane_graph import GraphBuilder, PlaneGraph
@@ -21,12 +21,12 @@ from .plane_graph import GraphBuilder, PlaneGraph
 FaceAssignment = Dict[int, int]     # edge id -> face id
 
 
-class P3emError(ValueError):
-    pass
+class P3emError(Exception):
+    """A construction invariant broke: an internal failure, not bad input."""
 
 
-class InvalidAssignment(P3emError):
-    pass
+class InvalidAssignment(P3emError, ValueError):
+    """A given assignment fails verification (an input error)."""
 
 
 @dataclass
@@ -89,10 +89,7 @@ def triples(g: PlaneGraph, sigma: FaceAssignment) -> List[dict]:
 def materialize(g: PlaneGraph, sigma: FaceAssignment) -> PlaneGraph:
     """Subdivide every edge at a midpoint and join each triple's midpoints
     to a fresh junction vertex placed inside the host face."""
-    rep = verify(g, sigma)
-    if not rep.ok:
-        raise InvalidAssignment(rep.reason)
-    groups = triples(g, sigma)
+    groups = triples(g, sigma)   # verifies sigma
     b = GraphBuilder(g)
     next_v = max(b.rotation) + 1
     next_d = max(b.twin) + 1
@@ -232,28 +229,45 @@ def exceptional_kind(g: PlaneGraph) -> Optional[str]:
     return None
 
 
+def complete_assignment(g: PlaneGraph, sigma: FaceAssignment,
+                        pool: Iterable[int]) -> Optional[FaceAssignment]:
+    """sigma plus a face for every pool edge such that every face count is
+    0 mod 3: the first solution in lexicographic edge/face order, or None
+    when there is none.  Exhaustive, so the pool must be small."""
+    pool_edges = sorted(pool)
+    counts = {f.id: 0 for f in g.faces()}
+    for fid in sigma.values():
+        counts[fid] += 1
+    options = [tuple(dict.fromkeys(g.edge_faces(e))) for e in pool_edges]
+    touched = {fid for opts in options for fid in opts}
+    if any(c % 3 for fid, c in counts.items() if fid not in touched):
+        return None
+    choice: List[int] = [0] * len(pool_edges)
+
+    def rec(i: int) -> bool:
+        if i == len(pool_edges):
+            return all(counts[f] % 3 == 0 for f in touched)
+        for fid in options[i]:
+            counts[fid] += 1
+            choice[i] = fid
+            if rec(i + 1):
+                return True
+            counts[fid] -= 1
+        return False
+
+    if not rec(0):
+        return None
+    out = dict(sigma)
+    out.update(zip(pool_edges, choice))
+    return out
+
+
 def search_assignment(g: PlaneGraph) -> Optional[FaceAssignment]:
     """Exhaustive search over edge-to-face assignments; small graphs only."""
     edges = g.edges()
     if len(edges) > 15:
         raise P3emError("exhaustive search capped at 15 edges")
-    choices = [tuple(dict.fromkeys(g.edge_faces(e))) for e in edges]
-    counts = {f.id: 0 for f in g.faces()}
-    sigma: FaceAssignment = {}
-
-    def rec(i: int) -> bool:
-        if i == len(edges):
-            return all(c % 3 == 0 for c in counts.values())
-        for fid in choices[i]:
-            counts[fid] += 1
-            sigma[edges[i]] = fid
-            if rec(i + 1):
-                return True
-            counts[fid] -= 1
-        sigma.pop(edges[i], None)
-        return False
-
-    return dict(sigma) if rec(0) else None
+    return complete_assignment(g, {}, edges)
 
 
 def base_case(g: PlaneGraph) -> Optional[FaceAssignment]:
@@ -290,11 +304,3 @@ def find_p3em(g: PlaneGraph):
         raise P3emError(f"internal: constructed assignment invalid: {rep.reason}")
     return sigma
 
-
-def __getattr__(name):
-    # step_reduce and solve_component live in the cases module but belong
-    # to this module's surface; lazy lookup avoids the import cycle
-    if name in ("step_reduce", "solve_component", "ReductionStep"):
-        from . import p3em_cases
-        return getattr(p3em_cases, name)
-    raise AttributeError(name)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .plane_graph import GraphBuilder, GraphError, PlaneGraph
-from .p3em import (FaceAssignment, P3emError, base_case, exceptional_kind,
-                   solve_sigma, verify)
+from .p3em import (FaceAssignment, P3emError, base_case, complete_assignment,
+                   exceptional_kind, solve_sigma, verify)
 
 
 @dataclass
@@ -28,22 +28,38 @@ class ReductionStep:
 
 
 def solve_component(g: PlaneGraph) -> FaceAssignment:
-    """Certificate for a connected, non-exceptional cubic plane graph."""
-    sigma = base_case(g)
-    if sigma is not None:
-        return sigma
-    step = step_reduce(g)
-    subs = []
-    for child in step.children:
-        if len(child.connected_components()) != 1:
-            raise P3emError(f"{step.label}: child not connected")
-        if exceptional_kind(child) is not None:
-            raise P3emError(f"{step.label}: exceptional child (unreachable)")
-        subs.append(solve_component(child))
-    sigma = step.lift(subs)
-    rep = verify(g, sigma)
-    if not rep.ok:
-        raise P3emError(f"{step.label}: lift produced {rep.reason}")
+    """Certificate for a connected, non-exceptional cubic plane graph.
+
+    Walks the reduction tree depth first on an explicit stack of (graph,
+    step, child certificates) frames, so the length of a reduction chain
+    is not bounded by the interpreter's recursion limit."""
+    frames = [(g, None, [])]
+    sigma = None          # certificate of the frame popped last
+    while frames:
+        g, step, subs = frames[-1]
+        if sigma is not None:
+            subs.append(sigma)
+            sigma = None
+        elif step is None:
+            sigma = base_case(g)
+            if sigma is not None:
+                frames.pop()
+                continue
+            step = step_reduce(g)
+            frames[-1] = (g, step, subs)
+        if len(subs) < len(step.children):
+            child = step.children[len(subs)]
+            if len(child.connected_components()) != 1:
+                raise P3emError(f"{step.label}: child not connected")
+            if exceptional_kind(child) is not None:
+                raise P3emError(f"{step.label}: exceptional child (unreachable)")
+            frames.append((child, None, []))
+            continue
+        sigma = step.lift(subs)
+        rep = verify(g, sigma)
+        if not rep.ok:
+            raise P3emError(f"{step.label}: lift produced {rep.reason}")
+        frames.pop()
     return sigma
 
 
@@ -70,7 +86,7 @@ def step_reduce(g: PlaneGraph) -> ReductionStep:
     pent = _find_face_of_len(g, 5)
     if pent is None:
         raise P3emError("NoApplicableCase: no pentagon face (unreachable)")
-    lab = _pentagon_labels(g, pent)
+    lab = _face_labels(g, pent)
     coin = _find_b_coincidence(lab)
     if coin is not None:
         return _case_b_coincidence(g, _rotate_labels(lab, coin))
@@ -107,19 +123,50 @@ def _find_face_of_len(g: PlaneGraph, k: int):
 
 
 def _find_chord(g: PlaneGraph):
-    """(outer face, chord edge) for the first face whose boundary cycle has
-    a chord; requires the simple/bridgeless/triangle-free/square-free stage."""
+    """(outer face, smallest chord edge) for the first face whose boundary
+    cycle has a chord; requires the simple/bridgeless/triangle-free/
+    square-free stage.  A chord has a dart at a boundary vertex, so each
+    face costs O(boundary length)."""
     for f in g.faces():
         on_cycle = {g.vertex_of[d] for d in f.boundary}
         cyc_edges = {g.edge_of(d) for d in f.boundary}
-        for d in sorted(g.darts()):
-            e = g.edge_of(d)
-            if e in cyc_edges or d != e:
-                continue
-            u, w = g.edge_ends(e)
-            if u in on_cycle and w in on_cycle:
-                return f, e
+        chords = [g.edge_of(d) for v in on_cycle for d in g.rotation[v]
+                  if g.edge_of(d) not in cyc_edges
+                  and g.vertex_of[g.twin[d]] in on_cycle]
+        if chords:
+            return f, min(chords)
     return None
+
+
+@dataclass
+class FaceLabels:
+    face_id: int
+    darts: Tuple[int, ...]       # boundary darts p_i (a_i -> a_{i+1})
+    a: Tuple[int, ...]           # boundary vertices
+    pe: Tuple[int, ...]          # boundary edge ids
+    spokes: Tuple[int, ...]      # spoke darts at a_i, off the boundary
+    se: Tuple[int, ...]          # spoke edge ids
+    b: Tuple[int, ...]           # far ends of the spokes
+
+
+def _face_labels(g: PlaneGraph, face) -> FaceLabels:
+    """Labels of a face of a cubic graph whose boundary visits each corner
+    once, in boundary order from the face's smallest dart."""
+    darts = tuple(face.boundary)
+    a = tuple(g.vertex_of[d] for d in darts)
+    spokes = tuple(next(x for x in g.rotation[v]
+                        if x != d and x != g.twin[prev_d])
+                   for v, d, prev_d in zip(a, darts, darts[-1:] + darts[:-1]))
+    return FaceLabels(face.id, darts, a, tuple(g.edge_of(d) for d in darts),
+                      spokes, tuple(g.edge_of(s) for s in spokes),
+                      tuple(g.vertex_of[g.twin[s]] for s in spokes))
+
+
+def _rotate_labels(lab: FaceLabels, i: int) -> FaceLabels:
+    """The same labels read from corner i on."""
+    r = lambda t: t[i:] + t[:i]
+    return FaceLabels(lab.face_id, r(lab.darts), r(lab.a), r(lab.pe),
+                      r(lab.spokes), r(lab.se), r(lab.b))
 
 
 # -- lift machinery --------------------------------------------------------
@@ -156,36 +203,9 @@ def _dart_map(parent: PlaneGraph, children: List[PlaneGraph],
 
 def _pool_search(parent: PlaneGraph, sigma: FaceAssignment,
                  pool: Set[int]) -> FaceAssignment:
-    """Place the pool edges so every face count is 0 mod 3 (first solution
-    in lexicographic edge/face order)."""
-    pool_edges = sorted(pool)
-    counts = {f.id: 0 for f in parent.faces()}
-    for e, fid in sigma.items():
-        counts[fid] += 1
-    options = [tuple(dict.fromkeys(parent.edge_faces(e))) for e in pool_edges]
-    touched: Set[int] = set()
-    for opts in options:
-        touched.update(opts)
-    for fid, c in counts.items():
-        if fid not in touched and c % 3:
-            raise P3emError(f"untouched face {fid} count {c} not 0 mod 3")
-    choice: List[int] = [0] * len(pool_edges)
-
-    def rec(i: int) -> bool:
-        if i == len(pool_edges):
-            return all(counts[f] % 3 == 0 for f in touched)
-        for fid in options[i]:
-            counts[fid] += 1
-            choice[i] = fid
-            if rec(i + 1):
-                return True
-            counts[fid] -= 1
-        return False
-
-    if not rec(0):
+    out = complete_assignment(parent, sigma, pool)
+    if out is None:
         raise P3emError("pool search found no completion (unreachable)")
-    out = dict(sigma)
-    out.update({e: choice[i] for i, e in enumerate(pool_edges)})
     return out
 
 
@@ -239,56 +259,37 @@ def _case_double_edge(g: PlaneGraph, pair: Tuple[int, int]) -> ReductionStep:
     return ReductionStep("double_edge", [child], _standard_lift(g, [child], pool))
 
 
-def _triangle_corners(g: PlaneGraph, face) -> List[dict]:
-    """Per-corner record in boundary order: vertex, outgoing spoke, edges."""
-    out = []
-    k = len(face.boundary)
-    for i, d in enumerate(face.boundary):
-        v = g.vertex_of[d]
-        prev_d = face.boundary[(i - 1) % k]
-        spoke = next(x for x in g.rotation[v]
-                     if x != d and x != g.twin[prev_d])
-        out.append({"v": v, "edge_next": g.edge_of(d), "spoke": spoke,
-                    "spoke_edge": g.edge_of(spoke),
-                    "nbr": g.vertex_of[g.twin[spoke]]})
-    return out
-
-
 def _case_triangle(g: PlaneGraph, face) -> ReductionStep:
-    corners = _triangle_corners(g, face)
-    D, E, F = (c["nbr"] for c in corners)
-    if len({D, E, F}) == 3:
-        pool = {c["edge_next"] for c in corners}
+    lab = _face_labels(g, face)
+    if len(set(lab.b)) == 3:
+        pool = set(lab.pe)
         b = GraphBuilder(g)
-        d1, d2, d3 = face.boundary
-        b.contract_edge(d1, new_vertex=g.vertex_of[d1])   # merge the d1 edge
-        b.delete_edge(d3)                                  # one of the bigon pair
-        b.contract_edge(d2, new_vertex=g.vertex_of[face.boundary[0]])
+        d1, d2, d3 = lab.darts
+        b.contract_edge(d1, new_vertex=lab.a[0])   # merge the d1 edge
+        b.delete_edge(d3)                          # one of the bigon pair
+        b.contract_edge(d2, new_vertex=lab.a[0])
         child = b.freeze()
         return ReductionStep("triangle", [child],
                              _standard_lift(g, [child], pool))
-    # exactly one coinciding pair; rotate so corners[0], corners[1] share it
+    # exactly one coinciding pair; rotate so corners 0 and 1 share it
     rot = 0
-    if corners[1]["nbr"] == corners[2]["nbr"]:
+    if lab.b[1] == lab.b[2]:
         rot = 1
-    elif corners[0]["nbr"] == corners[2]["nbr"]:
+    elif lab.b[0] == lab.b[2]:
         rot = 2
-    corners = corners[rot:] + corners[:rot]
-    cA, cB, cC = corners
-    Dv = cA["nbr"]
+    lab = _rotate_labels(lab, rot)
+    Dv = lab.b[0]
     dD_out = next(x for x in g.rotation[Dv]
-                  if g.edge_of(x) not in (cA["spoke_edge"], cB["spoke_edge"]))
-    eD = g.edge_of(dD_out)
-    pool = {c["edge_next"] for c in corners}
-    pool |= {cA["spoke_edge"], cB["spoke_edge"], cC["spoke_edge"], eD}
+                  if g.edge_of(x) not in lab.se[:2])
+    pool = set(lab.pe) | set(lab.se) | {g.edge_of(dD_out)}
     b = GraphBuilder(g)
     # delete edge A-B (the triangle edge from corner A)
-    b.delete_edge(cA["edge_next"])
-    b.contract_edge(cA["spoke"], new_vertex=Dv)   # A into D
-    b.contract_edge(cB["spoke"], new_vertex=Dv)   # B into D
+    b.delete_edge(lab.pe[0])
+    b.contract_edge(lab.spokes[0], new_vertex=Dv)   # A into D
+    b.contract_edge(lab.spokes[1], new_vertex=Dv)   # B into D
     # D and C now joined by the two remaining triangle edges
-    b.delete_edge(cC["edge_next"])                # ex C-A edge
-    b.contract_edge(cB["edge_next"], new_vertex=Dv)  # ex B-C: C into D
+    b.delete_edge(lab.pe[2])                        # ex C-A edge
+    b.contract_edge(lab.pe[1], new_vertex=Dv)       # ex B-C: C into D
     # suppress the degree-2 merged vertex through D's outer edge
     b.contract_edge(dD_out, new_vertex=g.vertex_of[g.twin[dD_out]])
     child = b.freeze()
@@ -324,14 +325,17 @@ def _case_square(g: PlaneGraph, face) -> ReductionStep:
     return ReductionStep("square", [child], _standard_lift(g, [child], pool))
 
 
-def _region_split(g: PlaneGraph, banned: Set[int], start: int) -> Set[int]:
+def _reachable(g: PlaneGraph, start: int, banned: Set[int]) -> Set[int]:
+    """Vertices reachable from start without leaving along a banned dart."""
     seen = {start}
     stack = [start]
     while stack:
         v = stack.pop()
         for d in g.rotation[v]:
+            if d in banned:
+                continue
             w = g.vertex_of[g.twin[d]]
-            if w not in seen and w not in banned:
+            if w not in seen:
                 seen.add(w)
                 stack.append(w)
     return seen
@@ -354,7 +358,8 @@ def _case_chord(g: PlaneGraph, outer, chord: int) -> ReductionStep:
     dBD, dBF = cyc_split(B, qB)
     Ev = g.vertex_of[g.twin[dAE]]
     Fv = g.vertex_of[g.twin[dBF]]
-    region2 = _region_split(g, {A, B}, Ev)
+    into_ab = {g.twin[d] for d in g.rotation[A] + g.rotation[B]}
+    region2 = _reachable(g, Ev, into_ab)
     if Fv not in region2 or g.vertex_of[g.twin[dAC]] in region2:
         raise P3emError("chord region identification failed")
     pool = {chord, g.edge_of(dAE), g.edge_of(dBF)}
@@ -406,46 +411,14 @@ def _case_chord(g: PlaneGraph, outer, chord: int) -> ReductionStep:
 
 # -- pentagon ---------------------------------------------------------------
 
-@dataclass
-class PentagonLabels:
-    face_id: int
-    darts: Tuple[int, ...]       # boundary darts p0..p4 (a_i -> a_{i+1})
-    a: Tuple[int, ...]
-    pe: Tuple[int, ...]          # pentagon edge ids
-    spokes: Tuple[int, ...]      # spoke darts at a_i
-    se: Tuple[int, ...]          # spoke edge ids
-    b: Tuple[int, ...]
-
-
-def _pentagon_labels(g: PlaneGraph, face) -> PentagonLabels:
-    darts = tuple(face.boundary)
-    a = tuple(g.vertex_of[d] for d in darts)
-    pe = tuple(g.edge_of(d) for d in darts)
-    spokes = []
-    for i, d in enumerate(darts):
-        prev_d = darts[(i - 1) % 5]
-        s = next(x for x in g.rotation[a[i]]
-                 if x != d and x != g.twin[prev_d])
-        spokes.append(s)
-    se = tuple(g.edge_of(s) for s in spokes)
-    b = tuple(g.vertex_of[g.twin[s]] for s in spokes)
-    return PentagonLabels(face.id, darts, a, pe, tuple(spokes), se, b)
-
-
-def _find_b_coincidence(lab: PentagonLabels) -> Optional[int]:
+def _find_b_coincidence(lab: FaceLabels) -> Optional[int]:
     for i in range(5):
         if lab.b[i] == lab.b[(i + 2) % 5]:
             return i
     return None
 
 
-def _rotate_labels(lab: PentagonLabels, i: int) -> PentagonLabels:
-    r = lambda t: tuple(t[(i + j) % 5] for j in range(5))
-    return PentagonLabels(lab.face_id, r(lab.darts), r(lab.a), r(lab.pe),
-                          r(lab.spokes), r(lab.se), r(lab.b))
-
-
-def _case_b_coincidence(g: PlaneGraph, lab: PentagonLabels) -> ReductionStep:
+def _case_b_coincidence(g: PlaneGraph, lab: FaceLabels) -> ReductionStep:
     # b0 == b2: cut the two edges leaving the cycle (a2,a1,a0,b0) and close
     # each side with a fresh connection re-using the freed darts
     b0 = lab.b[0]
@@ -455,23 +428,8 @@ def _case_b_coincidence(g: PlaneGraph, lab: PentagonLabels) -> ReductionStep:
     e1, e2 = lab.se[1], g.edge_of(dbb)
     t1, t2 = g.twin[s1], g.twin[dbb]
 
-    def cut_components():
-        # components after removing edges e1 and e2
-        banned_darts = {s1, t1, dbb, t2}
-        seen = {lab.a[0]}
-        stack = [lab.a[0]]
-        while stack:
-            v = stack.pop()
-            for d in g.rotation[v]:
-                if d in banned_darts:
-                    continue
-                w = g.vertex_of[g.twin[d]]
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return seen
-
-    inner = cut_components()
+    # a0's side once edges e1 and e2 are cut
+    inner = _reachable(g, lab.a[0], {s1, t1, dbb, t2})
     if lab.b[1] in inner or g.vertex_of[t2] in inner:
         raise P3emError("coincidence cut did not separate the graph")
     outer = set(g.vertices()) - inner
@@ -504,7 +462,7 @@ def _side_bit(child: PlaneGraph, sub: FaceAssignment, edge: int,
     return int(has == positive)
 
 
-def _case_pentagon(g: PlaneGraph, lab: PentagonLabels) -> ReductionStep:
+def _case_pentagon(g: PlaneGraph, lab: FaceLabels) -> ReductionStep:
     if len(set(lab.b)) != 5:
         raise P3emError("pentagon case needs distinct spoke neighbors")
     b = GraphBuilder(g)
@@ -540,7 +498,7 @@ def _case_pentagon(g: PlaneGraph, lab: PentagonLabels) -> ReductionStep:
     return ReductionStep("pentagon", [child], lift)
 
 
-def _pentagon_parent_faces(g: PlaneGraph, lab: PentagonLabels):
+def _pentagon_parent_faces(g: PlaneGraph, lab: FaceLabels):
     P = lab.face_id
     delta = []
     for i in range(5):

@@ -66,6 +66,7 @@ class PlaneGraph:
         self._validate()
         self._faces: Optional[List[Face]] = None
         self._face_of_dart: Optional[Dict[int, int]] = None
+        self._boundary_of: Optional[Dict[int, Tuple[int, ...]]] = None
 
     # -- validation ---------------------------------------------------
 
@@ -86,8 +87,9 @@ class PlaneGraph:
         if set(seen) != darts:
             missing = darts - set(seen)
             raise DartMissingFromRotation(f"darts {sorted(missing)[:5]} in no rotation")
-        # Euler per component, via face orbits
-        for comp in self.connected_components():
+        # Euler per component, via face orbits; the components are kept
+        self._components = _find_components(self)
+        for comp in self._components:
             vs = len(comp)
             comp_darts = [d for v in comp for d in self.rotation[v]]
             es = len(comp_darts) // 2
@@ -149,6 +151,7 @@ class PlaneGraph:
                     self._face_of_dart[d] = fid
                 self._faces.append(Face(fid, tuple(orbit)))
             self._faces.sort(key=lambda f: f.id)
+            self._boundary_of = {f.id: f.boundary for f in self._faces}
         return self._faces
 
     def face_of(self, dart: int) -> int:
@@ -156,10 +159,11 @@ class PlaneGraph:
         return self._face_of_dart[dart]
 
     def face_boundary(self, fid: int) -> Tuple[int, ...]:
-        for f in self.faces():
-            if f.id == fid:
-                return f.boundary
-        raise GraphError(f"no face {fid}")
+        self.faces()
+        try:
+            return self._boundary_of[fid]
+        except KeyError:
+            raise GraphError(f"no face {fid}") from None
 
     def edge_faces(self, e: int) -> Tuple[int, int]:
         """The two (possibly equal) face ids incident to edge e."""
@@ -168,23 +172,9 @@ class PlaneGraph:
         return self.face_of(e), self.face_of(self.twin[e])
 
     def connected_components(self) -> List[List[int]]:
-        seen = set()
-        comps = []
-        for v0 in self.vertices():
-            if v0 in seen:
-                continue
-            comp, stack = [], [v0]
-            seen.add(v0)
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for d in self.rotation[v]:
-                    w = self.vertex_of[self.twin[d]]
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            comps.append(sorted(comp))
-        return comps
+        """Sorted vertex lists, one per component, in order of their
+        smallest vertex; fresh copies of the ones validation found."""
+        return [list(c) for c in self._components]
 
     def induced(self, comp: Sequence[int]) -> "PlaneGraph":
         """The subgraph on comp, a union of connected components.  Darts
@@ -290,6 +280,26 @@ class PlaneGraph:
                 f"e={len(self.twin) // 2})")
 
 
+def _find_components(g: PlaneGraph) -> List[List[int]]:
+    seen = set()
+    comps = []
+    for v0 in g.vertices():
+        if v0 in seen:
+            continue
+        comp, stack = [], [v0]
+        seen.add(v0)
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for d in g.rotation[v]:
+                w = g.vertex_of[g.twin[d]]
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        comps.append(sorted(comp))
+    return comps
+
+
 def _count_orbits(g: PlaneGraph, darts: Iterable[int]) -> int:
     seen = set()
     n = 0
@@ -366,14 +376,6 @@ class GraphBuilder:
         for d in darts:
             self.vertex_of[d] = v
 
-    def add_edge(self, d1: int, v1: int, d2: int, v2: int) -> None:
-        """Register twin pair (d1,d2); darts must already sit in rotations or
-        be added afterwards."""
-        self.twin[d1] = d2
-        self.twin[d2] = d1
-        self.vertex_of[d1] = v1
-        self.vertex_of[d2] = v2
-
     def retwin(self, d1: int, d2: int) -> None:
         self.twin[d1] = d2
         self.twin[d2] = d1
@@ -392,11 +394,6 @@ class GraphBuilder:
         t = self.twin[e_dart]
         self.drop_dart(e_dart)
         self.drop_dart(t)
-
-    def replace_in_rotation(self, v: int, old: int, new: int) -> None:
-        i = self.rotation[v].index(old)
-        self.rotation[v][i] = new
-        self.vertex_of[new] = v
 
     def contract_edge(self, e_dart: int, new_vertex: Optional[int] = None) -> int:
         """Contract non-loop edge; merged vertex keeps the spliced rotation."""

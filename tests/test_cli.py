@@ -255,3 +255,33 @@ def test_solver_invariant_failure_exits_4(tmp_path, monkeypatch, capsys, breakag
     assert out == ""
     assert err.startswith("internal error: " + message)
     assert err.count("\n") == 1
+
+
+def test_p3em_construction_failure_exits_4(monkeypatch, capsys):
+    from planar_holant import cli, p3em_cases
+    reduce = p3em_cases.step_reduce
+
+    def broken(g):
+        step = reduce(g)
+        step.lift = lambda subs: {}
+        return step
+
+    monkeypatch.setattr(p3em_cases, "step_reduce", broken)
+    argv = ["p3em", "find", data_path("cover_example_graph.json")]
+    assert cli.main(argv) == cli.EXIT_INTERNAL
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: square: lift produced DomainViolation")
+    assert err.count("\n") == 1
+
+
+def test_p3em_bad_assignment_is_an_input_error(tmp_path):
+    graph = data_path("cover_example_graph.json")
+    out = run_cli("p3em", "find", graph)
+    out["assignment"].pop(min(out["assignment"]))
+    path = tmp_path / "assign.json"
+    path.write_text(json.dumps(out))
+    chk = run_cli("p3em", "verify", graph, str(path), expect=2)
+    assert not chk["ok"] and "DomainViolation" in chk["reason"]
+    assert "DomainViolation" in cli_input_error("p3em", "materialize", graph,
+                                                str(path))

@@ -1,14 +1,16 @@
+import inspect
 import itertools
 import random
+import sys
 
 import pytest
 
-from planar_holant import fixtures
-from planar_holant.generators import generate_cubic_plane
+from planar_holant import fixtures, p3em_cases
+from planar_holant.generators import generate_cubic_plane, move_closure
 from planar_holant.p3em import (ExceptionalGraph, base_case, check_sigma,
-                                exceptional_kind, find_p3em, materialize,
-                                search_assignment, solve_sigma, triples,
-                                verify)
+                                complete_assignment, exceptional_kind,
+                                find_p3em, materialize, search_assignment,
+                                solve_sigma, triples, verify)
 from planar_holant.p3em_cases import step_reduce, solve_component
 from planar_holant.plane_graph import PlaneGraph
 
@@ -169,13 +171,13 @@ def test_step_reduce_labels(label):
 def test_coincident_pentagon_case_direct():
     from planar_holant.p3em_cases import (_case_b_coincidence,
                                           _find_b_coincidence,
-                                          _pentagon_labels, _rotate_labels)
+                                          _face_labels, _rotate_labels)
     g = fixtures.coincident_pentagon_fixture()
     target = None
     for f in g.faces():
         if len(f.boundary) != 5:
             continue
-        lab = _pentagon_labels(g, f)
+        lab = _face_labels(g, f)
         if (all(b not in lab.a for b in lab.b)
                 and _find_b_coincidence(lab) is not None):
             target = lab
@@ -231,3 +233,175 @@ def test_totality_closure_ten():
         else:
             assert verify(g, res).ok
     assert exceptional == 2
+
+
+def test_long_reduction_chain_needs_no_recursion():
+    # the reduction chain of a 400-vertex graph is about 190 steps long
+    g = generate_cubic_plane(400, 3)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 80)
+    try:
+        res = find_p3em(g)
+    finally:
+        sys.setrecursionlimit(old)
+    assert verify(g, res).ok
+
+
+# -- references: the earlier, independent versions of the P3EM helpers ------
+
+def _find_chord_reference(g):
+    """Every edge of the graph against every face, O(F·D)."""
+    for f in g.faces():
+        on_cycle = {g.vertex_of[d] for d in f.boundary}
+        cyc_edges = {g.edge_of(d) for d in f.boundary}
+        for d in sorted(g.darts()):
+            e = g.edge_of(d)
+            if e in cyc_edges or d != e:
+                continue
+            u, w = g.edge_ends(e)
+            if u in on_cycle and w in on_cycle:
+                return f, e
+    return None
+
+
+def _triangle_corners_reference(g, face):
+    out = []
+    k = len(face.boundary)
+    for i, d in enumerate(face.boundary):
+        v = g.vertex_of[d]
+        prev_d = face.boundary[(i - 1) % k]
+        spoke = next(x for x in g.rotation[v]
+                     if x != d and x != g.twin[prev_d])
+        out.append({"v": v, "edge_next": g.edge_of(d), "spoke": spoke,
+                    "spoke_edge": g.edge_of(spoke),
+                    "nbr": g.vertex_of[g.twin[spoke]]})
+    return out
+
+
+def _search_assignment_reference(g):
+    edges = g.edges()
+    choices = [tuple(dict.fromkeys(g.edge_faces(e))) for e in edges]
+    counts = {f.id: 0 for f in g.faces()}
+    sigma = {}
+
+    def rec(i):
+        if i == len(edges):
+            return all(c % 3 == 0 for c in counts.values())
+        for fid in choices[i]:
+            counts[fid] += 1
+            sigma[edges[i]] = fid
+            if rec(i + 1):
+                return True
+            counts[fid] -= 1
+        sigma.pop(edges[i], None)
+        return False
+
+    return dict(sigma) if rec(0) else None
+
+
+def _first_completion(g, sigma, pool):
+    """The first verifying completion in lexicographic edge/face order."""
+    pool = sorted(pool)
+    options = [dict.fromkeys(g.edge_faces(e)) for e in pool]
+    for choice in itertools.product(*options):
+        out = {**sigma, **dict(zip(pool, choice))}
+        if verify(g, out).ok:
+            return out
+    return None
+
+
+def _shuffled(g, rng):
+    """Isomorphic copy of g under random dart and vertex ids."""
+    dm = dict(zip(g.darts(), rng.sample(range(3 * len(g.twin)), len(g.twin))))
+    vm = dict(zip(g.vertices(),
+                  rng.sample(range(3 * len(g.rotation)), len(g.rotation))))
+    return PlaneGraph({dm[d]: dm[t] for d, t in g.twin.items()},
+                      {dm[d]: vm[v] for d, v in g.vertex_of.items()},
+                      {vm[v]: tuple(dm[d] for d in r)
+                       for v, r in g.rotation.items()})
+
+
+def _reduction_tree(g):
+    """g and every graph below it in its reduction tree."""
+    out, stack = [], [g]
+    while stack:
+        h = stack.pop()
+        out.append(h)
+        if exceptional_kind(h) is None and base_case(h) is None:
+            stack.extend(step_reduce(h).children)
+    return out
+
+
+def _at_chord_stage(g):
+    return (p3em_cases._find_loop(g) is None
+            and p3em_cases._find_parallel(g) is None
+            and all(len(f.boundary) > 4 for f in g.faces())
+            and not g.bridges())
+
+
+def test_face_helpers_match_references():
+    # random cubic plane graphs never reach the chord stage of a reduction
+    # chain, so random relabellings of the girth-5 fixtures stand in for
+    # them; every graph of each reduction tree is compared, and the chord
+    # scans agree off the chord stage too (smallest edge off a face's
+    # boundary with both ends on it)
+    rng = random.Random(7)
+    roots = [fixtures.chord_fixture(), fixtures.dodecahedron(),
+             fixtures.pentagon_wheel(), fixtures.coincident_pentagon_fixture()]
+    roots += [_shuffled(g, rng) for g in roots[:2] for _ in range(4)]
+    roots += [generate_cubic_plane(n, s) for n in (16, 40) for s in range(3)]
+    graphs = [h for g in roots for h in _reduction_tree(g)] + move_closure(8)
+    chords = [_find_chord_reference(g) for g in graphs if _at_chord_stage(g)]
+    assert any(chords) and not all(chords)
+    triangles = 0
+    for g in graphs:
+        assert p3em_cases._find_chord(g) == _find_chord_reference(g)
+        if (p3em_cases._find_loop(g) is not None
+                or p3em_cases._find_parallel(g) is not None):
+            continue
+        for f in g.faces():
+            if len(f.boundary) != 3:
+                continue
+            triangles += 1
+            corners = _triangle_corners_reference(g, f)
+            for r in range(3):
+                lab = p3em_cases._rotate_labels(
+                    p3em_cases._face_labels(g, f), r)
+                assert [{"v": lab.a[i], "edge_next": lab.pe[i],
+                         "spoke": lab.spokes[i], "spoke_edge": lab.se[i],
+                         "nbr": lab.b[i]} for i in range(3)] == (
+                    corners[r:] + corners[:r])
+    assert triangles > 50
+
+
+def test_completion_search_matches_references(monkeypatch):
+    small = [g for g in move_closure(8) if len(g.edges()) <= 12]
+    for g in small:
+        assert search_assignment(g) == _search_assignment_reference(g)
+    # partial certificates, some broken on a face no pool edge touches
+    rng = random.Random(11)
+    found = {True: 0, False: 0}
+    for g in [fixtures.cube(), fixtures.dodecahedron()] + [
+            generate_cubic_plane(12, s) for s in range(4)]:
+        sigma = find_p3em(g)
+        for _ in range(12):
+            pool = rng.sample(g.edges(), rng.randint(1, 8))
+            partial = {e: f for e, f in sigma.items() if e not in pool}
+            if rng.random() < 0.5:
+                e = rng.choice(sorted(partial))
+                partial[e] = sum(g.edge_faces(e)) - partial[e]
+            out = complete_assignment(g, partial, pool)
+            assert out == _first_completion(g, partial, pool)
+            found[out is not None] += 1
+    assert min(found.values()) > 5
+    # the pools of real lifts
+    def checked(g, sigma, pool):
+        out = complete_assignment(g, sigma, pool)
+        assert out == _first_completion(g, sigma, pool)
+        return out
+
+    monkeypatch.setattr(p3em_cases, "complete_assignment", checked)
+    for g in small + [fixtures.chord_fixture(),
+                      fixtures.coincident_pentagon_fixture()]:
+        if exceptional_kind(g) is None:
+            assert verify(g, find_p3em(g)).ok

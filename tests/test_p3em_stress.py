@@ -77,13 +77,13 @@ def test_all_reduction_labels_reachable():
         # the direct-call coincidence test covers pentagon_coincident
         from planar_holant.p3em_cases import (_case_b_coincidence,
                                               _find_b_coincidence,
-                                              _pentagon_labels,
+                                              _face_labels,
                                               _rotate_labels, solve_component)
         g = fixtures.coincident_pentagon_fixture()
         for f in g.faces():
             if len(f.boundary) != 5:
                 continue
-            lab = _pentagon_labels(g, f)
+            lab = _face_labels(g, f)
             if (all(b not in lab.a for b in lab.b)
                     and _find_b_coincidence(lab) is not None):
                 step = _case_b_coincidence(

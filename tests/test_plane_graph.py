@@ -1,9 +1,10 @@
 import pytest
 
 from planar_holant import fixtures
-from planar_holant.plane_graph import (NonPlanarEmbedding, PlaneGraph, build,
-                                       from_json, incidence_grid,
-                                       merge_degree2_left, two_coloring)
+from planar_holant.plane_graph import (GraphError, NonPlanarEmbedding,
+                                       PlaneGraph, build, from_json,
+                                       incidence_grid, merge_degree2_left,
+                                       two_coloring)
 from planar_holant.generators import generate_cubic_plane
 from planar_holant.signatures import EQ3, SymSignature
 
@@ -91,6 +92,18 @@ def test_connected_components():
     rot.update(g2.rotation)
     both = PlaneGraph(twin, vo, rot)
     assert len(both.connected_components()) == 2
+    # validation's component list is handed out as copies
+    both.connected_components()[0].append(-1)
+    assert both.connected_components() == [g.vertices(), g2.vertices()]
+
+
+def test_face_boundary_lookup():
+    g = fixtures.dodecahedron()
+    for f in g.faces():
+        assert g.face_boundary(f.id) == f.boundary
+    not_an_id = g.faces()[0].boundary[1]   # a face id is its smallest dart
+    with pytest.raises(GraphError):
+        g.face_boundary(not_an_id)
 
 
 def test_incidence_grid_counts():
