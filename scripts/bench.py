@@ -1,0 +1,185 @@
+#!/usr/bin/env python3
+"""Write a benchmark record: BENCH_pm.json for fkt-solve, BENCH_p3em.json
+for p3em-random.
+
+    python3 scripts/bench.py --parent P*.json --change C*.json [--out FILE]
+
+--parent and --change take the reports that perfbench/run.py writes to
+.perfbench_out/ for one workload, run from a checkout of the parent commit
+and of the change: ``--trace 0`` reports give the end-to-end metrics and
+``--trace 1`` reports the per-layer ones.  The workload is read from the
+reports.  Per side the record keeps every run's seed, Python version, git
+sha, source hash, per-size latency table and metrics, plus the median and
+quartiles of each end-to-end metric; runs of the two sides with the same
+seed form a pair, and the record counts the pairs in which the change has
+the lower large_p50_ms.  A run made from an uncommitted tree has git sha
+null; its source hash, the one perfbench/run.py computes, still
+identifies the code.
+
+It then times the workload's kernel in this checkout at fixed sizes,
+three times each, on one generated graph per size:
+
+* fkt-solve: count_pm on generate_cubic_bipartite_plane(n, 1), n = 1000,
+  5000 and 10^4, against the ROADMAP target of 2 s at 10^4 (reported, not
+  gated);
+* p3em-random: find_p3em on generate_cubic_plane(n, 1), n = 800, 1600,
+  3200 and 6400, with the time to generate each graph on its own and the
+  least-squares exponent of the median time against n.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from run import src_sha256  # noqa: E402  (perfbench/run.py)
+from planar_holant.generators import (  # noqa: E402
+    generate_cubic_bipartite_plane, generate_cubic_plane)
+from planar_holant.p3em import find_p3em  # noqa: E402
+from planar_holant.solvers import count_pm  # noqa: E402
+
+END_TO_END = ("wall_s", "small_p50_ms", "large_p50_ms", "scaling_exponent",
+              "setup_s", "peak_rss_mb", "ok_ratio")
+NOTE = ("a run with git_sha null was made from an uncommitted tree; "
+        "src_sha256 (perfbench/run.py's hash of src/) identifies its code")
+TARGET_S = 2.0
+PM_SIZES = (1000, 5000, 10000)
+P3EM_SIZES = (800, 1600, 3200, 6400)
+
+
+def timed3(fn):
+    """fn's result, the median of three timed runs and the three times."""
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        out = fn()
+        times.append(time.perf_counter() - t0)
+    return out, statistics.median(times), times
+
+
+def scale_pm():
+    rows = []
+    for n in PM_SIZES:
+        g = generate_cubic_bipartite_plane(n, 1)
+        value, med, times = timed3(lambda: count_pm(g))
+        rows.append({"n": n, "generator": "generate_cubic_bipartite_plane(n, 1)",
+                     "count_pm_s": med, "runs_s": times,
+                     "value_bits": value.numerator.bit_length()})
+        print(f"n={n} count_pm {med:.3f} s", file=sys.stderr)
+    largest = rows[-1]
+    return "count_pm_scale", {
+        "python": platform.python_version(), "src_sha256": src_sha256(),
+        "sizes": rows,
+        "target": {"n": largest["n"], "target_s": TARGET_S,
+                   "met": largest["count_pm_s"] < TARGET_S},
+    }
+
+
+def scale_p3em():
+    rows = []
+    for n in P3EM_SIZES:
+        t0 = time.perf_counter()
+        g = generate_cubic_plane(n, 1)
+        gen_s = time.perf_counter() - t0
+        _, med, times = timed3(lambda: find_p3em(g))
+        rows.append({"n": n, "generator": "generate_cubic_plane(n, 1)",
+                     "generate_s": gen_s, "find_p3em_s": med, "runs_s": times})
+        print(f"n={n} generate {gen_s:.1f} s, find_p3em {med:.3f} s",
+              file=sys.stderr)
+    xs = [math.log(r["n"]) for r in rows]
+    ys = [math.log(r["find_p3em_s"]) for r in rows]
+    mx, my = statistics.fmean(xs), statistics.fmean(ys)
+    slope = (sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+             / sum((x - mx) ** 2 for x in xs))
+    return "find_p3em_scale", {
+        "python": platform.python_version(), "src_sha256": src_sha256(),
+        "sizes": rows, "exponent": slope,
+    }
+
+
+WORKLOADS = {   # workload -> (default output, traced layer metrics, scale)
+    "fkt-solve": ("BENCH_pm.json",
+                  ("solvers.count_pm_calls", "solvers.count_pm_s",
+                   "solvers.kasteleyn_s", "solvers.pfaffian_s",
+                   "solvers.kasteleyn_order_max", "solvers.decorate_s"),
+                  scale_pm),
+    "p3em-random": ("BENCH_p3em.json",
+                    ("plane_graph.construct_calls", "plane_graph.construct_s",
+                     "plane_graph.faces_calls", "plane_graph.faces_s",
+                     "plane_graph.bridges_s", "plane_graph.canonical_s",
+                     "plane_graph.freeze_calls", "p3em_cases.steps",
+                     "p3em_cases.step_reduce_s", "p3em_cases.lift_s",
+                     "p3em.verify_calls", "p3em.verify_s", "p3em.base_case_s",
+                     "p3em_cases.steps.self_loop", "p3em_cases.steps.double_edge",
+                     "p3em_cases.steps.triangle",
+                     "p3em_cases.steps.triangle_shared",
+                     "p3em_cases.steps.bridge", "p3em_cases.steps.square"),
+                    scale_p3em),
+}
+
+
+def quartiles(xs):
+    q1, med, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else xs * 3
+    return {"median": med, "q1": q1, "q3": q3}
+
+
+def side(paths, workload, layers):
+    runs, traced = [], []
+    for path in paths:
+        rep = json.loads(Path(path).read_text())
+        prov = rep["provenance"]
+        if prov["workload"] != workload:
+            raise SystemExit(f"{path}: not a {workload} report")
+        metrics = {k: v["value"] for k, v in rep["metrics"].items()}
+        entry = {"seed": prov["seed"], "python": prov["python"],
+                 "git_sha": prov["git_sha"], "src_sha256": prov["src_sha256"]}
+        if prov["trace"]:
+            traced.append({**entry, **{k: metrics[k] for k in layers}})
+        else:
+            runs.append({**entry, "latency_by_size": rep["latency_by_size"],
+                         **{k: metrics[k] for k in END_TO_END}})
+    summary = {k: quartiles([r[k] for r in runs]) for k in END_TO_END} if runs else {}
+    return {"runs": runs, "summary": summary, "traced": traced}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", nargs="+", required=True)
+    ap.add_argument("--change", nargs="+", required=True)
+    ap.add_argument("--out")
+    args = ap.parse_args(argv)
+    workload = json.loads(Path(args.parent[0]).read_text())["provenance"]["workload"]
+    if workload not in WORKLOADS:
+        raise SystemExit(f"no benchmark record for workload {workload}")
+    out, layers, scale = WORKLOADS[workload]
+    parent = side(args.parent, workload, layers)
+    change = side(args.change, workload, layers)
+    before = {r["seed"]: r["large_p50_ms"] for r in parent["runs"]}
+    pairs = [(before[r["seed"]], r["large_p50_ms"]) for r in change["runs"]
+             if r["seed"] in before]
+    key, table = scale()
+    record = {
+        "workload": workload,
+        "note": NOTE,
+        "parent": parent,
+        "change": change,
+        "large_p50_ms_pairs": {"pairs": len(pairs),
+                               "change_wins": sum(c < p for p, c in pairs)},
+        key: table,
+    }
+    Path(args.out or ROOT / out).write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

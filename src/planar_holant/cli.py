@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Optional
 
 from .classifier import classify, classify_binary, dispatch_solve, solve_case
 from .generators import generate_cubic_bipartite_plane, generate_cubic_plane
@@ -45,6 +46,21 @@ def _emit(payload: dict) -> None:
 def _load_graph(path: str) -> PlaneGraph:
     with open(path) as fh:
         return from_json(fh.read())
+
+
+def _load_assignment(path: Optional[str]) -> dict:
+    """The "assignment" object of a JSON file: edge id -> face id."""
+    if path is None:
+        raise CliError("an assignment file is required")
+    with open(path) as fh:
+        raw = json.load(fh)
+    sigma = raw.get("assignment") if isinstance(raw, dict) else None
+    if not isinstance(sigma, dict) or not all(
+            e.lstrip("-").isdigit() and isinstance(f, int)
+            and not isinstance(f, bool) for e, f in sigma.items()):
+        raise CliError("assignment file needs an object \"assignment\" "
+                       "mapping integer edge ids to integer face ids")
+    return {int(e): f for e, f in sigma.items()}
 
 
 def _load_grid(path: str) -> SignatureGrid:
@@ -94,16 +110,11 @@ def cmd_p3em(args) -> int:
                "triples": triples(g, res)})
         return EXIT_OK
     if args.action == "verify":
-        with open(args.assignment) as fh:
-            raw = json.load(fh)
-        sigma = {int(e): int(f) for e, f in raw["assignment"].items()}
-        rep = verify(g, sigma)
+        rep = verify(g, _load_assignment(args.assignment))
         _emit({"ok": rep.ok, "reason": rep.reason})
         return EXIT_OK if rep.ok else EXIT_INPUT
     if args.action == "materialize":
-        with open(args.assignment) as fh:
-            raw = json.load(fh)
-        sigma = {int(e): int(f) for e, f in raw["assignment"].items()}
+        sigma = _load_assignment(args.assignment)
         _emit({"graph": materialize(g, sigma).to_json_dict()})
         return EXIT_OK
     raise CliError(f"unknown p3em action {args.action}")

@@ -1,0 +1,260 @@
+"""A mutable rotation system that keeps its faces up to date locally.
+
+FaceKernel is the one graph-surgery kernel of the matching construction
+(see p3em_cases): a GraphBuilder whose steps re-walk only the faces they
+touch and can be undone exactly.  It lives apart from plane_graph so that
+the other GraphBuilder and PlaneGraph users neither run nor load it.
+"""
+
+from __future__ import annotations
+
+import heapq
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+from .plane_graph import (DartMissingFromRotation, Face, GraphBuilder,
+                          GraphError, NonInvolutionTwin, PlaneGraph)
+
+
+@dataclass
+class Surgery:
+    """One committed step of a FaceKernel: enough to undo it."""
+    old_dart: Dict[int, Tuple[Optional[int], Optional[int]]]  # (twin, vertex) before
+    old_rot: Dict[int, Optional[Tuple[int, ...]]]             # rotation before
+    dead: List[Face]        # faces of the graph before the step that it destroyed
+    created: List[int]      # ids of the faces the step created
+    euler: int              # change of V - E + F
+
+
+class FaceKernel(GraphBuilder):
+    """A GraphBuilder that keeps its faces through local surgery.
+
+    Every mutation logs the old twin and vertex of each dart and the old
+    rotation of each vertex it changes.  commit() ends a step: it checks
+    twin involution and rotation membership on the logged darts, re-walks
+    only the faces through them and returns a Surgery; undo() restores the
+    graph and faces of before the step.  Faces carry the ids and boundaries
+    PlaneGraph.faces() gives them.  Loops, parallel pairs and faces of
+    length 3, 4 and 5 are kept as heaps of candidates that are checked when
+    picked, so each pick is the smallest a full scan would find.  commit
+    pushes the candidates at the touched vertices and faces; undo pushes
+    faces only, since no pick is made on a kernel after an undo.
+    """
+
+    def __init__(self, g: PlaneGraph):
+        super().__init__(g)
+        self._start(g.faces())
+
+    def _start(self, faces: Iterable[Face]) -> None:
+        self.face: Dict[int, Face] = {}
+        self.face_of_dart: Dict[int, int] = {}
+        self._short: Dict[int, List[int]] = {3: [], 4: [], 5: []}
+        self._loops: List[int] = []
+        self._pairs: List[Tuple[int, int]] = []
+        self._old_dart: Dict[int, Tuple[Optional[int], Optional[int]]] = {}
+        self._old_rot: Dict[int, Optional[Tuple[int, ...]]] = {}
+        for f in faces:
+            self._add_face(f)
+        self._scan(self.rotation)
+
+    def split_off(self, vertices: Iterable[int]) -> "FaceKernel":
+        """A kernel of its own for a union of components, faces copied."""
+        k = FaceKernel.__new__(FaceKernel)
+        GraphBuilder.__init__(k)
+        fids = set()
+        for v in sorted(vertices):
+            k.rotation[v] = list(self.rotation[v])
+            for d in self.rotation[v]:
+                k.twin[d] = self.twin[d]
+                k.vertex_of[d] = v
+                fids.add(self.face_of_dart[d])
+        k._start(self.face[f] for f in sorted(fids))
+        return k
+
+    # -- queries, as on PlaneGraph ----------------------------------------
+
+    vertices = PlaneGraph.vertices
+    edge_of = PlaneGraph.edge_of
+    edge_ends = PlaneGraph.edge_ends
+    next_dart = PlaneGraph.next_dart
+    edge_faces = PlaneGraph.edge_faces
+
+    def faces(self) -> List[Face]:
+        return [self.face[f] for f in sorted(self.face)]
+
+    def face_of(self, dart: int) -> int:
+        return self.face_of_dart[dart]
+
+    def face_boundary(self, fid: int) -> Tuple[int, ...]:
+        return self.face[fid].boundary
+
+    def bridges(self) -> set:
+        return PlaneGraph.bridges(self)   # looked up per call, as callers see it
+
+    # -- detection: the smallest of each kind, as a full scan finds it -------
+
+    def smallest_loop(self) -> Optional[int]:
+        while self._loops:
+            e = self._loops[0]
+            t = self.twin.get(e)
+            if t is not None and e < t and self.vertex_of[e] == self.vertex_of[t]:
+                return e
+            heapq.heappop(self._loops)
+        return None
+
+    def smallest_parallel_pair(self) -> Optional[Tuple[int, int]]:
+        """The pair (e1, e2) of the two smallest edges joining two vertices,
+        over the vertex pairs, the one with the smallest e2."""
+        while self._pairs:
+            e2, e1 = self._pairs[0]
+            if (e1 in self.twin and e1 < self.twin[e1]
+                    and self._parallel_at(self.vertex_of[e1],
+                                          self.vertex_of[self.twin[e1]])[:2] == [e1, e2]):
+                return e1, e2
+            heapq.heappop(self._pairs)
+        return None
+
+    def smallest_face(self, length: int) -> Optional[Face]:
+        heap = self._short[length]
+        while heap:
+            f = self.face.get(heap[0])
+            if f is not None and len(f.boundary) == length:
+                return f
+            heapq.heappop(heap)
+        return None
+
+    def _parallel_at(self, v: int, w: int) -> List[int]:
+        """Sorted ids of the edges from v to a different vertex w."""
+        if v == w:
+            return []
+        return sorted(self.edge_of(d) for d in self.rotation[v]
+                      if self.vertex_of[self.twin[d]] == w)
+
+    def _scan(self, vertices: Iterable[int]) -> None:
+        for v in vertices:
+            rot = self.rotation.get(v)
+            if rot is None:
+                continue
+            far = [self.vertex_of[self.twin[d]] for d in rot]
+            for d, w in zip(rot, far):
+                if w == v:
+                    heapq.heappush(self._loops, self.edge_of(d))
+                elif far.count(w) > 1:
+                    es = self._parallel_at(v, w)
+                    heapq.heappush(self._pairs, (es[1], es[0]))
+
+    def _add_face(self, f: Face) -> None:
+        self.face[f.id] = f
+        for d in f.boundary:
+            self.face_of_dart[d] = f.id
+        if len(f.boundary) in self._short:
+            heapq.heappush(self._short[len(f.boundary)], f.id)
+
+    def _drop_face(self, fid: int) -> Face:
+        f = self.face.pop(fid)
+        for d in f.boundary:
+            del self.face_of_dart[d]
+        return f
+
+    # -- logged surgery -----------------------------------------------------
+
+    def _save(self, darts: Iterable[Optional[int]], verts: Iterable[int] = ()) -> None:
+        for d in darts:
+            if d is not None and d not in self._old_dart:
+                self._old_dart[d] = (self.twin.get(d), self.vertex_of.get(d))
+        for v in verts:
+            if v not in self._old_rot:
+                r = self.rotation.get(v)
+                self._old_rot[v] = None if r is None else tuple(r)
+
+    def add_vertex(self, v: int, darts: Sequence[int]) -> None:
+        self._save(darts, (v,))
+        super().add_vertex(v, darts)
+
+    def retwin(self, d1: int, d2: int) -> None:
+        self._save((d1, d2, self.twin.get(d1), self.twin.get(d2)))
+        super().retwin(d1, d2)
+
+    def remove_vertex(self, v: int) -> None:
+        self._save([x for d in self.rotation[v] for x in (d, self.twin.get(d))], (v,))
+        super().remove_vertex(v)
+
+    def drop_dart(self, d: int) -> None:
+        self._save((d, self.twin.get(d)), (self.vertex_of[d],))
+        super().drop_dart(d)
+
+    def contract_edge(self, e_dart: int, new_vertex: Optional[int] = None) -> int:
+        u, w = self.vertex_of[e_dart], self.vertex_of[self.twin[e_dart]]
+        self._save(self.rotation[u] + self.rotation[w],
+                   (u, w) if new_vertex is None else (u, w, new_vertex))
+        return super().contract_edge(e_dart, new_vertex)
+
+    def commit(self) -> Surgery:
+        """Close the logged step: check it, re-walk its faces, report it."""
+        old_dart, old_rot = self._old_dart, self._old_rot
+        self._old_dart, self._old_rot = {}, {}
+        twin, vertex_of, rotation = self.twin, self.vertex_of, self.rotation
+        touched = set()     # darts of the old graph whose face may change
+        for v, r in old_rot.items():
+            now = rotation.get(v)
+            if now is not None and (len(set(now)) != len(now)
+                                    or any(vertex_of.get(d) != v for d in now)):
+                raise DartMissingFromRotation(f"rotation of vertex {v}")
+            for d in r or ():
+                touched.update((d, old_dart[d][0] if d in old_dart else twin[d]))
+        for d, (t, v) in old_dart.items():
+            if t is not None:
+                touched.update((d, t))
+            t = twin.get(d)
+            if t is None:
+                if d in vertex_of:
+                    raise DartMissingFromRotation(f"dart {d} has no twin")
+            elif t == d or twin.get(t) != d:
+                raise NonInvolutionTwin(f"dart {d}")
+            elif d not in rotation.get(vertex_of.get(d), ()):
+                raise DartMissingFromRotation(f"dart {d} at vertex {vertex_of.get(d)}")
+        dead = [self._drop_face(f)
+                for f in sorted({self.face_of_dart[d] for d in touched})]
+        seeds = [d for f in dead for d in f.boundary if d in twin]
+        seeds += [d for d, (t, _) in old_dart.items() if t is None and d in twin]
+        created = []
+        for d0 in seeds:
+            if d0 in self.face_of_dart:
+                continue
+            orbit = [d0]
+            d = self.next_dart(d0)
+            while d != d0:
+                if d in self.face_of_dart:
+                    raise GraphError(f"face walk from dart {d0} ran into "
+                                     f"face {self.face_of_dart[d]}, which the step kept")
+                orbit.append(d)
+                d = self.next_dart(d)
+            i = orbit.index(min(orbit))
+            f = Face(orbit[i], tuple(orbit[i:] + orbit[:i]))
+            self._add_face(f)
+            created.append(f.id)
+        self._scan({*old_rot, *(vertex_of[d] for d in old_dart if d in vertex_of)})
+        dv = sum((v in rotation) - (r is not None) for v, r in old_rot.items())
+        dd = sum((d in twin) - (t is not None) for d, (t, _) in old_dart.items())
+        return Surgery(old_dart, old_rot, dead, created,
+                       dv - dd // 2 + len(created) - len(dead))
+
+    def undo(self, s: Surgery) -> None:
+        """Put back the graph and faces of before the committed step s; the
+        kernel must hold what s left."""
+        for fid in s.created:
+            self._drop_face(fid)
+        for f in s.dead:
+            self._add_face(f)
+        for d, (t, v) in s.old_dart.items():
+            if t is None:
+                self.twin.pop(d, None)
+                self.vertex_of.pop(d, None)
+            else:
+                self.twin[d] = t
+                self.vertex_of[d] = v
+        for v, r in s.old_rot.items():
+            if r is None:
+                self.rotation.pop(v, None)
+            else:
+                self.rotation[v] = list(r)

@@ -238,6 +238,7 @@ def bridge_fixture() -> PlaneGraph:
 def chord_fixture() -> PlaneGraph:
     """Chord {A,B} whose removal sides are dodecahedron fragments: simple,
     bridgeless, girth five, and the chord is the first reducible feature."""
+    from .face_kernel import FaceKernel
     from .plane_graph import GraphBuilder, GraphError
     from .p3em_cases import step_reduce
     g1 = dodecahedron()
@@ -268,7 +269,7 @@ def chord_fixture() -> PlaneGraph:
                 continue
             if len(g.connected_components()) != 1:
                 continue
-            if step_reduce(g).label == "chord":
+            if step_reduce(FaceKernel(g)).label == "chord":
                 return g
     raise RuntimeError("chord fixture construction failed")
 

@@ -46,23 +46,40 @@ class VerifyReport:
     face_counts: Dict[int, int] = field(default_factory=dict)
 
 
-def verify(g: PlaneGraph, sigma: FaceAssignment) -> VerifyReport:
-    """Check the three certificate invariants, reporting the first failure."""
-    edges = set(g.edges())
-    if set(sigma) != edges:
-        missing = edges - set(sigma)
-        extra = set(sigma) - edges
-        return VerifyReport(False, f"DomainViolation: missing={sorted(missing)[:4]}"
-                                   f" extra={sorted(extra)[:4]}")
-    counts: Dict[int, int] = {f.id: 0 for f in g.faces()}
-    for e, fid in sigma.items():
-        if fid not in (g.face_of(e), g.face_of(g.twin[e])):
-            return VerifyReport(False, f"IncidenceViolation: edge {e} -> face {fid}")
-        counts[fid] += 1
-    for fid, c in counts.items():
-        if c % 3:
-            return VerifyReport(False, f"Mod3Violation: face {fid} has {c} edges",
-                                counts)
+def verify(g: PlaneGraph, sigma: FaceAssignment,
+           counts: Optional[Dict[int, int]] = None,
+           faces: Optional[Iterable[int]] = None,
+           edges: Optional[Iterable[int]] = None) -> VerifyReport:
+    """Check the three certificate invariants, reporting the first failure.
+
+    By default every edge and face of g is checked.  A lift checks only its
+    fragment (see p3em_cases): the edges it moved or placed, the faces it
+    touched with the face counts it keeps, and the domain by its size,
+    since every other edge kept its face."""
+    if edges is None:
+        edges = set(g.edges())
+        if set(sigma) != edges:
+            missing = edges - set(sigma)
+            extra = set(sigma) - edges
+            return VerifyReport(False, f"DomainViolation: missing={sorted(missing)[:4]}"
+                                       f" extra={sorted(extra)[:4]}")
+        edges = sigma
+    elif len(sigma) != len(g.twin) // 2:
+        return VerifyReport(False, f"DomainViolation: {len(sigma)} of "
+                                   f"{len(g.twin) // 2} edges assigned")
+    for e in edges:
+        t = g.twin.get(e)
+        if t is None or sigma.get(e) not in (g.face_of(e), g.face_of(t)):
+            return VerifyReport(False, f"IncidenceViolation: edge {e} -> face "
+                                       f"{sigma.get(e)}")
+    if counts is None:
+        counts = {f.id: 0 for f in g.faces()}
+        for fid in sigma.values():
+            counts[fid] += 1
+    for fid in (counts if faces is None else faces):
+        if counts[fid] % 3:
+            return VerifyReport(False, f"Mod3Violation: face {fid} has "
+                                       f"{counts[fid]} edges", counts)
     return VerifyReport(True, "", counts)
 
 
@@ -205,6 +222,8 @@ _BASE_BUILDERS = (fixtures.dumbbell, fixtures.base_b, fixtures.base_c,
                   fixtures.base_d, fixtures.base_e, fixtures.prism,
                   fixtures.base_g, fixtures.base_h)
 
+BASE_MAX_VERTICES = 8     # the largest base shape
+
 _CANON = {}
 
 
@@ -242,10 +261,24 @@ def complete_assignment(g: PlaneGraph, sigma: FaceAssignment,
     touched = {fid for opts in options for fid in opts}
     if any(c % 3 for fid, c in counts.items() if fid not in touched):
         return None
-    choice: List[int] = [0] * len(pool_edges)
+    choice = place_pool(options, counts)
+    if choice is None:
+        return None
+    out = dict(sigma)
+    out.update(zip(pool_edges, choice))
+    return out
+
+
+def place_pool(options: Sequence[Tuple[int, ...]],
+               counts: Dict[int, int]) -> Optional[List[int]]:
+    """One face per option tuple, the first choice in lexicographic order
+    that leaves every face of the options at 0 mod 3 in counts; counts then
+    include the choice.  None, with counts unchanged, when there is none."""
+    touched = {fid for opts in options for fid in opts}
+    choice: List[int] = [0] * len(options)
 
     def rec(i: int) -> bool:
-        if i == len(pool_edges):
+        if i == len(options):
             return all(counts[f] % 3 == 0 for f in touched)
         for fid in options[i]:
             counts[fid] += 1
@@ -255,11 +288,7 @@ def complete_assignment(g: PlaneGraph, sigma: FaceAssignment,
             counts[fid] -= 1
         return False
 
-    if not rec(0):
-        return None
-    out = dict(sigma)
-    out.update(zip(pool_edges, choice))
-    return out
+    return choice if rec(0) else None
 
 
 def search_assignment(g: PlaneGraph) -> Optional[FaceAssignment]:
@@ -272,7 +301,8 @@ def search_assignment(g: PlaneGraph) -> Optional[FaceAssignment]:
 
 def base_case(g: PlaneGraph) -> Optional[FaceAssignment]:
     """Assignment for the eight hard-coded base shapes; None otherwise."""
-    if len(g.vertices()) > 8 or len(g.connected_components()) != 1:
+    if (len(g.vertices()) > BASE_MAX_VERTICES
+            or len(g.connected_components()) != 1):
         return None
     if g.canonical_form() not in _canon_table()["bases"]:
         return None

@@ -1,128 +1,147 @@
 """Reduction steps of the matching construction and their lifts.
 
-Each case performs the corresponding local surgery on the rotation system
-(contractions, deletions, retwins keep dart ids stable away from the
-fragment), recurses on the strictly smaller children, and lifts their
-certificates back: edges whose dart pair survives in a child inherit the
-face on the matching side, and the handful of fragment edges are placed
-by an exact local search over their incident faces, which the proof
+All steps on one connected component run on one FaceKernel.  Each case does
+its surgery in place (contractions, deletions and retwins keep dart ids
+stable away from the fragment) and commits it, which re-walks only the
+faces through the touched darts; the kernel itself is then the child.  The
+bridge, chord and pentagon-coincidence cases leave two components, and
+each is copied into a kernel of its own.
+
+A lift runs when the children's certificates are done, so the kernel holds
+the child again.  Edges on faces the step kept keep their face.  An edge
+on a face the step created moves, through its dart on that face, to the
+parent face that dart was on; an edge whose two darts share one created
+face but came from two parent faces joins the pool.  Then the surgery is
+undone, and the pool (the fragment edges and those ambiguous ones) is
+placed by an exact local search over the faces it touches, which the proof
 guarantees to be feasible.  The pentagon case instead derives its ten
 placements from the boolean system solver.
+
+The checks are local too.  A commit checks the touched darts and Euler's
+formula through the change of V - E + F; a split checks its two parts by
+reachability; after each lift, verify checks its fragment: that every
+face it touched counts 0 mod 3, that every edge it moved or placed lies
+on its face, and that the certificate has one face per parent edge.
+Given a valid parent, these prove by induction what a full verify
+proves; find_p3em still runs the full verify once on the final
+certificate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from .plane_graph import GraphBuilder, GraphError, PlaneGraph
-from .p3em import (FaceAssignment, P3emError, base_case, complete_assignment,
-                   exceptional_kind, solve_sigma, verify)
+from .face_kernel import FaceKernel, Surgery
+from .plane_graph import GraphError, PlaneGraph
+from .p3em import (BASE_MAX_VERTICES, FaceAssignment, P3emError, base_case,
+                   exceptional_kind, place_pool, solve_sigma, verify)
+
+
+@dataclass
+class Certificate:
+    sigma: FaceAssignment     # edge id -> face id
+    counts: Dict[int, int]    # face id -> edges assigned, for every face
+    faces: Set[int] = field(default_factory=set)   # faces the last lift touched
+    edges: Set[int] = field(default_factory=set)   # edges it moved or placed
 
 
 @dataclass
 class ReductionStep:
     label: str
-    children: List[PlaneGraph]
-    lift: Callable[[List[FaceAssignment]], FaceAssignment]
+    children: List[FaceKernel]
+    lift: Callable[[List[Certificate]], Certificate]
 
 
 def solve_component(g: PlaneGraph) -> FaceAssignment:
-    """Certificate for a connected, non-exceptional cubic plane graph.
+    """Certificate for a connected, non-exceptional cubic plane graph."""
+    return solve_kernel(FaceKernel(g)).sigma
 
-    Walks the reduction tree depth first on an explicit stack of (graph,
+
+def solve_kernel(k: FaceKernel) -> Certificate:
+    """Certificate for the graph k holds; k holds it again afterwards.
+
+    Walks the reduction tree depth first on an explicit stack of (kernel,
     step, child certificates) frames, so the length of a reduction chain
     is not bounded by the interpreter's recursion limit."""
-    frames = [(g, None, [])]
-    sigma = None          # certificate of the frame popped last
+    frames = [(k, None, [])]
+    cert = None           # certificate of the frame popped last
     while frames:
-        g, step, subs = frames[-1]
-        if sigma is not None:
-            subs.append(sigma)
-            sigma = None
+        k, step, subs = frames[-1]
+        if cert is not None:
+            subs.append(cert)
+            cert = None
         elif step is None:
-            sigma = base_case(g)
-            if sigma is not None:
+            cert = _base_certificate(k)
+            if cert is not None:
                 frames.pop()
                 continue
-            step = step_reduce(g)
-            frames[-1] = (g, step, subs)
+            step = step_reduce(k)
+            frames[-1] = (k, step, subs)
         if len(subs) < len(step.children):
-            child = step.children[len(subs)]
-            if len(child.connected_components()) != 1:
-                raise P3emError(f"{step.label}: child not connected")
-            if exceptional_kind(child) is not None:
-                raise P3emError(f"{step.label}: exceptional child (unreachable)")
-            frames.append((child, None, []))
+            frames.append((step.children[len(subs)], None, []))
             continue
-        sigma = step.lift(subs)
-        rep = verify(g, sigma)
+        cert = step.lift(subs)
+        rep = verify(k, cert.sigma, cert.counts, cert.faces, cert.edges)
         if not rep.ok:
-            raise P3emError(f"{step.label}: lift produced {rep.reason}")
+            raise P3emError(f"{step.label}: lift failed verify: {rep.reason}")
         frames.pop()
-    return sigma
+    return cert
 
 
-def step_reduce(g: PlaneGraph) -> ReductionStep:
+def _base_certificate(k: FaceKernel) -> Optional[Certificate]:
+    """The certificate of a base shape; None for any other graph.  Only
+    graphs no larger than the largest base shape are frozen and compared."""
+    if len(k.rotation) > BASE_MAX_VERTICES:
+        return None
+    try:
+        g = k.freeze()
+    except GraphError as ex:
+        raise P3emError(f"kernel invalid: {type(ex).__name__}: {ex}") from None
+    if exceptional_kind(g) is not None:
+        raise P3emError("exceptional child (unreachable)")
+    sigma = base_case(g)
+    if sigma is None:
+        return None
+    counts = dict.fromkeys(k.face, 0)
+    for fid in sigma.values():
+        counts[fid] += 1
+    return Certificate(sigma, counts)
+
+
+def step_reduce(k: FaceKernel) -> ReductionStep:
     """One reduction step; priority mirrors the proof's assumption chain."""
-    loop = _find_loop(g)
+    loop = k.smallest_loop()
     if loop is not None:
-        return _case_self_loop(g, loop)
-    pair = _find_parallel(g)
+        return _case_self_loop(k, loop)
+    pair = k.smallest_parallel_pair()
     if pair is not None:
-        return _case_double_edge(g, pair)
-    tri = _find_face_of_len(g, 3)
+        return _case_double_edge(k, pair)
+    tri = k.smallest_face(3)
     if tri is not None:
-        return _case_triangle(g, tri)
-    br = g.bridges()
+        return _case_triangle(k, tri)
+    br = k.bridges()
     if br:
-        return _case_bridge(g, min(br))
-    sq = _find_face_of_len(g, 4)
+        return _case_bridge(k, min(br))
+    sq = k.smallest_face(4)
     if sq is not None:
-        return _case_square(g, sq)
-    ch = _find_chord(g)
+        return _case_square(k, sq)
+    ch = _find_chord(k)
     if ch is not None:
-        return _case_chord(g, *ch)
-    pent = _find_face_of_len(g, 5)
+        return _case_chord(k, *ch)
+    pent = k.smallest_face(5)
     if pent is None:
         raise P3emError("NoApplicableCase: no pentagon face (unreachable)")
-    lab = _face_labels(g, pent)
+    lab = _face_labels(k, pent)
     coin = _find_b_coincidence(lab)
     if coin is not None:
-        return _case_b_coincidence(g, _rotate_labels(lab, coin))
-    return _case_pentagon(g, lab)
+        return _case_b_coincidence(k, _rotate_labels(lab, coin))
+    return _case_pentagon(k, lab)
 
 
 # -- detection helpers ----------------------------------------------------
 
-def _find_loop(g: PlaneGraph) -> Optional[int]:
-    for d in g.darts():
-        if g.vertex_of[d] == g.vertex_of[g.twin[d]]:
-            return min(d, g.twin[d])
-    return None
-
-
-def _find_parallel(g: PlaneGraph) -> Optional[Tuple[int, int]]:
-    seen: Dict[Tuple[int, int], int] = {}
-    for e in g.edges():
-        u, v = g.edge_ends(e)
-        if u == v:
-            continue
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            return (seen[key], e)
-        seen[key] = e
-    return None
-
-
-def _find_face_of_len(g: PlaneGraph, k: int):
-    for f in g.faces():
-        if len(f.boundary) == k:
-            return f
-    return None
-
-
-def _find_chord(g: PlaneGraph):
+def _find_chord(g):
     """(outer face, smallest chord edge) for the first face whose boundary
     cycle has a chord; requires the simple/bridgeless/triangle-free/
     square-free stage.  A chord has a dart at a boundary vertex, so each
@@ -149,7 +168,7 @@ class FaceLabels:
     b: Tuple[int, ...]           # far ends of the spokes
 
 
-def _face_labels(g: PlaneGraph, face) -> FaceLabels:
+def _face_labels(g, face) -> FaceLabels:
     """Labels of a face of a cubic graph whose boundary visits each corner
     once, in boundary order from the face's smallest dart."""
     darts = tuple(face.boundary)
@@ -169,163 +188,7 @@ def _rotate_labels(lab: FaceLabels, i: int) -> FaceLabels:
                       r(lab.spokes), r(lab.se), r(lab.b))
 
 
-# -- lift machinery --------------------------------------------------------
-
-def _dart_map(parent: PlaneGraph, children: List[PlaneGraph],
-              assignments: List[FaceAssignment],
-              pool: Set[int]) -> Tuple[FaceAssignment, Set[int]]:
-    """Inherit assignments for every parent edge whose dart pair survives in
-    a child; undecidable or missing edges join the pool."""
-    sigma: FaceAssignment = {}
-    pool = set(pool)
-    for e in parent.edges():
-        if e in pool:
-            continue
-        t = parent.twin[e]
-        hit = False
-        for child, sub in zip(children, assignments):
-            if child.twin.get(e) == t:
-                hit = True
-                fid = sub[min(e, t)]
-                cands = [d for d in (e, t) if child.face_of(d) == fid]
-                if not cands:
-                    raise P3emError(f"child assignment off-face for edge {e}")
-                pfaces = {parent.face_of(d) for d in cands}
-                if len(pfaces) == 1:
-                    sigma[e] = pfaces.pop()
-                else:
-                    pool.add(e)
-                break
-        if not hit:
-            pool.add(e)
-    return sigma, pool
-
-
-def _pool_search(parent: PlaneGraph, sigma: FaceAssignment,
-                 pool: Set[int]) -> FaceAssignment:
-    out = complete_assignment(parent, sigma, pool)
-    if out is None:
-        raise P3emError("pool search found no completion (unreachable)")
-    return out
-
-
-def _standard_lift(parent: PlaneGraph, children: List[PlaneGraph],
-                   pool: Set[int]):
-    def lift(assignments: List[FaceAssignment]) -> FaceAssignment:
-        sigma, full_pool = _dart_map(parent, children, assignments, pool)
-        return _pool_search(parent, sigma, full_pool)
-    return lift
-
-
-def _other_darts(g: PlaneGraph, v: int, exclude: Sequence[int]) -> List[int]:
-    return [d for d in g.rotation[v] if d not in exclude]
-
-
-# -- the cases --------------------------------------------------------------
-
-def _case_self_loop(g: PlaneGraph, loop_e: int) -> ReductionStep:
-    l1, l2 = loop_e, g.twin[loop_e]
-    A = g.vertex_of[l1]
-    d2A = _other_darts(g, A, (l1, l2))[0]
-    d2B = g.twin[d2A]
-    B = g.vertex_of[d2B]
-    dX, dY = _other_darts(g, B, (d2B,))
-    if g.twin[dX] == dY:
-        raise P3emError("dumbbell reached the loop case")  # base case upstream
-    pool = {loop_e, g.edge_of(d2A), g.edge_of(dX), g.edge_of(dY)}
-    b = GraphBuilder(g)
-    b.delete_edge(l1)
-    b.delete_edge(d2A)
-    b.rotation.pop(A)
-    # suppress B by contracting one incident edge (e3); e4's darts survive
-    b.contract_edge(dX, new_vertex=g.vertex_of[g.twin[dX]])
-    child = b.freeze()
-    return ReductionStep("self_loop", [child], _standard_lift(g, [child], pool))
-
-
-def _case_double_edge(g: PlaneGraph, pair: Tuple[int, int]) -> ReductionStep:
-    e2, e3 = pair
-    B, C = g.edge_ends(e2)
-    d1B = next(d for d in g.rotation[B] if g.edge_of(d) not in pair)
-    d4C = next(d for d in g.rotation[C] if g.edge_of(d) not in pair)
-    e1, e4 = g.edge_of(d1B), g.edge_of(d4C)
-    A = g.vertex_of[g.twin[d1B]]
-    pool = {e1, e2, e3, e4}
-    b = GraphBuilder(g)
-    b.delete_edge(e2)
-    b.contract_edge(e3, new_vertex=B)     # C merges into B
-    b.contract_edge(d1B, new_vertex=A)    # B merges into A; e4 survives
-    child = b.freeze()
-    return ReductionStep("double_edge", [child], _standard_lift(g, [child], pool))
-
-
-def _case_triangle(g: PlaneGraph, face) -> ReductionStep:
-    lab = _face_labels(g, face)
-    if len(set(lab.b)) == 3:
-        pool = set(lab.pe)
-        b = GraphBuilder(g)
-        d1, d2, d3 = lab.darts
-        b.contract_edge(d1, new_vertex=lab.a[0])   # merge the d1 edge
-        b.delete_edge(d3)                          # one of the bigon pair
-        b.contract_edge(d2, new_vertex=lab.a[0])
-        child = b.freeze()
-        return ReductionStep("triangle", [child],
-                             _standard_lift(g, [child], pool))
-    # exactly one coinciding pair; rotate so corners 0 and 1 share it
-    rot = 0
-    if lab.b[1] == lab.b[2]:
-        rot = 1
-    elif lab.b[0] == lab.b[2]:
-        rot = 2
-    lab = _rotate_labels(lab, rot)
-    Dv = lab.b[0]
-    dD_out = next(x for x in g.rotation[Dv]
-                  if g.edge_of(x) not in lab.se[:2])
-    pool = set(lab.pe) | set(lab.se) | {g.edge_of(dD_out)}
-    b = GraphBuilder(g)
-    # delete edge A-B (the triangle edge from corner A)
-    b.delete_edge(lab.pe[0])
-    b.contract_edge(lab.spokes[0], new_vertex=Dv)   # A into D
-    b.contract_edge(lab.spokes[1], new_vertex=Dv)   # B into D
-    # D and C now joined by the two remaining triangle edges
-    b.delete_edge(lab.pe[2])                        # ex C-A edge
-    b.contract_edge(lab.pe[1], new_vertex=Dv)       # ex B-C: C into D
-    # suppress the degree-2 merged vertex through D's outer edge
-    b.contract_edge(dD_out, new_vertex=g.vertex_of[g.twin[dD_out]])
-    child = b.freeze()
-    return ReductionStep("triangle_shared", [child],
-                         _standard_lift(g, [child], pool))
-
-
-def _case_bridge(g: PlaneGraph, e: int) -> ReductionStep:
-    dB, dE = e, g.twin[e]
-    B, E = g.vertex_of[dB], g.vertex_of[dE]
-    dBA, dBC = _other_darts(g, B, (dB,))
-    dED, dEF = _other_darts(g, E, (dE,))
-    pool = {e, g.edge_of(dBA), g.edge_of(dBC), g.edge_of(dED), g.edge_of(dEF)}
-    b = GraphBuilder(g)
-    b.delete_edge(e)
-    b.contract_edge(dBA, new_vertex=g.vertex_of[g.twin[dBA]])
-    b.contract_edge(dED, new_vertex=g.vertex_of[g.twin[dED]])
-    rest = b.freeze()
-    children = [rest.induced(c) for c in rest.connected_components()]
-    if len(children) != 2:
-        raise P3emError("bridge surgery did not split the graph")
-    return ReductionStep("bridge", children, _standard_lift(g, children, pool))
-
-
-def _case_square(g: PlaneGraph, face) -> ReductionStep:
-    d1, d2, d3, d4 = face.boundary
-    pool = {g.edge_of(d2), g.edge_of(d3), g.edge_of(d4)}
-    b = GraphBuilder(g)
-    b.contract_edge(d4, new_vertex=g.vertex_of[d4])   # D-A edge
-    b.contract_edge(d2, new_vertex=g.vertex_of[d2])   # B-C edge
-    b.delete_edge(d3)                                  # ex C-D edge
-    child = b.freeze()
-    return ReductionStep("square", [child], _standard_lift(g, [child], pool))
-
-
-def _reachable(g: PlaneGraph, start: int, banned: Set[int]) -> Set[int]:
+def _reachable(g, start: int, banned: Set[int]) -> Set[int]:
     """Vertices reachable from start without leaving along a banned dart."""
     seen = {start}
     stack = [start]
@@ -341,72 +204,248 @@ def _reachable(g: PlaneGraph, start: int, banned: Set[int]) -> Set[int]:
     return seen
 
 
-def _case_chord(g: PlaneGraph, outer, chord: int) -> ReductionStep:
-    qA, qB = chord, g.twin[chord]
-    A, B = g.vertex_of[qA], g.vertex_of[qB]
-    F1, F2 = g.face_of(qA), g.face_of(qB)
-    boundary2 = set(g.face_boundary(F2))
+# -- commits, splits and lifts -----------------------------------------------
+
+def _commit(k: FaceKernel, label: str, parts: Optional[int] = 1) -> Surgery:
+    """Commit k's surgery; it must leave `parts` planar components of the
+    connected parent, so V - E + F must change by 2 * (parts - 1).  With
+    parts None the caller checks the change itself."""
+    try:
+        s = k.commit()
+    except GraphError as ex:
+        raise P3emError(f"{label}: {type(ex).__name__}: {ex}") from None
+    if parts is not None and s.euler != 2 * (parts - 1):
+        raise P3emError(f"{label}: NonPlanarEmbedding: V-E+F changed by {s.euler}")
+    return s
+
+
+def _in_place(k: FaceKernel, label: str, pool: Set[int]) -> ReductionStep:
+    s = _commit(k, label)
+    return ReductionStep(label, [k], lambda certs: _lift(k, s, pool, certs[0]))
+
+
+def _split(k: FaceKernel, label: str, pool: Set[int], s: Surgery,
+           seeds: Sequence[int]) -> ReductionStep:
+    """Children for the two components of k that contain the seeds."""
+    parts = [_reachable(k, v, set()) for v in seeds]
+    if parts[0] & parts[1] or len(parts[0]) + len(parts[1]) != len(k.rotation):
+        raise P3emError(f"{label}: surgery did not split the graph in two")
+    return ReductionStep(label, [k.split_off(p) for p in parts],
+                         lambda certs: _lift(k, s, pool, _merge(certs)))
+
+
+def _merge(certs: List[Certificate]) -> Certificate:
+    big = max(certs, key=lambda c: len(c.sigma))
+    for c in certs:
+        if c is not big:
+            big.sigma.update(c.sigma)
+            big.counts.update(c.counts)
+    return big
+
+
+def _remap(k: FaceKernel, s: Surgery, pool: Set[int],
+           cert: Certificate) -> Tuple[Set[int], Set[int]]:
+    """Move cert from the child k holds onto the parent's faces, in place.
+    Returns the pool, grown by the parent edges the child lacks and the
+    ambiguous edges, and the edges moved."""
+    sigma, counts = cert.sigma, cert.counts
+    pool = set(pool)
+    drop = set(pool)
+    for d, (t, _) in s.old_dart.items():
+        now = k.twin.get(d)
+        if now != t:
+            if t is not None:
+                pool.add(min(d, t))      # a parent edge the child lacks
+            if now is not None:
+                drop.add(min(d, now))    # a child edge the parent lacks
+    for e in drop:
+        fid = sigma.pop(e, None)
+        if fid is not None:
+            counts[fid] -= 1
+    parent_face = {d: f.id for f in s.dead for d in f.boundary}
+    moves: Dict[int, Set[int]] = {}
+    for cf in s.created:
+        on_face = set()
+        for d in k.face[cf].boundary:
+            e = k.edge_of(d)
+            if sigma.get(e) == cf:
+                if d not in parent_face:
+                    raise P3emError(f"dart {d} of new face {cf} has no parent face")
+                on_face.add(e)
+                moves.setdefault(e, set()).add(parent_face[d])
+        if len(on_face) != counts.pop(cf):
+            raise P3emError(f"IncidenceViolation: face {cf} is assigned edges "
+                            "off its boundary")
+    for f in s.dead:
+        counts[f.id] = 0
+    for e, faces in moves.items():
+        if len(faces) == 1:
+            sigma[e] = fid = faces.pop()
+            counts[fid] += 1
+        else:
+            del sigma[e]
+            pool.add(e)
+    return pool, set(moves)
+
+
+def _complete(k: FaceKernel, s: Surgery, cert: Certificate, pool: Set[int],
+              placed: Set[int]) -> Certificate:
+    """Place the pool by the completion search over the faces it touches
+    (k holds the parent), and note the faces and edges the lift touched."""
+    sigma, counts = cert.sigma, cert.counts
+    edges = sorted(pool)
+    options = [tuple(dict.fromkeys(k.edge_faces(e))) for e in edges]
+    choice = place_pool(options, counts)
+    if choice is None:
+        raise P3emError("pool search found no completion (unreachable)")
+    sigma.update(zip(edges, choice))
+    cert.faces = {f.id for f in s.dead}.union(*options)
+    cert.edges = placed | pool
+    return cert
+
+
+def _lift(k: FaceKernel, s: Surgery, pool: Set[int],
+          cert: Certificate) -> Certificate:
+    pool, moved = _remap(k, s, pool, cert)
+    k.undo(s)
+    return _complete(k, s, cert, pool, moved)
+
+
+def _other_darts(g, v: int, exclude: Sequence[int]) -> List[int]:
+    return [d for d in g.rotation[v] if d not in exclude]
+
+
+# -- the cases --------------------------------------------------------------
+
+def _case_self_loop(k: FaceKernel, loop_e: int) -> ReductionStep:
+    l1, l2 = loop_e, k.twin[loop_e]
+    A = k.vertex_of[l1]
+    d2A = _other_darts(k, A, (l1, l2))[0]
+    d2B = k.twin[d2A]
+    B = k.vertex_of[d2B]
+    dX, dY = _other_darts(k, B, (d2B,))
+    if k.twin[dX] == dY:
+        raise P3emError("dumbbell reached the loop case")  # base case upstream
+    pool = {loop_e, k.edge_of(d2A), k.edge_of(dX), k.edge_of(dY)}
+    k.delete_edge(l1)
+    k.delete_edge(d2A)
+    k.remove_vertex(A)
+    # suppress B by contracting one incident edge (e3); e4's darts survive
+    k.contract_edge(dX, new_vertex=k.vertex_of[k.twin[dX]])
+    return _in_place(k, "self_loop", pool)
+
+
+def _case_double_edge(k: FaceKernel, pair: Tuple[int, int]) -> ReductionStep:
+    e2, e3 = pair
+    B, C = k.edge_ends(e2)
+    d1B = next(d for d in k.rotation[B] if k.edge_of(d) not in pair)
+    d4C = next(d for d in k.rotation[C] if k.edge_of(d) not in pair)
+    e1, e4 = k.edge_of(d1B), k.edge_of(d4C)
+    A = k.vertex_of[k.twin[d1B]]
+    pool = {e1, e2, e3, e4}
+    k.delete_edge(e2)
+    k.contract_edge(e3, new_vertex=B)     # C merges into B
+    k.contract_edge(d1B, new_vertex=A)    # B merges into A; e4 survives
+    return _in_place(k, "double_edge", pool)
+
+
+def _case_triangle(k: FaceKernel, face) -> ReductionStep:
+    lab = _face_labels(k, face)
+    if len(set(lab.b)) == 3:
+        pool = set(lab.pe)
+        d1, d2, d3 = lab.darts
+        k.contract_edge(d1, new_vertex=lab.a[0])   # merge the d1 edge
+        k.delete_edge(d3)                          # one of the bigon pair
+        k.contract_edge(d2, new_vertex=lab.a[0])
+        return _in_place(k, "triangle", pool)
+    # exactly one coinciding pair; rotate so corners 0 and 1 share it
+    rot = 0
+    if lab.b[1] == lab.b[2]:
+        rot = 1
+    elif lab.b[0] == lab.b[2]:
+        rot = 2
+    lab = _rotate_labels(lab, rot)
+    Dv = lab.b[0]
+    dD_out = next(x for x in k.rotation[Dv]
+                  if k.edge_of(x) not in lab.se[:2])
+    pool = set(lab.pe) | set(lab.se) | {k.edge_of(dD_out)}
+    # delete edge A-B (the triangle edge from corner A)
+    k.delete_edge(lab.pe[0])
+    k.contract_edge(lab.spokes[0], new_vertex=Dv)   # A into D
+    k.contract_edge(lab.spokes[1], new_vertex=Dv)   # B into D
+    # D and C now joined by the two remaining triangle edges
+    k.delete_edge(lab.pe[2])                        # ex C-A edge
+    k.contract_edge(lab.pe[1], new_vertex=Dv)       # ex B-C: C into D
+    # suppress the degree-2 merged vertex through D's outer edge
+    k.contract_edge(dD_out, new_vertex=k.vertex_of[k.twin[dD_out]])
+    return _in_place(k, "triangle_shared", pool)
+
+
+def _case_bridge(k: FaceKernel, e: int) -> ReductionStep:
+    dB, dE = e, k.twin[e]
+    B, E = k.vertex_of[dB], k.vertex_of[dE]
+    dBA, dBC = _other_darts(k, B, (dB,))
+    dED, dEF = _other_darts(k, E, (dE,))
+    pool = {e, k.edge_of(dBA), k.edge_of(dBC), k.edge_of(dED), k.edge_of(dEF)}
+    sides = (k.vertex_of[k.twin[dBA]], k.vertex_of[k.twin[dED]])
+    k.delete_edge(e)
+    k.contract_edge(dBA, new_vertex=sides[0])
+    k.contract_edge(dED, new_vertex=sides[1])
+    return _split(k, "bridge", pool, _commit(k, "bridge", parts=2), sides)
+
+
+def _case_square(k: FaceKernel, face) -> ReductionStep:
+    d1, d2, d3, d4 = face.boundary
+    pool = {k.edge_of(d2), k.edge_of(d3), k.edge_of(d4)}
+    k.contract_edge(d4, new_vertex=k.vertex_of[d4])   # D-A edge
+    k.contract_edge(d2, new_vertex=k.vertex_of[d2])   # B-C edge
+    k.delete_edge(d3)                                  # ex C-D edge
+    return _in_place(k, "square", pool)
+
+
+def _case_chord(k: FaceKernel, outer, chord: int) -> ReductionStep:
+    qA, qB = chord, k.twin[chord]
+    A, B = k.vertex_of[qA], k.vertex_of[qB]
+    boundary2 = set(k.face_boundary(k.face_of(qB)))
 
     def cyc_split(v, q):
-        d1, d2 = _other_darts(g, v, (q,))
-        e1d, e2d = g.twin[d1], g.twin[d2]
-        if d1 in boundary2 or e1d in boundary2:
+        d1, d2 = _other_darts(k, v, (q,))
+        if d1 in boundary2 or k.twin[d1] in boundary2:
             return d2, d1   # (region-1 side dart, region-2 side dart)
         return d1, d2
 
     dAC, dAE = cyc_split(A, qA)
     dBD, dBF = cyc_split(B, qB)
-    Ev = g.vertex_of[g.twin[dAE]]
-    Fv = g.vertex_of[g.twin[dBF]]
-    into_ab = {g.twin[d] for d in g.rotation[A] + g.rotation[B]}
-    region2 = _reachable(g, Ev, into_ab)
-    if Fv not in region2 or g.vertex_of[g.twin[dAC]] in region2:
+    xE, xF = k.twin[dAE], k.twin[dBF]
+    Ev = k.vertex_of[xE]
+    into_ab = {k.twin[d] for d in k.rotation[A] + k.rotation[B]}
+    region2 = _reachable(k, Ev, into_ab)
+    if k.vertex_of[xF] not in region2 or k.vertex_of[k.twin[dAC]] in region2:
         raise P3emError("chord region identification failed")
-    pool = {chord, g.edge_of(dAE), g.edge_of(dBF)}
+    pool = {chord, k.edge_of(dAE), k.edge_of(dBF)}
 
-    # left child: region 1 plus A, B, and fresh E', F'; of the four cyclic
-    # arrangements only the one matching the parent orientation is planar
-    # with the two new triangle faces, which the trial loop detects
-    left = None
-    nd = max(g.twin) + 1
+    # in place, both children at once: region 2 closed by an E-F shortcut,
+    # and the rest with A, B joined to fresh vertices E', F'; of the four
+    # cyclic arrangements at E', F' only the one matching the parent
+    # orientation is planar with two new triangle faces
+    nd = k.fresh_dart()
     eA, eB, eF = nd, nd + 1, nd + 2
     fA, fB, fE = nd + 3, nd + 4, nd + 5
-    Ep = max(g.rotation) + 1
+    Ep = max(k.rotation) + 1
     Fp = Ep + 1
     for e_rot in ([eA, eB, eF], [eA, eF, eB]):
         for f_rot in ([fA, fB, fE], [fA, fE, fB]):
-            trial = GraphBuilder(g)
-            for v in region2:
-                trial.remove_vertex(v)
-            trial.retwin(qA, eA)
-            trial.retwin(qB, eB)
-            trial.retwin(dAE, fA)
-            trial.retwin(dBF, fB)
-            trial.retwin(eF, fE)
-            trial.add_vertex(Ep, e_rot)
-            trial.add_vertex(Fp, f_rot)
-            try:
-                cand = trial.freeze()
-            except GraphError:
-                continue
-            t1, t2 = cand.face_of(eF), cand.face_of(fE)
-            if (len(cand.face_boundary(t1)) == 3
-                    and len(cand.face_boundary(t2)) == 3):
-                left = cand
-                break
-        if left is not None:
-            break
-    if left is None:
-        raise P3emError("no planar completion for the chord fragment")
-
-    # right child: region 2 with E-F shortcut
-    rb = GraphBuilder(g)
-    for v in set(g.vertices()) - region2:
-        rb.remove_vertex(v)
-    rb.retwin(g.twin[dAE], g.twin[dBF])
-    right = rb.freeze()
-    children = [left, right]
-    return ReductionStep("chord", children, _standard_lift(g, children, pool))
+            for d1, d2 in ((qA, eA), (qB, eB), (dAE, fA), (dBF, fB),
+                           (eF, fE), (xE, xF)):
+                k.retwin(d1, d2)
+            k.add_vertex(Ep, e_rot)
+            k.add_vertex(Fp, f_rot)
+            s = _commit(k, "chord", parts=None)
+            if (s.euler == 2 and len(k.face_boundary(k.face_of(eF))) == 3
+                    and len(k.face_boundary(k.face_of(fE))) == 3):
+                return _split(k, "chord", pool, s, (A, Ev))
+            k.undo(s)
+    raise P3emError("no planar completion for the chord fragment")
 
 
 # -- pentagon ---------------------------------------------------------------
@@ -418,90 +457,68 @@ def _find_b_coincidence(lab: FaceLabels) -> Optional[int]:
     return None
 
 
-def _case_b_coincidence(g: PlaneGraph, lab: FaceLabels) -> ReductionStep:
+def _case_b_coincidence(k: FaceKernel, lab: FaceLabels) -> ReductionStep:
     # b0 == b2: cut the two edges leaving the cycle (a2,a1,a0,b0) and close
     # each side with a fresh connection re-using the freed darts
     b0 = lab.b[0]
     s1 = lab.spokes[1]                   # dart a1 -> b1
-    dbb = next(d for d in g.rotation[b0]
-               if g.edge_of(d) not in (lab.se[0], lab.se[2]))
-    e1, e2 = lab.se[1], g.edge_of(dbb)
-    t1, t2 = g.twin[s1], g.twin[dbb]
+    dbb = next(d for d in k.rotation[b0]
+               if k.edge_of(d) not in (lab.se[0], lab.se[2]))
+    e1, e2 = lab.se[1], k.edge_of(dbb)
+    t1, t2 = k.twin[s1], k.twin[dbb]
 
     # a0's side once edges e1 and e2 are cut
-    inner = _reachable(g, lab.a[0], {s1, t1, dbb, t2})
-    if lab.b[1] in inner or g.vertex_of[t2] in inner:
+    inner = _reachable(k, lab.a[0], {s1, t1, dbb, t2})
+    if lab.b[1] in inner or k.vertex_of[t2] in inner:
         raise P3emError("coincidence cut did not separate the graph")
-    outer = set(g.vertices()) - inner
-    b1b = GraphBuilder(g)
-    b1b.retwin(s1, dbb)
-    for v in outer:
-        b1b.remove_vertex(v)
-    g1 = b1b.freeze()
-    b2b = GraphBuilder(g)
-    b2b.retwin(t1, t2)
-    for v in inner:
-        b2b.remove_vertex(v)
-    g2 = b2b.freeze()
-    children = [g1, g2]
-    pool = {e1, e2}
-    return ReductionStep("pentagon_coincident", children,
-                         _standard_lift(g, children, pool))
+    k.retwin(s1, dbb)
+    k.retwin(t1, t2)
+    s = _commit(k, "pentagon_coincident", parts=2)
+    return _split(k, "pentagon_coincident", {e1, e2}, s, (lab.a[0], lab.b[1]))
 
 
-def _face_has_edge(child: PlaneGraph, fid: int, edge: int) -> bool:
-    return any(child.edge_of(d) == edge for d in child.face_boundary(fid))
-
-
-def _side_bit(child: PlaneGraph, sub: FaceAssignment, edge: int,
+def _side_bit(child: FaceKernel, sub: FaceAssignment, edge: int,
               marker: int, positive: bool) -> int:
     """1 when edge is assigned to its side whose face does (positive) or
     does not (negative) contain a dart of the marker edge."""
-    fid = sub[edge]
-    has = _face_has_edge(child, fid, marker)
+    has = any(child.edge_of(d) == marker for d in child.face_boundary(sub[edge]))
     return int(has == positive)
 
 
-def _case_pentagon(g: PlaneGraph, lab: FaceLabels) -> ReductionStep:
+def _case_pentagon(k: FaceKernel, lab: FaceLabels) -> ReductionStep:
     if len(set(lab.b)) != 5:
         raise P3emError("pentagon case needs distinct spoke neighbors")
-    b = GraphBuilder(g)
-    b.delete_edge(lab.pe[1])                          # a1-a2
-    b.contract_edge(lab.darts[0], new_vertex=lab.a[0])   # a0-a1 into a0
-    b.contract_edge(lab.darts[2], new_vertex=lab.a[3])   # a2-a3 into a3
-    child = b.freeze()
     fragment = set(lab.pe) | set(lab.se)
-    parent_faces = _pentagon_parent_faces(g, lab)
-
-    def lift(assignments: List[FaceAssignment]) -> FaceAssignment:
-        sub = assignments[0]
-        xp = (
-            _side_bit(child, sub, lab.se[0], lab.pe[4], False),
-            _side_bit(child, sub, lab.se[1], lab.pe[4], True),
-            _side_bit(child, sub, lab.se[2], lab.se[3], True),
-            _side_bit(child, sub, lab.se[3], lab.pe[3], True),
-            _side_bit(child, sub, lab.se[4], lab.pe[4], True),
-        )
-        yp3 = _side_bit(child, sub, lab.pe[3], lab.se[3], True)
-        yp4 = _side_bit(child, sub, lab.pe[4], lab.se[4], True)
-        x, y = solve_sigma(xp, yp3, yp4)
-        sigma, pool = _dart_map(g, [child], [sub], set(fragment))
-        P, delta = parent_faces
-        for i in range(5):
-            sigma[lab.se[i]] = delta[i] if x[i] else delta[(i - 1) % 5]
-            sigma[lab.pe[i]] = delta[i] if y[i] else P
-        leftovers = pool - fragment
-        if leftovers:
-            return _pool_search(g, sigma, leftovers)
-        return sigma
-
-    return ReductionStep("pentagon", [child], lift)
-
-
-def _pentagon_parent_faces(g: PlaneGraph, lab: FaceLabels):
     P = lab.face_id
     delta = []
     for i in range(5):
-        f1, f2 = g.edge_faces(lab.pe[i])
+        f1, f2 = k.edge_faces(lab.pe[i])
         delta.append(f2 if f1 == P else f1)
-    return P, tuple(delta)
+    k.delete_edge(lab.pe[1])                          # a1-a2
+    k.contract_edge(lab.darts[0], new_vertex=lab.a[0])   # a0-a1 into a0
+    k.contract_edge(lab.darts[2], new_vertex=lab.a[3])   # a2-a3 into a3
+    s = _commit(k, "pentagon")
+
+    def lift(certs: List[Certificate]) -> Certificate:
+        cert = certs[0]
+        sub = cert.sigma
+        xp = (
+            _side_bit(k, sub, lab.se[0], lab.pe[4], False),
+            _side_bit(k, sub, lab.se[1], lab.pe[4], True),
+            _side_bit(k, sub, lab.se[2], lab.se[3], True),
+            _side_bit(k, sub, lab.se[3], lab.pe[3], True),
+            _side_bit(k, sub, lab.se[4], lab.pe[4], True),
+        )
+        yp3 = _side_bit(k, sub, lab.pe[3], lab.se[3], True)
+        yp4 = _side_bit(k, sub, lab.pe[4], lab.se[4], True)
+        x, y = solve_sigma(xp, yp3, yp4)
+        pool, moved = _remap(k, s, fragment, cert)
+        k.undo(s)
+        for i in range(5):
+            for e, fid in ((lab.se[i], delta[i] if x[i] else delta[(i - 1) % 5]),
+                           (lab.pe[i], delta[i] if y[i] else P)):
+                sub[e] = fid
+                cert.counts[fid] += 1
+        return _complete(k, s, cert, pool - fragment, moved | fragment)
+
+    return ReductionStep("pentagon", [k], lift)

@@ -247,12 +247,13 @@ class PlaneGraph:
         if len(comps) != 1:
             raise GraphError("canonical_form requires a connected graph")
         best = None
-        for flip in (False, True):
-            rot = (self.rotation if not flip else
-                   {v: tuple(reversed(r)) for v, r in self.rotation.items()})
+        for rot in (self.rotation,
+                    {v: r[::-1] for v, r in self.rotation.items()}):
+            succ = {d: r[(i + 1) % len(r)]
+                    for r in rot.values() for i, d in enumerate(r)}
             for start in self.darts():
-                code = _trace_code(self.twin, self.vertex_of, rot, start)
-                if best is None or code < best:
+                code = _trace_code(self.twin, succ, start, best)
+                if code is not None:
                     best = code
         return best
 
@@ -316,39 +317,62 @@ def _count_orbits(g: PlaneGraph, darts: Iterable[int]) -> int:
     return n
 
 
-def _trace_code(twin, vertex_of, rotation, start) -> tuple:
-    """BFS over darts by (twin, rot-next); relabel in discovery order."""
+def _trace_code(twin, succ, start, bound=None) -> Optional[tuple]:
+    """BFS over darts by (twin, rotation successor), relabelled in discovery
+    order; the code lists (label of twin, label of successor) per dart in
+    that order.  None as soon as the code cannot end below bound."""
     label = {start: 0}
     order = [start]
-    i = 0
-    while i < len(order):
-        d = order[i]
-        i += 1
-        for nxt in (twin[d], _rot_next(rotation, vertex_of, d)):
+    code = []
+    below = bound is None
+    for d in order:          # order grows while it is read
+        for nxt in (twin[d], succ[d]):
             if nxt not in label:
                 label[nxt] = len(order)
                 order.append(nxt)
+        pair = (label[twin[d]], label[succ[d]])
+        if not below:
+            if pair > bound[len(code)]:
+                return None
+            below = pair < bound[len(code)]
+        code.append(pair)
     if len(order) < len(twin):
         raise GraphError("canonical trace requires a connected graph")
-    return tuple((label[twin[d]], label[_rot_next(rotation, vertex_of, d)])
-                 for d in order)
-
-
-def _rot_next(rotation, vertex_of, d) -> int:
-    rot = rotation[vertex_of[d]]
-    return rot[(rot.index(d) + 1) % len(rot)]
+    return tuple(code) if below else None
 
 
 def build(spec: dict) -> PlaneGraph:
     """Build and validate a PlaneGraph from its JSON dict form."""
     twin = {}
     vertex_of = {}
-    for rec in spec["darts"]:
-        twin[int(rec["id"])] = int(rec["twin"])
-        vertex_of[int(rec["id"])] = int(rec["vertex"])
-    rotation = {int(rec["id"]): tuple(int(d) for d in rec["rotation"])
-                for rec in spec["vertices"]}
+    for rec in _records(spec, "darts", ("id", "twin", "vertex")):
+        twin[rec["id"]] = rec["twin"]
+        vertex_of[rec["id"]] = rec["vertex"]
+    rotation = {}
+    for rec in _records(spec, "vertices", ("id", "rotation")):
+        rot = rec["rotation"]
+        if not isinstance(rot, list) or not all(_is_int(d) for d in rot):
+            raise GraphError(f"vertex {rec['id']}: rotation must be a list of dart ids")
+        rotation[rec["id"]] = tuple(rot)
     return PlaneGraph(twin, vertex_of, rotation)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _records(spec, key: str, fields: Tuple[str, ...]) -> list:
+    """spec[key], checked to be a list of objects with integer fields
+    (a vertex's rotation is checked by the caller)."""
+    recs = spec.get(key) if isinstance(spec, dict) else None
+    if not isinstance(recs, list):
+        raise GraphError(f"graph JSON needs a list '{key}'")
+    for rec in recs:
+        if not isinstance(rec, dict) or not all(
+                f in rec and (f == "rotation" or _is_int(rec[f])) for f in fields):
+            raise GraphError(f"each record of '{key}' needs integer "
+                             f"fields {', '.join(fields)}: {str(rec)[:60]}")
+    return recs
 
 
 def from_json(text: str) -> PlaneGraph:

@@ -261,9 +261,9 @@ def test_p3em_construction_failure_exits_4(monkeypatch, capsys):
     from planar_holant import cli, p3em_cases
     reduce = p3em_cases.step_reduce
 
-    def broken(g):
-        step = reduce(g)
-        step.lift = lambda subs: {}
+    def broken(k):
+        step = reduce(k)
+        step.lift = lambda subs: p3em_cases.Certificate({}, {})
         return step
 
     monkeypatch.setattr(p3em_cases, "step_reduce", broken)
@@ -271,7 +271,8 @@ def test_p3em_construction_failure_exits_4(monkeypatch, capsys):
     assert cli.main(argv) == cli.EXIT_INTERNAL
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("internal error: square: lift produced DomainViolation")
+    assert err.startswith("internal error: square: lift failed verify: "
+                          "DomainViolation: 0 of 9 edges assigned")
     assert err.count("\n") == 1
 
 
@@ -285,3 +286,49 @@ def test_p3em_bad_assignment_is_an_input_error(tmp_path):
     assert not chk["ok"] and "DomainViolation" in chk["reason"]
     assert "DomainViolation" in cli_input_error("p3em", "materialize", graph,
                                                 str(path))
+
+
+BAD_GRAPHS = {
+    "not_an_object": [1, 2],
+    "no_darts": {"x": 1},
+    "darts_not_a_list": {"darts": 3, "vertices": []},
+    "dart_field_missing": {"darts": [{"id": 0, "twin": 1}], "vertices": []},
+    "dart_id_not_an_integer": {"darts": [{"id": [0], "twin": 1, "vertex": 0}],
+                               "vertices": []},
+    "rotation_not_a_list": {"darts": [{"id": 0, "twin": 1, "vertex": 0},
+                                      {"id": 1, "twin": 0, "vertex": 0}],
+                            "vertices": [{"id": 0, "rotation": 5}]},
+}
+
+
+@pytest.mark.parametrize("verb", ["graph validate", "p3em find", "p3em verify"])
+@pytest.mark.parametrize("shape", sorted(BAD_GRAPHS))
+def test_malformed_graph_json_is_an_input_error(tmp_path, capsys, verb, shape):
+    from planar_holant import cli
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(BAD_GRAPHS[shape]))
+    argv = verb.split() + [str(path)]
+    if verb == "p3em verify":
+        argv.append(data_path("cover_example_graph.json"))
+    assert cli.main(argv) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+BAD_ASSIGNMENTS = {
+    "no_assignment": {"x": 1},
+    "assignment_not_an_object": {"assignment": [1, 2]},
+    "face_not_an_integer": {"assignment": {"0": [1]}},
+    "face_null": {"assignment": {"0": None}},
+}
+
+
+@pytest.mark.parametrize("verb", ["verify", "materialize"])
+@pytest.mark.parametrize("shape", sorted(BAD_ASSIGNMENTS))
+def test_malformed_assignment_json_is_an_input_error(tmp_path, capsys, verb,
+                                                     shape):
+    from planar_holant import cli
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(BAD_ASSIGNMENTS[shape]))
+    argv = ["p3em", verb, data_path("cover_example_graph.json"), str(path)]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: assignment file needs")

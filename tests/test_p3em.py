@@ -9,9 +9,11 @@ from planar_holant import fixtures, p3em_cases
 from planar_holant.generators import generate_cubic_plane, move_closure
 from planar_holant.p3em import (ExceptionalGraph, base_case, check_sigma,
                                 complete_assignment, exceptional_kind,
-                                find_p3em, materialize, search_assignment,
-                                solve_sigma, triples, verify)
-from planar_holant.p3em_cases import step_reduce, solve_component
+                                find_p3em, materialize, place_pool,
+                                search_assignment, solve_sigma, triples,
+                                verify)
+from planar_holant.p3em_cases import solve_kernel, step_reduce
+from planar_holant.face_kernel import FaceKernel
 from planar_holant.plane_graph import PlaneGraph
 
 
@@ -75,6 +77,20 @@ def test_verify_diagnostics():
     assert not rep2.ok and "Mod3Violation" in rep2.reason
     rep3 = verify(g, {k: v for k, v in sigma.items() if k != e0})
     assert not rep3.ok and "DomainViolation" in rep3.reason
+    # over a fragment: only the given edges and faces, with the given counts
+    counts = verify(g, sigma).face_counts
+    assert verify(g, sigma, counts, list(counts), g.edges()).ok
+    assert verify(g, bad, counts, [], []).ok
+    assert verify(g, bad, counts, [], [e0]).reason.startswith("IncidenceViolation")
+    counts2 = dict(counts)
+    counts2[sigma[e0]] -= 1
+    counts2[bad2[e0]] += 1
+    assert verify(g, bad2, counts2, [], [e0]).ok
+    assert verify(g, bad2, counts2, [bad2[e0]], [e0]).reason.startswith(
+        "Mod3Violation")
+    rep4 = verify(g, {k: v for k, v in sigma.items() if k != e0}, counts, [], [])
+    assert rep4.reason == (f"DomainViolation: {len(sigma) - 1} of {len(sigma)}"
+                           " edges assigned")
 
 
 def test_solve_sigma_exhaustive():
@@ -155,40 +171,53 @@ CASE_FIXTURES = {
 }
 
 
+def _one_step(k):
+    """step_reduce on kernel k, its children solved and the lift checked on
+    the frozen parent; returns the step and the frozen children."""
+    g = k.freeze()
+    step = step_reduce(k)
+    children = [c.freeze() for c in step.children]
+    cert = step.lift([solve_kernel(c) for c in step.children])
+    parent = k.freeze()
+    assert parent == g
+    assert verify(parent, cert.sigma).ok
+    return step, children
+
+
 @pytest.mark.parametrize("label", sorted(CASE_FIXTURES))
 def test_step_reduce_labels(label):
     g = CASE_FIXTURES[label]()
-    step = step_reduce(g)
+    step, children = _one_step(FaceKernel(g))
     assert step.label == label
-    total_v = sum(len(c.vertices()) for c in step.children)
+    total_v = sum(len(c.vertices()) for c in children)
     assert total_v <= len(g.vertices()) + 2  # split cases add two helper vertices
-    assert all(len(c.vertices()) < len(g.vertices()) for c in step.children)
-    subs = [solve_component(c) for c in step.children]
-    sigma = step.lift(subs)
-    assert verify(g, sigma).ok
+    assert all(len(c.vertices()) < len(g.vertices()) for c in children)
 
 
-def test_coincident_pentagon_case_direct():
+def _coincidence_step(g):
+    """The pentagon-coincidence step on the first pentagon of g that has one."""
     from planar_holant.p3em_cases import (_case_b_coincidence,
                                           _find_b_coincidence,
                                           _face_labels, _rotate_labels)
-    g = fixtures.coincident_pentagon_fixture()
-    target = None
-    for f in g.faces():
+    k = FaceKernel(g)
+    for f in k.faces():
         if len(f.boundary) != 5:
             continue
-        lab = _face_labels(g, f)
+        lab = _face_labels(k, f)
         if (all(b not in lab.a for b in lab.b)
                 and _find_b_coincidence(lab) is not None):
-            target = lab
-            break
-    assert target is not None
-    step = _case_b_coincidence(g, _rotate_labels(target,
-                                                 _find_b_coincidence(target)))
+            return k, _case_b_coincidence(
+                k, _rotate_labels(lab, _find_b_coincidence(lab)))
+    raise AssertionError("no pentagon with coinciding spoke ends")
+
+
+def test_coincident_pentagon_case_direct():
+    g = fixtures.coincident_pentagon_fixture()
+    k, step = _coincidence_step(g)
     assert step.label == "pentagon_coincident"
     assert len(step.children) == 2
-    subs = [solve_component(c) for c in step.children]
-    assert verify(g, step.lift(subs)).ok
+    cert = step.lift([solve_kernel(c) for c in step.children])
+    assert k.freeze() == g and verify(g, cert.sigma).ok
 
 
 def test_reduction_cases_on_small_library():
@@ -198,10 +227,8 @@ def test_reduction_cases_on_small_library():
     for g in move_closure(8):
         if exceptional_kind(g) is not None or base_case(g) is not None:
             continue
-        step = step_reduce(g)
+        step, _ = _one_step(FaceKernel(g))
         seen_labels.add(step.label)
-        subs = [solve_component(c) for c in step.children]
-        assert verify(g, step.lift(subs)).ok
     assert {"self_loop", "double_edge", "triangle"} <= seen_labels
 
 
@@ -328,13 +355,41 @@ def _reduction_tree(g):
         h = stack.pop()
         out.append(h)
         if exceptional_kind(h) is None and base_case(h) is None:
-            stack.extend(step_reduce(h).children)
+            stack.extend(c.freeze()
+                         for c in step_reduce(FaceKernel(h)).children)
     return out
 
 
+def _find_loop_reference(g):
+    for d in g.darts():
+        if g.vertex_of[d] == g.vertex_of[g.twin[d]]:
+            return min(d, g.twin[d])
+    return None
+
+
+def _find_parallel_reference(g):
+    seen = {}
+    for e in g.edges():
+        u, v = g.edge_ends(e)
+        if u == v:
+            continue
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            return (seen[key], e)
+        seen[key] = e
+    return None
+
+
+def _find_face_of_len_reference(g, k):
+    for f in g.faces():
+        if len(f.boundary) == k:
+            return f
+    return None
+
+
 def _at_chord_stage(g):
-    return (p3em_cases._find_loop(g) is None
-            and p3em_cases._find_parallel(g) is None
+    return (_find_loop_reference(g) is None
+            and _find_parallel_reference(g) is None
             and all(len(f.boundary) > 4 for f in g.faces())
             and not g.bridges())
 
@@ -356,8 +411,8 @@ def test_face_helpers_match_references():
     triangles = 0
     for g in graphs:
         assert p3em_cases._find_chord(g) == _find_chord_reference(g)
-        if (p3em_cases._find_loop(g) is not None
-                or p3em_cases._find_parallel(g) is not None):
+        if (_find_loop_reference(g) is not None
+                or _find_parallel_reference(g) is not None):
             continue
         for f in g.faces():
             if len(f.boundary) != 3:
@@ -394,14 +449,139 @@ def test_completion_search_matches_references(monkeypatch):
             assert out == _first_completion(g, partial, pool)
             found[out is not None] += 1
     assert min(found.values()) > 5
-    # the pools of real lifts
-    def checked(g, sigma, pool):
-        out = complete_assignment(g, sigma, pool)
-        assert out == _first_completion(g, sigma, pool)
-        return out
+    # the pools of real lifts, against the first choice in product order
+    def checked(options, counts):
+        touched = {f for opts in options for f in opts}
+        want = next((c for c in itertools.product(*options)
+                     if all((counts[f] + c.count(f)) % 3 == 0 for f in touched)),
+                    None)
+        got = place_pool(options, counts)
+        assert want == (None if got is None else tuple(got))
+        return got
 
-    monkeypatch.setattr(p3em_cases, "complete_assignment", checked)
+    monkeypatch.setattr(p3em_cases, "place_pool", checked)
     for g in small + [fixtures.chord_fixture(),
                       fixtures.coincident_pentagon_fixture()]:
         if exceptional_kind(g) is None:
             assert verify(g, find_p3em(g)).ok
+
+
+# -- the kernel, step by step, against full rebuilds ------------------------
+
+def _frozen_checked(k):
+    """k frozen with full validation; its face map and short-face heaps
+    must equal what the frozen graph computes from scratch."""
+    g = k.freeze()
+    assert {fid: f.boundary for fid, f in k.face.items()} == {
+        f.id: f.boundary for f in g.faces()}
+    assert k.face_of_dart == {d: g.face_of(d) for d in g.darts()}
+    for n, heap in k._short.items():
+        assert {f for f in heap if f in k.face
+                and len(k.face[f].boundary) == n} == {
+            f.id for f in g.faces() if len(f.boundary) == n}
+    return g
+
+
+def _dart_map_reference(parent, children, assignments, pool):
+    """The lift's first half as a scan of every parent edge: an edge whose
+    dart pair survives in a child inherits the parent face of its darts on
+    the child's face; missing and ambiguous edges join the pool."""
+    sigma = {}
+    pool = set(pool)
+    for e in parent.edges():
+        if e in pool:
+            continue
+        t = parent.twin[e]
+        hit = [(c, sub) for c, sub in zip(children, assignments)
+               if c.twin.get(e) == t]
+        if not hit:
+            pool.add(e)
+            continue
+        child, sub = hit[0]
+        pfaces = {parent.face_of(d) for d in (e, t)
+                  if child.face_of(d) == sub[e]}
+        if len(pfaces) == 1:
+            sigma[e] = pfaces.pop()
+        else:
+            pool.add(e)
+    return sigma, pool
+
+
+def _checked_step(reduce, k, labels, ambiguous, fragments):
+    """One step with every pick compared to the global scans of the frozen
+    graph, every child and every lift checked against full rebuilds and
+    against the reference lift: the dart map, the pentagon's own placement
+    of its fragment, and the first completion of the rest.  fragments
+    receives the fragment edges each lift hands to p3em_cases._remap."""
+    g = _frozen_checked(k)
+    assert k.smallest_loop() == _find_loop_reference(g)
+    assert k.smallest_parallel_pair() == _find_parallel_reference(g)
+    for n in (3, 4, 5):
+        want = _find_face_of_len_reference(g, n)
+        assert k.smallest_face(n) == want
+    assert k.bridges() == g.bridges()
+    if _at_chord_stage(g):
+        got, want = p3em_cases._find_chord(k), _find_chord_reference(g)
+        assert (got and (got[0].id, got[1])) == (want and (want[0].id, want[1]))
+    step = reduce(k)
+    labels.append(step.label)
+    children = [_frozen_checked(child) for child in step.children]
+    lift = step.lift
+
+    def checked_lift(certs):
+        subs = [dict(c.sigma) for c in certs]
+        seen = len(fragments)
+        cert = lift(certs)
+        (fragment,) = fragments[seen:]
+        parent = _frozen_checked(k)
+        assert parent == g
+        assert verify(parent, cert.sigma).ok
+        assert cert.counts == verify(parent, cert.sigma).face_counts
+        sigma, pool = _dart_map_reference(g, children, subs, fragment)
+        if step.label == "pentagon":
+            sigma.update((e, cert.sigma[e]) for e in fragment)
+            pool -= fragment
+        assert cert.sigma == complete_assignment(g, sigma, pool)
+        ambiguous.extend(e for e in pool - fragment
+                         if any(c.twin.get(e) == g.twin[e] for c in children))
+        return cert
+
+    step.lift = checked_lift
+    return step
+
+
+def test_kernel_steps_match_full_rebuilds(monkeypatch):
+    rng = random.Random(3)
+    roots = [fixtures.chord_fixture(), fixtures.dodecahedron(),
+             fixtures.pentagon_wheel(), fixtures.coincident_pentagon_fixture()]
+    roots += [_shuffled(g, rng) for g in roots for _ in range(2)]
+    # the 400-vertex graph has a square step whose child has a bridge, so
+    # an edge of its lift has one child face and two parent faces
+    roots += [generate_cubic_plane(n, s) for n in (20, 60, 200) for s in range(3)]
+    roots += [generate_cubic_plane(400, 0)]
+    roots += [g for g in move_closure(8) if exceptional_kind(g) is None]
+    labels, ambiguous, fragments = [], [], []
+    reduce, remap = p3em_cases.step_reduce, p3em_cases._remap
+
+    def recorded_remap(k, s, pool, cert):
+        fragments.append(set(pool))
+        return remap(k, s, pool, cert)
+
+    monkeypatch.setattr(p3em_cases, "_remap", recorded_remap)
+    monkeypatch.setattr(p3em_cases, "step_reduce",
+                        lambda k: _checked_step(reduce, k, labels, ambiguous,
+                                                fragments))
+    for g in roots:
+        assert verify(g, find_p3em(g)).ok
+    # the coincidence case, which no reduction chain here reaches
+    for g in (fixtures.coincident_pentagon_fixture(),
+              _shuffled(fixtures.coincident_pentagon_fixture(), rng)):
+        k, step = _coincidence_step(g)
+        for child in step.children:
+            _frozen_checked(child)
+        cert = step.lift([solve_kernel(c) for c in step.children])
+        assert _frozen_checked(k) == g and verify(g, cert.sigma).ok
+    assert set(labels) == {"self_loop", "double_edge", "triangle",
+                           "triangle_shared", "bridge", "square", "chord",
+                           "pentagon"}
+    assert ambiguous

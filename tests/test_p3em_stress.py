@@ -78,19 +78,21 @@ def test_all_reduction_labels_reachable():
         from planar_holant.p3em_cases import (_case_b_coincidence,
                                               _find_b_coincidence,
                                               _face_labels,
-                                              _rotate_labels, solve_component)
+                                              _rotate_labels, solve_kernel)
+        from planar_holant.face_kernel import FaceKernel
         g = fixtures.coincident_pentagon_fixture()
-        for f in g.faces():
+        k = FaceKernel(g)
+        for f in k.faces():
             if len(f.boundary) != 5:
                 continue
-            lab = _face_labels(g, f)
+            lab = _face_labels(k, f)
             if (all(b not in lab.a for b in lab.b)
                     and _find_b_coincidence(lab) is not None):
                 step = _case_b_coincidence(
-                    g, _rotate_labels(lab, _find_b_coincidence(lab)))
+                    k, _rotate_labels(lab, _find_b_coincidence(lab)))
                 seen.add(step.label)
-                subs = [solve_component(c) for c in step.children]
-                assert verify(g, step.lift(subs)).ok
+                cert = step.lift([solve_kernel(c) for c in step.children])
+                assert verify(k.freeze(), cert.sigma).ok
                 break
     finally:
         p3em_cases.step_reduce = orig

@@ -156,3 +156,40 @@ def test_faces_partition_darts_and_euler():
             darts = [d for v in comp for d in g.rotation[v]]
             fids = {g.face_of(d) for d in darts}
             assert len(comp) - len(darts) // 2 + len(fids) == 2
+
+
+def _canonical_form_reference(g):
+    """The earlier canonical form: every start dart traced in full, the
+    rotation successor found by rot.index on every step."""
+    def rot_next(rotation, d):
+        rot = rotation[g.vertex_of[d]]
+        return rot[(rot.index(d) + 1) % len(rot)]
+
+    def trace(rotation, start):
+        label = {start: 0}
+        order = [start]
+        i = 0
+        while i < len(order):
+            d = order[i]
+            i += 1
+            for nxt in (g.twin[d], rot_next(rotation, d)):
+                if nxt not in label:
+                    label[nxt] = len(order)
+                    order.append(nxt)
+        return tuple((label[g.twin[d]], label[rot_next(rotation, d)])
+                     for d in order)
+
+    flipped = {v: tuple(reversed(r)) for v, r in g.rotation.items()}
+    return min(trace(rot, s) for rot in (g.rotation, flipped)
+               for s in g.darts())
+
+
+def test_canonical_form_matches_reference():
+    from planar_holant.generators import move_closure
+    names = ["k4", "m23", "dumbbell", "cube", "prism", "base_b", "base_c",
+             "base_d", "base_e", "base_g", "base_h", "pentagon_wheel",
+             "dodecahedron", "bridge_fixture", "chord_fixture",
+             "coincident_pentagon_fixture"]
+    graphs = move_closure(8) + [getattr(fixtures, n)() for n in names]
+    for g in graphs:
+        assert g.canonical_form() == _canonical_form_reference(g)
