@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Write a benchmark record: BENCH_pm.json for fkt-solve, BENCH_p3em.json
-for p3em-random.
+for p3em-random, BENCH_p3em_fullerene.json for p3em-fullerene.
 
     python3 scripts/bench.py --parent P*.json --change C*.json [--out FILE]
 
@@ -24,7 +24,11 @@ three times each, on one generated graph per size:
   gated);
 * p3em-random: find_p3em on generate_cubic_plane(n, 1), n = 800, 1600,
   3200 and 6400, with the time to generate each graph on its own and the
-  least-squares exponent of the median time against n.
+  least-squares exponent of the median time against n;
+* p3em-fullerene: find_p3em on the leapfrog fullerenes C180, C540, C1620
+  and C4860 (generators.leapfrog from the dodecahedron), each under the
+  random ids generators.relabel gives it with seed 1, with the same
+  exponent.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import argparse
 import json
 import math
 import platform
+import random
 import statistics
 import sys
 import time
@@ -43,8 +48,9 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from run import src_sha256  # noqa: E402  (perfbench/run.py)
+from planar_holant import fixtures  # noqa: E402
 from planar_holant.generators import (  # noqa: E402
-    generate_cubic_bipartite_plane, generate_cubic_plane)
+    generate_cubic_bipartite_plane, generate_cubic_plane, leapfrog, relabel)
 from planar_holant.p3em import find_p3em  # noqa: E402
 from planar_holant.solvers import count_pm  # noqa: E402
 
@@ -55,6 +61,7 @@ NOTE = ("a run with git_sha null was made from an uncommitted tree; "
 TARGET_S = 2.0
 PM_SIZES = (1000, 5000, 10000)
 P3EM_SIZES = (800, 1600, 3200, 6400)
+FULLERENE_SIZES = (180, 540, 1620, 4860)
 
 
 def timed3(fn):
@@ -96,6 +103,26 @@ def scale_p3em():
                      "generate_s": gen_s, "find_p3em_s": med, "runs_s": times})
         print(f"n={n} generate {gen_s:.1f} s, find_p3em {med:.3f} s",
               file=sys.stderr)
+    return p3em_table(rows)
+
+
+def scale_fullerene():
+    rows = []
+    g, steps = fixtures.dodecahedron(), 0
+    for n in FULLERENE_SIZES:
+        while len(g.rotation) < n:
+            g, steps = leapfrog(g), steps + 1
+        h = relabel(g, random.Random(1))
+        _, med, times = timed3(lambda: find_p3em(h))
+        rows.append({"n": n, "generator": "relabel(leapfrog^%d(dodecahedron), "
+                     "Random(1))" % steps, "find_p3em_s": med, "runs_s": times})
+        print(f"n={n} find_p3em {med:.3f} s", file=sys.stderr)
+    return p3em_table(rows)
+
+
+def p3em_table(rows):
+    """The find_p3em scale table, with the least-squares exponent of the
+    median time against n."""
     xs = [math.log(r["n"]) for r in rows]
     ys = [math.log(r["find_p3em_s"]) for r in rows]
     mx, my = statistics.fmean(xs), statistics.fmean(ys)
@@ -107,6 +134,14 @@ def scale_p3em():
     }
 
 
+P3EM_LAYERS = ("plane_graph.construct_calls", "plane_graph.construct_s",
+               "plane_graph.faces_calls", "plane_graph.faces_s",
+               "plane_graph.bridges_s", "plane_graph.canonical_s",
+               "plane_graph.freeze_calls", "p3em_cases.steps",
+               "p3em_cases.step_reduce_s", "p3em_cases.lift_s",
+               "p3em.verify_calls", "p3em.verify_s", "p3em.base_case_s")
+
+
 WORKLOADS = {   # workload -> (default output, traced layer metrics, scale)
     "fkt-solve": ("BENCH_pm.json",
                   ("solvers.count_pm_calls", "solvers.count_pm_s",
@@ -114,17 +149,18 @@ WORKLOADS = {   # workload -> (default output, traced layer metrics, scale)
                    "solvers.kasteleyn_order_max", "solvers.decorate_s"),
                   scale_pm),
     "p3em-random": ("BENCH_p3em.json",
-                    ("plane_graph.construct_calls", "plane_graph.construct_s",
-                     "plane_graph.faces_calls", "plane_graph.faces_s",
-                     "plane_graph.bridges_s", "plane_graph.canonical_s",
-                     "plane_graph.freeze_calls", "p3em_cases.steps",
-                     "p3em_cases.step_reduce_s", "p3em_cases.lift_s",
-                     "p3em.verify_calls", "p3em.verify_s", "p3em.base_case_s",
-                     "p3em_cases.steps.self_loop", "p3em_cases.steps.double_edge",
-                     "p3em_cases.steps.triangle",
-                     "p3em_cases.steps.triangle_shared",
-                     "p3em_cases.steps.bridge", "p3em_cases.steps.square"),
+                    P3EM_LAYERS + (
+                        "p3em_cases.steps.self_loop", "p3em_cases.steps.double_edge",
+                        "p3em_cases.steps.triangle",
+                        "p3em_cases.steps.triangle_shared",
+                        "p3em_cases.steps.bridge", "p3em_cases.steps.square"),
                     scale_p3em),
+    "p3em-fullerene": ("BENCH_p3em_fullerene.json",
+                       P3EM_LAYERS + (
+                           "p3em_cases.steps.triangle", "p3em_cases.steps.square",
+                           "p3em_cases.steps.chord", "p3em_cases.steps.pentagon",
+                           "p3em_cases.steps.pentagon_coincident"),
+                       scale_fullerene),
 }
 
 

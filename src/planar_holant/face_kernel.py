@@ -30,15 +30,20 @@ class FaceKernel(GraphBuilder):
     """A GraphBuilder that keeps its faces through local surgery.
 
     Every mutation logs the old twin and vertex of each dart and the old
-    rotation of each vertex it changes.  commit() ends a step: it checks
+    rotation of each vertex it touches.  commit() ends a step: it checks
     twin involution and rotation membership on the logged darts, re-walks
     only the faces through them and returns a Surgery; undo() restores the
     graph and faces of before the step.  Faces carry the ids and boundaries
-    PlaneGraph.faces() gives them.  Loops, parallel pairs and faces of
-    length 3, 4 and 5 are kept as heaps of candidates that are checked when
-    picked, so each pick is the smallest a full scan would find.  commit
-    pushes the candidates at the touched vertices and faces; undo pushes
-    faces only, since no pick is made on a kernel after an undo.
+    PlaneGraph.faces() gives them.  Loops, parallel pairs, bridges, faces
+    of length 3, 4 and 5 and faces with a chord are kept as heaps of
+    candidates that are checked when picked, so each pick is the smallest a
+    full scan would find.  commit pushes the candidates at the touched
+    vertices and faces; undo pushes faces only, since no pick is made on a
+    kernel after an undo.  A step logs the whole rotation of each vertex it
+    touches, so commit re-walks every face through one, and a face it keeps
+    keeps its bridges (non-loop edges whose two darts it holds) and its
+    chords (edges off its boundary with both ends on it): the created
+    faces hold every new candidate of both kinds.
     """
 
     def __init__(self, g: PlaneGraph):
@@ -51,10 +56,13 @@ class FaceKernel(GraphBuilder):
         self._short: Dict[int, List[int]] = {3: [], 4: [], 5: []}
         self._loops: List[int] = []
         self._pairs: List[Tuple[int, int]] = []
+        self._bridges: List[int] = []    # edges with both darts on one face
+        self._chords: List[int] = []     # ids of faces that may have a chord
         self._old_dart: Dict[int, Tuple[Optional[int], Optional[int]]] = {}
         self._old_rot: Dict[int, Optional[Tuple[int, ...]]] = {}
         for f in faces:
             self._add_face(f)
+        self._push_bridges(self.face)
         self._scan(self.rotation)
 
     def split_off(self, vertices: Iterable[int]) -> "FaceKernel":
@@ -88,9 +96,6 @@ class FaceKernel(GraphBuilder):
     def face_boundary(self, fid: int) -> Tuple[int, ...]:
         return self.face[fid].boundary
 
-    def bridges(self) -> set:
-        return PlaneGraph.bridges(self)   # looked up per call, as callers see it
-
     # -- detection: the smallest of each kind, as a full scan finds it -------
 
     def smallest_loop(self) -> Optional[int]:
@@ -112,6 +117,33 @@ class FaceKernel(GraphBuilder):
                                           self.vertex_of[self.twin[e1]])[:2] == [e1, e2]):
                 return e1, e2
             heapq.heappop(self._pairs)
+        return None
+
+    def smallest_bridge(self) -> Optional[int]:
+        """The smallest non-loop edge whose two darts lie on one face."""
+        while self._bridges:
+            e = self._bridges[0]
+            t = self.twin.get(e)
+            if (t is not None and e < t and self.vertex_of[e] != self.vertex_of[t]
+                    and self.face_of_dart[e] == self.face_of_dart[t]):
+                return e
+            heapq.heappop(self._bridges)
+        return None
+
+    def smallest_chord(self) -> Optional[Tuple[Face, int]]:
+        """(face, smallest chord) for the smallest face with a chord, an
+        edge off its boundary with both ends on it."""
+        while self._chords:
+            f = self.face.get(self._chords[0])
+            if f is not None:
+                on_cycle = {self.vertex_of[d] for d in f.boundary}
+                cyc_edges = {self.edge_of(d) for d in f.boundary}
+                chords = [self.edge_of(d) for v in on_cycle for d in self.rotation[v]
+                          if self.edge_of(d) not in cyc_edges
+                          and self.vertex_of[self.twin[d]] in on_cycle]
+                if chords:
+                    return f, min(chords)
+            heapq.heappop(self._chords)
         return None
 
     def smallest_face(self, length: int) -> Optional[Face]:
@@ -147,8 +179,17 @@ class FaceKernel(GraphBuilder):
         self.face[f.id] = f
         for d in f.boundary:
             self.face_of_dart[d] = f.id
+        heapq.heappush(self._chords, f.id)
         if len(f.boundary) in self._short:
             heapq.heappush(self._short[len(f.boundary)], f.id)
+
+    def _push_bridges(self, fids: Iterable[int]) -> None:
+        """Push the edges whose two darts lie on one of the faces fids."""
+        twin, face_of_dart = self.twin, self.face_of_dart
+        for fid in fids:
+            for d in self.face[fid].boundary:
+                if d < twin[d] and face_of_dart[twin[d]] == fid:
+                    heapq.heappush(self._bridges, d)
 
     def _drop_face(self, fid: int) -> Face:
         f = self.face.pop(fid)
@@ -172,7 +213,8 @@ class FaceKernel(GraphBuilder):
         super().add_vertex(v, darts)
 
     def retwin(self, d1: int, d2: int) -> None:
-        self._save((d1, d2, self.twin.get(d1), self.twin.get(d2)))
+        darts = (d1, d2, self.twin.get(d1), self.twin.get(d2))
+        self._save(darts, {self.vertex_of[d] for d in darts if d in self.vertex_of})
         super().retwin(d1, d2)
 
     def remove_vertex(self, v: int) -> None:
@@ -233,6 +275,7 @@ class FaceKernel(GraphBuilder):
             f = Face(orbit[i], tuple(orbit[i:] + orbit[:i]))
             self._add_face(f)
             created.append(f.id)
+        self._push_bridges(created)
         self._scan({*old_rot, *(vertex_of[d] for d in old_dart if d in vertex_of)})
         dv = sum((v in rotation) - (r is not None) for v, r in old_rot.items())
         dd = sum((d in twin) - (t is not None) for d, (t, _) in old_dart.items())

@@ -12,6 +12,15 @@ The moves invert the reduction steps used by the matching constructor, so
 closure under them stays inside valid inputs.  The bipartite generator
 restricts itself to the parity-preserving moves (parallel pair, ladder
 with color-aligned rungs) and checks 2-colorability after every move.
+
+Leapfrog (the truncation of the dual) maps a cubic plane graph G to the
+cubic plane graph with one vertex per dart d of G, adjacent to the
+vertices of twin(d), next(d) (the face successor) and prev(d) (the face
+predecessor).  Each face of G keeps its length and each vertex of G
+becomes a hexagon, so starting from the dodecahedron (C20) every result
+is a fullerene, of girth 5: C20 -> C60 -> C180 -> ...  relabel gives an
+isomorphic copy under random ids, so that the picks of the matching
+constructor do not follow the construction order.
 """
 
 from __future__ import annotations
@@ -236,3 +245,40 @@ def move_closure(max_vertices: int) -> List[PlaneGraph]:
                 seen[key] = c
                 frontier.append(c)
     return list(seen.values())
+
+
+def leapfrog(g: PlaneGraph) -> PlaneGraph:
+    """Leapfrog of a cubic PlaneGraph; vertex i is the i-th dart of g."""
+    g.require_cubic()
+    darts = g.darts()
+    index = {d: i for i, d in enumerate(darts)}
+    prev = {g.next_dart(d): d for d in darts}
+    # vertex i owns darts 3i (toward twin), 3i+1 (toward next), 3i+2
+    # (toward prev); the next/prev darts of neighbouring vertices pair up
+    twin, vertex_of, rotation = {}, {}, {}
+    for d in darts:
+        i = index[d]
+        twin[3 * i] = 3 * index[g.twin[d]]
+        twin[3 * i + 1] = 3 * index[g.next_dart(d)] + 2
+        twin[3 * i + 2] = 3 * index[prev[d]] + 1
+        for k in range(3):
+            vertex_of[3 * i + k] = i
+        # counterclockwise: twin side, then prev, then next
+        rotation[i] = (3 * i, 3 * i + 2, 3 * i + 1)
+    return PlaneGraph(twin, vertex_of, rotation)
+
+
+def relabel(g: PlaneGraph, rng: random.Random) -> PlaneGraph:
+    """Isomorphic copy of the PlaneGraph g under random vertex and dart ids
+    and random starting points of every rotation (same embedding)."""
+    vmap = dict(zip(g.vertices(), rng.sample(range(2 * len(g.rotation)),
+                                              len(g.rotation))))
+    dmap = dict(zip(g.darts(), rng.sample(range(2 * len(g.twin)),
+                                           len(g.twin))))
+    rotation = {}
+    for v, rot in g.rotation.items():
+        k = rng.randrange(len(rot))
+        rotation[vmap[v]] = tuple(dmap[d] for d in rot[k:] + rot[:k])
+    return PlaneGraph({dmap[d]: dmap[t] for d, t in g.twin.items()},
+                      {dmap[d]: vmap[v] for d, v in g.vertex_of.items()},
+                      rotation)

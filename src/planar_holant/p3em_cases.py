@@ -5,7 +5,9 @@ its surgery in place (contractions, deletions and retwins keep dart ids
 stable away from the fragment) and commits it, which re-walks only the
 faces through the touched darts; the kernel itself is then the child.  The
 bridge, chord and pentagon-coincidence cases leave two components, and
-each is copied into a kernel of its own.
+each is copied into a kernel of its own.  Every pick (loop, parallel pair,
+short face, bridge, chord) comes from the kernel's candidate heaps and is
+the one a full scan would make, so no step scans the whole graph.
 
 A lift runs when the children's certificates are done, so the kernel holds
 the child again.  Edges on faces the step kept keep their face.  An edge
@@ -120,13 +122,13 @@ def step_reduce(k: FaceKernel) -> ReductionStep:
     tri = k.smallest_face(3)
     if tri is not None:
         return _case_triangle(k, tri)
-    br = k.bridges()
-    if br:
-        return _case_bridge(k, min(br))
+    br = k.smallest_bridge()
+    if br is not None:
+        return _case_bridge(k, br)
     sq = k.smallest_face(4)
     if sq is not None:
         return _case_square(k, sq)
-    ch = _find_chord(k)
+    ch = k.smallest_chord()
     if ch is not None:
         return _case_chord(k, *ch)
     pent = k.smallest_face(5)
@@ -139,23 +141,7 @@ def step_reduce(k: FaceKernel) -> ReductionStep:
     return _case_pentagon(k, lab)
 
 
-# -- detection helpers ----------------------------------------------------
-
-def _find_chord(g):
-    """(outer face, smallest chord edge) for the first face whose boundary
-    cycle has a chord; requires the simple/bridgeless/triangle-free/
-    square-free stage.  A chord has a dart at a boundary vertex, so each
-    face costs O(boundary length)."""
-    for f in g.faces():
-        on_cycle = {g.vertex_of[d] for d in f.boundary}
-        cyc_edges = {g.edge_of(d) for d in f.boundary}
-        chords = [g.edge_of(d) for v in on_cycle for d in g.rotation[v]
-                  if g.edge_of(d) not in cyc_edges
-                  and g.vertex_of[g.twin[d]] in on_cycle]
-        if chords:
-            return f, min(chords)
-    return None
-
+# -- labels and reachability ------------------------------------------------
 
 @dataclass
 class FaceLabels:

@@ -187,55 +187,15 @@ class PlaneGraph:
             {v: self.rotation[v] for v in comp})
 
     def bridges(self) -> set:
-        """Edge ids whose removal disconnects their component."""
-        # lowpoint DFS over darts; skips exactly one reverse dart per tree edge,
-        # so parallel edges count as back edges and are never bridges
-        disc: Dict[int, int] = {}
-        low: Dict[int, int] = {}
-        out = set()
-        time = [0]
-        for root in self.vertices():
-            if root in disc:
-                continue
-            disc[root] = low[root] = time[0]
-            time[0] += 1
-            stack = [(root, None, iter(self.rotation[root]))]
-            while stack:
-                v, back_dart, it = stack[-1]
-                pushed = False
-                for d in it:
-                    if d == back_dart:
-                        continue
-                    w = self.vertex_of[self.twin[d]]
-                    if w == v:
-                        continue  # self-loop
-                    if w in disc:
-                        low[v] = min(low[v], disc[w])
-                    else:
-                        disc[w] = low[w] = time[0]
-                        time[0] += 1
-                        stack.append((w, self.twin[d], iter(self.rotation[w])))
-                        pushed = True
-                        break
-                if not pushed:
-                    stack.pop()
-                    if stack:
-                        u = stack[-1][0]
-                        low[u] = min(low[u], low[v])
-                        if low[v] > disc[u]:
-                            out.add(self.edge_of(back_dart))
-        return out
+        """Edge ids whose removal disconnects their component: in a plane
+        graph, the non-loop edges whose two darts lie on one face."""
+        self.faces()
+        face, vertex_of = self._face_of_dart, self.vertex_of
+        return {d for d, t in self.twin.items()
+                if d < t and face[d] == face[t] and vertex_of[d] != vertex_of[t]}
 
     def is_bridge(self, e: int) -> bool:
-        if e not in self.twin or e > self.twin[e]:
-            raise UnknownEdge(str(e))
-        u, w = self.edge_ends(e)
-        if u == w:
-            return False
-        # parallel edge is never a bridge
-        par = sum(1 for d in self.rotation[u] if self.vertex_of[self.twin[d]] == w)
-        if par > 1:
-            return False
+        self.edge_ends(e)     # UnknownEdge unless e is an edge id
         return e in self.bridges()
 
     # -- canonical form / isomorphism ----------------------------------

@@ -1,9 +1,14 @@
+import random
+
 import pytest
 
+from planar_holant import fixtures
 from planar_holant.generators import (InfeasibleSize, generate_cubic_plane,
                                       generate_cubic_bipartite_plane,
-                                      move_closure)
+                                      leapfrog, move_closure, relabel)
+from planar_holant.p3em import find_p3em, verify
 from planar_holant.plane_graph import two_coloring
+from planar_holant.solvers import count_pm
 
 
 def test_small_sizes():
@@ -52,3 +57,22 @@ def test_move_closure_small():
     # closure is deduplicated
     forms = [g.canonical_form() for g in graphs]
     assert len(set(forms)) == len(forms)
+
+
+def test_leapfrog_fullerenes():
+    graphs = [fixtures.dodecahedron()]
+    for _ in range(3):
+        graphs.append(leapfrog(graphs[-1]))
+    for g in graphs:
+        lengths = sorted(len(f.boundary) for f in g.faces())
+        assert g.is_cubic() and lengths.count(5) == 12
+        assert set(lengths) <= {5, 6}
+    assert [len(g.vertices()) for g in graphs] == [20, 60, 180, 540]
+    # Kekule structure counts of C20 and C60 (Klein, Schmalz, Hite and
+    # Seitz 1986)
+    assert count_pm(graphs[0]) == 36 and count_pm(graphs[1]) == 12500
+    for g in graphs[2:]:
+        h = relabel(g, random.Random(len(g.vertices())))
+        assert sorted(len(f.boundary) for f in h.faces()) == sorted(
+            len(f.boundary) for f in g.faces())
+        assert verify(h, find_p3em(h)).ok

@@ -6,7 +6,8 @@ import sys
 import pytest
 
 from planar_holant import fixtures, p3em_cases
-from planar_holant.generators import generate_cubic_plane, move_closure
+from planar_holant.generators import (generate_cubic_plane, leapfrog,
+                                      move_closure, relabel)
 from planar_holant.p3em import (ExceptionalGraph, base_case, check_sigma,
                                 complete_assignment, exceptional_kind,
                                 find_p3em, materialize, place_pool,
@@ -14,7 +15,7 @@ from planar_holant.p3em import (ExceptionalGraph, base_case, check_sigma,
                                 verify)
 from planar_holant.p3em_cases import solve_kernel, step_reduce
 from planar_holant.face_kernel import FaceKernel
-from planar_holant.plane_graph import PlaneGraph
+from planar_holant.plane_graph import GraphError, PlaneGraph
 
 
 def test_exceptional_detection():
@@ -277,18 +278,63 @@ def test_long_reduction_chain_needs_no_recursion():
 # -- references: the earlier, independent versions of the P3EM helpers ------
 
 def _find_chord_reference(g):
-    """Every edge of the graph against every face, O(F·D)."""
+    """Every edge of the graph against every face, O(F·E)."""
+    ends = [(e, g.edge_ends(e)) for e in g.edges()]
     for f in g.faces():
         on_cycle = {g.vertex_of[d] for d in f.boundary}
         cyc_edges = {g.edge_of(d) for d in f.boundary}
-        for d in sorted(g.darts()):
-            e = g.edge_of(d)
-            if e in cyc_edges or d != e:
-                continue
-            u, w = g.edge_ends(e)
-            if u in on_cycle and w in on_cycle:
+        for e, (u, w) in ends:
+            if e not in cyc_edges and u in on_cycle and w in on_cycle:
                 return f, e
     return None
+
+
+def _bridges_reference(g):
+    """Bridges by a lowpoint DFS over darts; it skips exactly one reverse
+    dart per tree edge, so parallel edges count as back edges and are never
+    bridges."""
+    disc, low = {}, {}
+    out = set()
+    time = [0]
+    for root in g.vertices():
+        if root in disc:
+            continue
+        disc[root] = low[root] = time[0]
+        time[0] += 1
+        stack = [(root, None, iter(g.rotation[root]))]
+        while stack:
+            v, back_dart, it = stack[-1]
+            pushed = False
+            for d in it:
+                if d == back_dart:
+                    continue
+                w = g.vertex_of[g.twin[d]]
+                if w == v:
+                    continue  # self-loop
+                if w in disc:
+                    low[v] = min(low[v], disc[w])
+                else:
+                    disc[w] = low[w] = time[0]
+                    time[0] += 1
+                    stack.append((w, g.twin[d], iter(g.rotation[w])))
+                    pushed = True
+                    break
+            if not pushed:
+                stack.pop()
+                if stack:
+                    u = stack[-1][0]
+                    low[u] = min(low[u], low[v])
+                    if low[v] > disc[u]:
+                        out.add(g.edge_of(back_dart))
+    return out
+
+
+def _fullerene(levels, seed):
+    """The dodecahedron leapfrogged `levels` times, under random ids."""
+    g = fixtures.dodecahedron()
+    for _ in range(levels):
+        g = leapfrog(g)
+    return relabel(g, random.Random(seed))
 
 
 def _triangle_corners_reference(g, face):
@@ -391,7 +437,7 @@ def _at_chord_stage(g):
     return (_find_loop_reference(g) is None
             and _find_parallel_reference(g) is None
             and all(len(f.boundary) > 4 for f in g.faces())
-            and not g.bridges())
+            and not _bridges_reference(g))
 
 
 def test_face_helpers_match_references():
@@ -410,7 +456,7 @@ def test_face_helpers_match_references():
     assert any(chords) and not all(chords)
     triangles = 0
     for g in graphs:
-        assert p3em_cases._find_chord(g) == _find_chord_reference(g)
+        assert FaceKernel(g).smallest_chord() == _find_chord_reference(g)
         if (_find_loop_reference(g) is not None
                 or _find_parallel_reference(g) is not None):
             continue
@@ -427,6 +473,20 @@ def test_face_helpers_match_references():
                          "nbr": lab.b[i]} for i in range(3)] == (
                     corners[r:] + corners[:r])
     assert triangles > 50
+
+
+def test_bridges_match_reference():
+    # the facial test (a non-loop edge whose two darts share a face)
+    # against the lowpoint DFS
+    graphs = move_closure(8)
+    graphs += [generate_cubic_plane(n, s) for n in (20, 50, 100, 200)
+               for s in range(4)]
+    graphs += [_fullerene(levels, 5) for levels in range(3)]
+    found = 0
+    for g in graphs:
+        assert g.bridges() == _bridges_reference(g)
+        found += len(g.bridges())
+    assert found > 100
 
 
 def test_completion_search_matches_references(monkeypatch):
@@ -519,10 +579,8 @@ def _checked_step(reduce, k, labels, ambiguous, fragments):
     for n in (3, 4, 5):
         want = _find_face_of_len_reference(g, n)
         assert k.smallest_face(n) == want
-    assert k.bridges() == g.bridges()
-    if _at_chord_stage(g):
-        got, want = p3em_cases._find_chord(k), _find_chord_reference(g)
-        assert (got and (got[0].id, got[1])) == (want and (want[0].id, want[1]))
+    assert k.smallest_bridge() == min(_bridges_reference(g), default=None)
+    assert k.smallest_chord() == _find_chord_reference(g)
     step = reduce(k)
     labels.append(step.label)
     children = [_frozen_checked(child) for child in step.children]
@@ -559,6 +617,9 @@ def test_kernel_steps_match_full_rebuilds(monkeypatch):
     # an edge of its lift has one child face and two parent faces
     roots += [generate_cubic_plane(n, s) for n in (20, 60, 200) for s in range(3)]
     roots += [generate_cubic_plane(400, 0)]
+    # long girth-5 chains of pentagon and square steps; each pentagon step
+    # is picked only after the chord pick finds no chord
+    roots += [_fullerene(1, 1), _fullerene(2, 2)]
     roots += [g for g in move_closure(8) if exceptional_kind(g) is None]
     labels, ambiguous, fragments = [], [], []
     reduce, remap = p3em_cases.step_reduce, p3em_cases._remap
@@ -585,3 +646,29 @@ def test_kernel_steps_match_full_rebuilds(monkeypatch):
                            "triangle_shared", "bridge", "square", "chord",
                            "pentagon"}
     assert ambiguous
+
+
+def test_kernel_picks_after_retwin_surgery():
+    # an edge switch (two retwins, no rotation changed) gives chords to
+    # faces that hold none of its four darts but pass its vertices; the
+    # kernel re-walks them, since a retwin logs the rotations of its vertices
+    far_chords = 0
+    for g in (fixtures.cube(), fixtures.dodecahedron()):
+        for e1, e2 in itertools.combinations(g.edges(), 2):
+            for x2, y2 in ((e2, g.twin[e2]), (g.twin[e2], e2)):
+                k = FaceKernel(g)
+                assert k.smallest_chord() is None and k.smallest_bridge() is None
+                k.retwin(e1, x2)
+                k.retwin(g.twin[e1], y2)
+                k.commit()
+                try:
+                    h = k.freeze()
+                except GraphError:
+                    continue          # the switch crossed itself
+                want = _find_chord_reference(h)
+                far_chords += bool(want) and not {
+                    e1, g.twin[e1], e2, g.twin[e2]} & set(want[0].boundary)
+                assert k.smallest_chord() == want
+                assert k.smallest_bridge() == min(_bridges_reference(h),
+                                                  default=None)
+    assert far_chords > 10
