@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from .scalars import Scalar, format_scalar
 from .signatures import (StraddledMatrix, SymSignature, sig_is_degenerate,
@@ -70,7 +70,13 @@ def _matches(f: SymSignature) -> List[CaseMatch]:
     f0, f1, f2, f3 = f.values
     out: List[CaseMatch] = []
     if sig_is_degenerate(f):
-        out.append(CaseMatch(1, _degenerate_params(f)))
+        if f0 != 0:
+            params = {"scale": f0, "u0": Fraction(1), "u1": f1 / f0}
+        elif f3 != 0:   # degenerate with f0 = 0 forces [0,0,0,f3]
+            params = {"scale": f3, "u0": Fraction(0), "u1": Fraction(1)}
+        else:
+            params = {"scale": Fraction(0), "u0": Fraction(1), "u1": Fraction(0)}
+        out.append(CaseMatch(1, params))
     if f1 == 0 and f2 == 0:
         out.append(CaseMatch(2, {"a": f0, "b": f3}))
     fam = affine_family_of(f)
@@ -86,16 +92,6 @@ def _matches(f: SymSignature) -> List[CaseMatch]:
         out.append(CaseMatch(5, {"a": a, "b": b}))
     out.sort(key=lambda m: m.case)
     return out
-
-
-def _degenerate_params(f: SymSignature) -> Dict[str, Scalar]:
-    f0, f1, f2, f3 = f.values
-    if f0 != 0:
-        return {"scale": f0, "u0": Fraction(1), "u1": f1 / f0}
-    if f3 != 0:
-        # degenerate with f0 = 0 forces [0,0,0,f3]
-        return {"scale": f3, "u0": Fraction(0), "u1": Fraction(1)}
-    return {"scale": Fraction(0), "u0": Fraction(1), "u1": Fraction(0)}
 
 
 def classify(f: SymSignature) -> Verdict:
@@ -137,45 +133,38 @@ def extract_params(f: SymSignature, case: int) -> Dict[str, Scalar]:
     predicate does not hold or reconstruction fails."""
     for m in _matches(f):
         if m.case == case:
-            if not _reconstructs(f, m):
-                raise InconsistentCase(f"case {case} params fail round-trip")
             params = dict(m.params)
             if m.family:
                 params["family"] = m.family
+            if _CASES[case].values(params) != f.values:
+                raise InconsistentCase(f"case {case} params fail round-trip")
             return params
     raise InconsistentCase(f"signature does not match case {case}")
 
 
-def _reconstructs(f: SymSignature, m: CaseMatch) -> bool:
-    if m.case == 1:
-        s, u0, u1 = m.params["scale"], m.params["u0"], m.params["u1"]
-        return f.values == (s * u0 ** 3, s * u0 ** 2 * u1,
-                            s * u0 * u1 ** 2, s * u1 ** 3)
-    if m.case == 2:
-        return f.values == (m.params["a"], 0, 0, m.params["b"])
-    if m.case == 3:
-        a = m.params["a"]
-        return f.values == tuple(a * p for p in AFFINE_PATTERNS[m.family])
-    if m.case == 4:
-        a, b, sg = m.params["a"], m.params["b"], m.params["sign"]
-        if sg == 1:
-            return f.values == (a, b, b, a)
-        return f.values == (a, b, -b, -a)
-    if m.case == 5:
-        a, b = m.params["a"], m.params["b"]
-        return f.values == (3 * a + b, -a - b, -a + b, 3 * a - b)
-    return False
+class _Case(NamedTuple):
+    values: Callable    # params -> the signature values they stand for
+    solve: Callable     # (grid, params) -> Holant value
 
 
-# case -> solver on (grid, extract_params); solvers are looked up on the
-# module at call time so that rebinding a solver there takes effect
-_SOLVERS = {
-    1: lambda g, p: solvers.solve_degenerate(g, [p["u0"], p["u1"]], p["scale"]),
-    2: lambda g, p: solvers.solve_geneq(g, p["a"], p["b"]),
-    3: lambda g, p: solvers.solve_affine(g, p["family"], p["a"]),
-    4: lambda g, p: solvers.solve_matchgate(g, p["a"], p["b"],
-                                            1 if p["sign"] == 1 else -1),
-    5: lambda g, p: solvers.solve_case5(g, p["a"], p["b"]),
+# one row per case: extract_params checks values(params) against f (the
+# round trip); solvers are looked up on the module at call time so that
+# rebinding a solver there takes effect
+_CASES = {
+    1: _Case(lambda p: tuple(p["scale"] * p["u0"] ** (3 - i) * p["u1"] ** i
+                             for i in range(4)),
+             lambda g, p: solvers.solve_degenerate(g, [p["u0"], p["u1"]],
+                                                   p["scale"])),
+    2: _Case(lambda p: (p["a"], 0, 0, p["b"]),
+             lambda g, p: solvers.solve_geneq(g, p["a"], p["b"])),
+    3: _Case(lambda p: tuple(p["a"] * x for x in AFFINE_PATTERNS[p["family"]]),
+             lambda g, p: solvers.solve_affine(g, p["family"], p["a"])),
+    4: _Case(lambda p: (p["a"], p["b"], p["sign"] * p["b"], p["sign"] * p["a"]),
+             lambda g, p: solvers.solve_matchgate(g, p["a"], p["b"],
+                                                  1 if p["sign"] == 1 else -1)),
+    5: _Case(lambda p: (3 * p["a"] + p["b"], -p["a"] - p["b"], -p["a"] + p["b"],
+                        3 * p["a"] - p["b"]),
+             lambda g, p: solvers.solve_case5(g, p["a"], p["b"])),
 }
 
 
@@ -183,7 +172,7 @@ def solve_case(grid, f: SymSignature, case: int) -> Scalar:
     """Run the solver of the given case on the grid; raises
     InconsistentCase when f is not in that case."""
     params = extract_params(f, case)
-    return _SOLVERS[case](grid, params)
+    return _CASES[case].solve(grid, params)
 
 
 def dispatch_solve(grid, f: SymSignature) -> Scalar:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from .plane_graph import PlaneGraph
+from .plane_graph import GraphBuilder, GraphError, PlaneGraph
 
 
 def from_adjacency(rotations: Dict[int, Sequence[Tuple[int, int]]]) -> PlaneGraph:
@@ -199,39 +199,28 @@ def relabeled(g: PlaneGraph, voff: int, doff: int) -> PlaneGraph:
                        for v, r in g.rotation.items()})
 
 
+def _two_dodecahedra() -> Tuple[GraphBuilder, int, int]:
+    """A GraphBuilder holding dodecahedron() and a copy with vertex ids
+    +100 and dart ids +1000, and the first edge of each."""
+    g1, g2 = dodecahedron(), relabeled(dodecahedron(), 100, 1000)
+    b = GraphBuilder(g1)
+    for v, r in g2.rotation.items():
+        b.add_vertex(v, r)
+    for e in g2.edges():
+        b.retwin(e, g2.twin[e])
+    return b, g1.edges()[0], g2.edges()[0]
+
+
 def bridge_fixture() -> PlaneGraph:
     """Two dodecahedra with a subdivided edge each, joined by a bridge:
     simple, no faces shorter than five, one bridge."""
-    from .plane_graph import GraphBuilder
-    g1 = dodecahedron()
-    g2 = relabeled(dodecahedron(), 100, 1000)
-    b = GraphBuilder(g1)
-    b.twin.update(g2.twin)
-    b.vertex_of.update(g2.vertex_of)
-    b.rotation.update({v: list(r) for v, r in g2.rotation.items()})
-
-    def subdiv(dart, nv):
-        t = b.twin[dart]
-        d1 = max(b.twin) + 1
-        d2 = d1 + 1
-        b.vertex_of[d1] = nv
-        b.vertex_of[d2] = nv
-        b.retwin(dart, d1)
-        b.retwin(d2, t)
-        return d1, d2
-
-    e1 = g1.edges()[0]
-    e2 = min(e2d for e2d in g2.twin if e2d < g2.twin[e2d])
-    d1a, d1b = subdiv(e1, 500)
-    d2a, d2b = subdiv(e2, 501)
-    br1 = max(b.twin) + 1
-    br2 = br1 + 1
-    b.twin[br1] = br2
-    b.twin[br2] = br1
-    b.vertex_of[br1] = 500
-    b.vertex_of[br2] = 501
-    b.rotation[500] = [d1a, br1, d1b]
-    b.rotation[501] = [d2a, br2, d2b]
+    b, e1, e2 = _two_dodecahedra()
+    d = b.fresh_dart()
+    d1a, d1b = b.subdivide(e1, 500, d)
+    d2a, d2b = b.subdivide(e2, 501, d + 2)
+    b.add_vertex(500, [d1a, d + 4, d1b])
+    b.add_vertex(501, [d2a, d + 5, d2b])
+    b.retwin(d + 4, d + 5)
     return b.freeze()
 
 
@@ -239,21 +228,12 @@ def chord_fixture() -> PlaneGraph:
     """Chord {A,B} whose removal sides are dodecahedron fragments: simple,
     bridgeless, girth five, and the chord is the first reducible feature."""
     from .face_kernel import FaceKernel
-    from .plane_graph import GraphBuilder, GraphError
     from .p3em_cases import step_reduce
-    g1 = dodecahedron()
-    g2 = relabeled(dodecahedron(), 100, 1000)
-    e1 = g1.edges()[0]
-    t1 = g1.twin[e1]
-    e2 = min(x for x in g2.twin if x < g2.twin[x])
-    t2 = g2.twin[e2]
     for rotA in ((0, 1, 2), (0, 2, 1)):
         for rotB in ((0, 1, 2), (0, 2, 1)):
-            b = GraphBuilder(g1)
-            b.twin.update(g2.twin)
-            b.vertex_of.update(g2.vertex_of)
-            b.rotation.update({v: list(r) for v, r in g2.rotation.items()})
-            nd = max(b.twin) + 1
+            b, e1, e2 = _two_dodecahedra()
+            t1, t2 = b.twin[e1], b.twin[e2]
+            nd = b.fresh_dart()
             a_c, a_B, a_e = nd, nd + 1, nd + 2
             b_d, b_A, b_f = nd + 3, nd + 4, nd + 5
             b.retwin(e1, a_c)
@@ -291,21 +271,5 @@ def coincident_pentagon_fixture() -> PlaneGraph:
     for i, (u, v) in enumerate(_COINCIDENCE_EDGES):
         adj.setdefault(u, []).append((v, i))
         adj.setdefault(v, []).append((u, i))
-    twin: Dict[int, int] = {}
-    vo: Dict[int, int] = {}
-    rot: Dict[int, Tuple[int, ...]] = {}
-    slots: Dict[int, List[int]] = {}
-    nd = 0
-    for v, fl in zip(sorted(adj), _COINCIDENCE_FLIPS):
-        order = adj[v] if not fl else list(reversed(adj[v]))
-        r = []
-        for (w, ei) in order:
-            vo[nd] = v
-            r.append(nd)
-            slots.setdefault(ei, []).append(nd)
-            nd += 1
-        rot[v] = tuple(r)
-    for ei, ds in slots.items():
-        twin[ds[0]] = ds[1]
-        twin[ds[1]] = ds[0]
-    return PlaneGraph(twin, vo, rot)
+    return from_adjacency({v: adj[v][::-1] if fl else adj[v]
+                           for v, fl in zip(sorted(adj), _COINCIDENCE_FLIPS)})

@@ -36,20 +36,6 @@ class InfeasibleSize(ValueError):
     pass
 
 
-def _subdivide(b: GraphBuilder, dart: int, new_vertex: int) -> Tuple[int, int]:
-    """Split edge {dart, twin} by new_vertex; returns the two darts at the
-    new vertex (toward dart's vertex, toward twin's vertex)."""
-    t = b.twin[dart]
-    d1 = b.fresh_dart()
-    d2 = d1 + 1
-    b.rotation[new_vertex] = [d1, d2]
-    b.vertex_of[d1] = new_vertex
-    b.vertex_of[d2] = new_vertex
-    b.retwin(dart, d1)
-    b.retwin(d2, t)
-    return d1, d2
-
-
 def vertex_to_triangle(g: PlaneGraph, v: int) -> PlaneGraph:
     b = GraphBuilder(g)
     rot = list(b.rotation[v])
@@ -64,9 +50,8 @@ def vertex_to_triangle(g: PlaneGraph, v: int) -> PlaneGraph:
         prev_d = tri[(i - 1) % 3][1]
         next_d = tri[i][0]
         b.add_vertex(ids[i], [rot[i], next_d, prev_d])
-    for i in range(3):
-        b.twin[tri[i][0]] = tri[i][1]
-        b.twin[tri[i][1]] = tri[i][0]
+    for d1, d2 in tri:
+        b.retwin(d1, d2)
     return b.freeze()
 
 
@@ -75,20 +60,14 @@ def parallel_pair_insert(g: PlaneGraph, e: int) -> PlaneGraph:
     b = GraphBuilder(g)
     base = max(b.rotation) + 1
     p, q = base, base + 1
-    d = e
-    t = g.twin[e]
-    dp1, dp2 = _subdivide(b, d, p)     # p between X and (toward q)
-    dq1, dq2 = _subdivide(b, dp2, q)   # q between p and Y
+    dp1, dp2 = b.subdivide(e, p, b.fresh_dart())     # p between X and q
+    dq1, dq2 = b.subdivide(dp2, q, b.fresh_dart())   # q between p and Y
     # add the second p-q edge; rotations: p: [toward X, toward q, extra];
     # placing the doubled edge next to the existing one keeps a bigon face
-    x1 = b.fresh_dart()
-    x2 = x1 + 1
-    b.twin[x1] = x2
-    b.twin[x2] = x1
-    b.vertex_of[x1] = p
-    b.vertex_of[x2] = q
-    b.rotation[p] = [dp1, dp2, x1]
-    b.rotation[q] = [dq1, dq2, x2]
+    x = b.fresh_dart()
+    b.add_vertex(p, [dp1, dp2, x])
+    b.add_vertex(q, [dq1, dq2, x + 1])
+    b.retwin(x, x + 1)
     return b.freeze()
 
 
@@ -97,18 +76,13 @@ def self_loop_insert(g: PlaneGraph, e: int) -> PlaneGraph:
     b = GraphBuilder(g)
     base = max(b.rotation) + 1
     bb, aa = base, base + 1
-    d1, d2 = _subdivide(b, e, bb)
+    d1, d2 = b.subdivide(e, bb, b.fresh_dart())
     s1 = b.fresh_dart()
     s2, l1, l2 = s1 + 1, s1 + 2, s1 + 3
-    b.twin[s1] = s2
-    b.twin[s2] = s1
-    b.twin[l1] = l2
-    b.twin[l2] = l1
-    b.vertex_of[s1] = bb
-    for dd in (s2, l1, l2):
-        b.vertex_of[dd] = aa
-    b.rotation[bb] = [d1, s1, d2]
-    b.rotation[aa] = [s2, l1, l2]
+    b.add_vertex(bb, [d1, s1, d2])
+    b.add_vertex(aa, [s2, l1, l2])
+    b.retwin(s1, s2)
+    b.retwin(l1, l2)
     return b.freeze()
 
 
@@ -121,33 +95,28 @@ def ladder_insert(g: PlaneGraph, d_a: int, d_b: int) -> PlaneGraph:
     base = max(b.rotation) + 1
     u1, u2, w1, w2 = base, base + 1, base + 2, base + 3
     # subdivide edge a twice: order along d_a is u1 then u2
-    a1, a2 = _subdivide(b, d_a, u1)
-    a3, a4 = _subdivide(b, a2, u2)
-    b1, b2 = _subdivide(b, d_b, w1)
-    b3, b4 = _subdivide(b, b2, w2)
+    a1, a2 = b.subdivide(d_a, u1, b.fresh_dart())
+    a3, a4 = b.subdivide(a2, u2, b.fresh_dart())
+    b1, b2 = b.subdivide(d_b, w1, b.fresh_dart())
+    b3, b4 = b.subdivide(b2, w2, b.fresh_dart())
     r1a = b.fresh_dart()
     r1b, r2a, r2b = r1a + 1, r1a + 2, r1a + 3
-    b.twin[r1a] = r1b
-    b.twin[r1b] = r1a
-    b.twin[r2a] = r2b
-    b.twin[r2b] = r2a
     # rungs connect u1-w2 and u2-w1: along the face boundary the two edges
-    # are traversed in opposite senses, so anti-aligned rungs do not cross
-    b.vertex_of[r1a] = u1
-    b.vertex_of[r1b] = w2
-    b.vertex_of[r2a] = u2
-    b.vertex_of[r2b] = w1
-    # the shared face lies on the side of darts d_a, d_b; insert rung darts
-    # on that side of each subdivision vertex
-    b.rotation[u1] = [a1, r1a, a2]
-    b.rotation[u2] = [a3, r2a, a4]
-    b.rotation[w1] = [b1, r2b, b2]
-    b.rotation[w2] = [b3, r1b, b4]
+    # are traversed in opposite senses, so anti-aligned rungs do not cross;
+    # the shared face lies on the side of darts d_a, d_b, so each rung dart
+    # goes on that side of its subdivision vertex
+    b.add_vertex(u1, [a1, r1a, a2])
+    b.add_vertex(u2, [a3, r2a, a4])
+    b.add_vertex(w1, [b1, r2b, b2])
+    b.add_vertex(w2, [b3, r1b, b4])
+    b.retwin(r1a, r1b)
+    b.retwin(r2a, r2b)
     return b.freeze()
 
 
 MOVES = ("triangle", "parallel", "loop", "ladder")
 BIPARTITE_MOVES = ("parallel", "ladder")
+STALL_MOVES = 10000     # rejections in a row before the bipartite search gives up
 
 
 def _apply_random_move(g: PlaneGraph, rng: random.Random,
@@ -194,19 +163,17 @@ def generate_cubic_bipartite_plane(n: int, seed: int) -> PlaneGraph:
         raise InfeasibleSize(f"no cubic graph on {n} vertices")
     rng = random.Random(seed)
     g = fixtures.m23()
-    guard = 0
+    rejected = 0    # moves rejected since the last accepted one
     while len(g.vertices()) < n:
         g2 = _apply_random_move(g, rng, BIPARTITE_MOVES)
-        guard += 1
-        if guard > 10000:
-            raise InfeasibleSize("move search stalled")
-        if g2 is None:
-            continue
-        if len(g2.vertices()) > n:
-            continue
-        if two_coloring(g2) is None:
+        if g2 is None or len(g2.vertices()) > n or two_coloring(g2) is None:
+            rejected += 1
+            if rejected > STALL_MOVES:
+                raise InfeasibleSize(f"move search stalled: {STALL_MOVES} "
+                                     f"moves in a row rejected")
             continue
         g = g2
+        rejected = 0
     assert two_coloring(g) is not None
     return g
 

@@ -108,47 +108,32 @@ def materialize(g: PlaneGraph, sigma: FaceAssignment) -> PlaneGraph:
     to a fresh junction vertex placed inside the host face."""
     groups = triples(g, sigma)   # verifies sigma
     b = GraphBuilder(g)
-    next_v = max(b.rotation) + 1
-    next_d = max(b.twin) + 1
+    next_v = max(b.rotation, default=-1) + 1
+    next_d = b.fresh_dart()
 
-    # midpoint per edge; remember the midpoint's spoke dart (host-face side)
-    mid_side: Dict[int, int] = {}
-    midpoint: Dict[int, int] = {}
+    # midpoint per edge, by its spoke dart (on the host-face side)
+    spoke_of: Dict[int, int] = {}
     for f in g.faces():
         for d in f.boundary:
             e = g.edge_of(d)
-            if sigma.get(e) != f.id or e in midpoint:
+            if sigma.get(e) != f.id or e in spoke_of:
                 continue
-            # subdivide edge {d, t}: m between them
-            t = b.twin[d]
-            m = next_v
-            next_v += 1
-            d1, d2, spoke = next_d, next_d + 1, next_d + 2
-            next_d += 3
-            b.vertex_of[d1] = m
-            b.vertex_of[d2] = m
-            b.retwin(d, d1)
-            b.retwin(d2, t)
             # the host face lies on the orbit side of dart d; placing the
             # spoke between the continuation darts keeps it on that side
-            b.vertex_of[spoke] = m
-            b.rotation[m] = [d1, spoke, d2]
-            midpoint[e] = m
-            mid_side[e] = spoke
+            d1, d2 = b.subdivide(d, next_v, next_d)
+            b.add_vertex(next_v, [d1, next_d + 2, d2])
+            spoke_of[e] = next_d + 2
+            next_v += 1
+            next_d += 3
     for grp in groups:
-        v = next_v
-        next_v += 1
         rot = []
         for e in grp["edges"]:
-            spoke = mid_side[e]
-            dj = next_d
+            b.retwin(spoke_of[e], next_d)
+            rot.append(next_d)
             next_d += 1
-            b.vertex_of[dj] = v
-            b.twin[spoke] = dj
-            b.twin[dj] = spoke
-            rot.append(dj)
         # junction sees its triple's midpoints in reverse boundary order
-        b.rotation[v] = list(reversed(rot))
+        b.add_vertex(next_v, rot[::-1])
+        next_v += 1
     return b.freeze()
 
 

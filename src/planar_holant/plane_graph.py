@@ -340,7 +340,15 @@ def from_json(text: str) -> PlaneGraph:
 
 
 class GraphBuilder:
-    """Mutable staging area for graph surgery; freeze() validates."""
+    """Mutable staging area for graph surgery; freeze() validates.
+
+    Its verbs are the one surgery vocabulary of the package: add_vertex
+    (which also rewrites the rotation of an existing vertex), retwin,
+    subdivide (written with those two), remove_vertex, drop_dart,
+    delete_edge and contract_edge.  Builder users change twins, vertices
+    and rotations through the verbs, so each change can also run in place
+    on a FaceKernel, which logs every verb.
+    """
 
     def __init__(self, g: Optional[PlaneGraph] = None):
         if g is None:
@@ -363,6 +371,15 @@ class GraphBuilder:
     def retwin(self, d1: int, d2: int) -> None:
         self.twin[d1] = d2
         self.twin[d2] = d1
+
+    def subdivide(self, dart: int, v: int, d1: int) -> Tuple[int, int]:
+        """Put the new vertex v on dart's edge, with the unused darts d1
+        (twin of dart) and d1 + 1 (twin of dart's old twin); returns them."""
+        t = self.twin[dart]
+        self.add_vertex(v, (d1, d1 + 1))
+        self.retwin(dart, d1)
+        self.retwin(d1 + 1, t)
+        return d1, d1 + 1
 
     def remove_vertex(self, v: int) -> None:
         for d in self.rotation.pop(v):

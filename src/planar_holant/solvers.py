@@ -275,25 +275,14 @@ def _simplify_for_pm(g: PlaneGraph, weights: Dict[int, Scalar]):
     d = b.fresh_dart()
     for e in to_split:
         w = weights.get(e, Fraction(1))
-        _subdivide_edge(b, e, nv, d)
-        _subdivide_edge(b, d + 1, nv + 1, d + 2)
+        b.subdivide(e, nv, d)
+        b.subdivide(d + 1, nv + 1, d + 2)
         nv += 2
         d += 4
         wmap[min(e, b.twin[e])] = w  # weight on the first segment
     g2 = b.freeze()
     # re-key weights to edge ids of g2 (first segments keep the low dart id)
     return g2, {min(e, g2.twin[e]): w for e, w in wmap.items()}
-
-
-def _subdivide_edge(b: GraphBuilder, dart: int, new_vertex: int, d1: int) -> None:
-    """Put new_vertex on dart's edge, with unused darts d1 and d1 + 1."""
-    t = b.twin[dart]
-    d2 = d1 + 1
-    b.rotation[new_vertex] = [d1, d2]
-    b.vertex_of[d1] = new_vertex
-    b.vertex_of[d2] = new_vertex
-    b.retwin(dart, d1)
-    b.retwin(d2, t)
 
 
 def brute_force_pm(g: PlaneGraph, weights: Optional[Dict[int, Scalar]] = None) -> Scalar:
@@ -610,8 +599,7 @@ def _decorate(grid: SignatureGrid, left_kind: str, right_kind: str,
             tri_darts = {}
             for i in range(k):
                 d1, d2 = next(fresh), next(fresh)
-                b.twin[d1] = d2
-                b.twin[d2] = d1
+                b.retwin(d1, d2)
                 tri_darts[(i, (i + 1) % k)] = d1
                 tri_darts[((i + 1) % k, i)] = d2
                 weights[min(d1, d2)] = w
@@ -619,9 +607,10 @@ def _decorate(grid: SignatureGrid, left_kind: str, right_kind: str,
             if kind == "even":
                 for i in range(k):
                     d1, d2 = next(fresh), next(fresh)
-                    b.twin[d1] = d2
-                    b.twin[d2] = d1
+                    b.retwin(d1, d2)
                     leg_darts[i] = (d1, d2)  # d1 at triangle vertex, d2 at leg
+            # the fragment takes over all of nid's darts, which
+            # remove_vertex would delete, so only the rotation goes
             del b.rotation[nid]
             for i in range(k):
                 ext = rot[i]
@@ -641,8 +630,7 @@ def _decorate(grid: SignatureGrid, left_kind: str, right_kind: str,
             c_rot = []
             for i in range(k):
                 d1, d2 = next(fresh), next(fresh)
-                b.twin[d1] = d2
-                b.twin[d2] = d1
+                b.retwin(d1, d2)
                 b.add_vertex(ports[i], [rot[i], d2])
                 c_rot.append(d1)
             b.add_vertex(c, c_rot)

@@ -83,6 +83,17 @@ def test_p3em_roundtrip(tmp_path):
     assert len(mat["graph"]["vertices"]) == 8 + 12 + 4
 
 
+def test_p3em_on_the_empty_graph(tmp_path):
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"vertices": [], "darts": []}))
+    assign = tmp_path / "a.json"
+    assign.write_text(json.dumps({"assignment": {}}))
+    assert run_cli("p3em", "find", str(graph))["assignment"] == {}
+    assert run_cli("p3em", "verify", str(graph), str(assign))["ok"]
+    mat = run_cli("p3em", "materialize", str(graph), str(assign))
+    assert mat["graph"] == {"vertices": [], "darts": []}
+
+
 def test_graph_validate_and_faces():
     out = run_cli("graph", "validate", data_path("cover_example_graph.json"))
     assert out["valid"] and out["faces"] == 6

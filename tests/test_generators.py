@@ -1,8 +1,9 @@
+import hashlib
 import random
 
 import pytest
 
-from planar_holant import fixtures
+from planar_holant import fixtures, generators
 from planar_holant.generators import (InfeasibleSize, generate_cubic_plane,
                                       generate_cubic_bipartite_plane,
                                       leapfrog, move_closure, relabel)
@@ -47,6 +48,41 @@ def test_determinism():
     a = generate_cubic_plane(12, 7)
     b = generate_cubic_plane(12, 7)
     assert a == b
+
+
+# SHA-256 of to_json() at fixed (n, seed): any change to the moves, their
+# rng draws or their dart and vertex numbering shows here
+GENERATOR_DIGESTS = {
+    (generate_cubic_plane, 20, 1):
+        "27297089abc6f0ff140158874b5c89a025df02ac9eaf1393ee3bff219cef3fcd",
+    (generate_cubic_plane, 200, 2):
+        "9ce3cc36fa0a597bd1980db2b42194a3d161686b203a525af60cc858a8bf7055",
+    (generate_cubic_plane, 800, 3):
+        "c62123469489e9177a93162edab95ccb1f5df7acb3d7df8815b94e29d2f092f7",
+    (generate_cubic_bipartite_plane, 20, 1):
+        "73c11719cd17ca9c0f67d525b4fc9dde7d980cd82e376d3c825b347da955744e",
+    (generate_cubic_bipartite_plane, 200, 2):
+        "8eecfb43671bb7208a301f965813f4f8f8df794eb19b1d4fa95ff69be6237ec3",
+    (generate_cubic_bipartite_plane, 800, 3):
+        "be98b686eb9050e3c096716008b64b5eb575e683d17d864705631ce34f9dc280",
+}
+
+
+@pytest.mark.parametrize("gen, n, seed", list(GENERATOR_DIGESTS),
+                         ids=lambda x: getattr(x, "__name__", x))
+def test_generator_output_pinned(gen, n, seed):
+    text = gen(n, seed).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == GENERATOR_DIGESTS[gen, n, seed]
+
+
+def test_bipartite_stall_guard_counts_rejections_only(monkeypatch):
+    # n = 100, seed 1 takes 63 moves, at most 5 of them rejected in a row
+    want = generate_cubic_bipartite_plane(100, 1)
+    monkeypatch.setattr(generators, "STALL_MOVES", 10)
+    assert generate_cubic_bipartite_plane(100, 1) == want
+    monkeypatch.setattr(generators, "STALL_MOVES", 2)
+    with pytest.raises(InfeasibleSize, match="stalled"):
+        generate_cubic_bipartite_plane(100, 1)
 
 
 def test_move_closure_small():

@@ -15,7 +15,7 @@ from planar_holant.p3em import (ExceptionalGraph, base_case, check_sigma,
                                 verify)
 from planar_holant.p3em_cases import solve_kernel, step_reduce
 from planar_holant.face_kernel import FaceKernel
-from planar_holant.plane_graph import GraphError, PlaneGraph
+from planar_holant.plane_graph import GraphBuilder, GraphError, PlaneGraph
 
 
 def test_exceptional_detection():
@@ -672,3 +672,22 @@ def test_kernel_picks_after_retwin_surgery():
                 assert k.smallest_bridge() == min(_bridges_reference(h),
                                                   default=None)
     assert far_chords > 10
+
+
+def test_kernel_logs_subdivide():
+    # subdivide is written with add_vertex and retwin, so the kernel logs
+    # it without an override of its own: commit re-walks the two faces of
+    # the edge, and undo gives the graph back
+    for g in (fixtures.dumbbell(), fixtures.m23(), fixtures.cube(),
+              generate_cubic_plane(40, 1)):
+        for e in g.edges():
+            for dart in (e, g.twin[e]):
+                k = FaceKernel(g)
+                v, d = max(g.rotation) + 1, k.fresh_dart()
+                assert k.subdivide(dart, v, d) == (d, d + 1)
+                s = k.commit()
+                b = GraphBuilder(g)
+                b.subdivide(dart, v, d)
+                assert _frozen_checked(k) == b.freeze() and s.euler == 0
+                k.undo(s)
+                assert _frozen_checked(k) == g
