@@ -19,8 +19,8 @@ from . import fixtures, gadgets
 from .classifier import classify, dispatch_solve, solve_case
 from .generators import generate_cubic_bipartite_plane, generate_cubic_plane, move_closure
 from .holant_core import eval_grid
-from .p3em import (ExceptionalGraph, check_sigma, exceptional_kind, find_p3em,
-                   solve_sigma, verify)
+from .p3em import (BASE_BUILDERS, ExceptionalGraph, check_sigma,
+                   exceptional_kind, find_p3em, solve_sigma, verify)
 from .plane_graph import grid_from_cubic_bipartite
 from .reductions import Crossing, interpolate_recover, planarize, verify_P
 from .signatures import SymSignature, hadamard3, hadamard3_inv
@@ -71,11 +71,7 @@ def criterion_2(rep: Report) -> None:
 
 
 def criterion_3(rep: Report) -> None:
-    closure = move_closure(8)
-    for builder in (fixtures.dumbbell, fixtures.base_b, fixtures.base_c,
-                    fixtures.base_d, fixtures.base_e, fixtures.prism,
-                    fixtures.base_g, fixtures.base_h):
-        closure.append(builder())
+    closure = move_closure(8) + [builder() for builder in BASE_BUILDERS]
     n_exc = n_ok = 0
     ok = True
     for g in closure:
@@ -154,15 +150,11 @@ def _class_signature(label: str, rng: random.Random) -> SymSignature:
     raise ValueError(label)
 
 
-ORACLE_CLASSES = ("degenerate", "gen-eq", "affine-even", "affine-odd",
-                  "affine-alternating", "affine-two-block", "matchgate+",
-                  "matchgate-", "linear-family")
-
-
-_CLASS_CASE = {"degenerate": 1, "gen-eq": 2, "affine-even": 3,
-               "affine-odd": 3, "affine-alternating": 3,
-               "affine-two-block": 3, "matchgate+": 4, "matchgate-": 4,
-               "linear-family": 5}
+# tested class -> its case; the order fixes each class's rng seed
+ORACLE_CLASSES = {"degenerate": 1, "gen-eq": 2, "affine-even": 3,
+                  "affine-odd": 3, "affine-alternating": 3,
+                  "affine-two-block": 3, "matchgate+": 4, "matchgate-": 4,
+                  "linear-family": 5}
 
 
 def criterion_5(rep: Report) -> None:
@@ -179,7 +171,7 @@ def criterion_5(rep: Report) -> None:
                 continue
             grid = grid_from_cubic_bipartite(g, f)
             # the solver of the tested class, not the lowest matching one
-            got = solve_case(grid, f, _CLASS_CASE[label])
+            got = solve_case(grid, f, ORACLE_CLASSES[label])
             also = dispatch_solve(grid, f)
             want = eval_grid(grid)
             checked += 1

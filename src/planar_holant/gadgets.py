@@ -10,7 +10,7 @@ unary stand-ins for halves of the degenerate straddled signature.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .holant_core import GridNode, SignatureGrid, eval_gadget, eval_grid
 from .scalars import Scalar
@@ -18,17 +18,20 @@ from .signatures import (EQ3, NormalizationZero, StraddledMatrix,
                          SymSignature)
 
 
-class _Builder:
-    """Incremental grid assembly: nodes get explicit slot lists; wire()
+class GridBuilder:
+    """Incremental grid assembly, empty or from a copy of a grid without
+    its embedding: nodes get explicit slot lists and fresh ids; wire()
     links two (node, slot) ends; remaining slots dangle in given order."""
 
-    def __init__(self):
-        self.nodes: Dict[int, GridNode] = {}
-        self.edges: List[Tuple[int, int, int, int]] = []
-        self.dangling: List[Tuple[int, int]] = []
+    def __init__(self, grid: Optional[SignatureGrid] = None):
+        grid = SignatureGrid.empty() if grid is None else grid.copy()
+        self.nodes, self.edges = grid.nodes, grid.edges
+        self.dangling = grid.dangling
+        self.next_id = max(self.nodes, default=-1) + 1
 
     def node(self, side: str, sig, arity=None, slots=None) -> int:
-        nid = len(self.nodes)
+        nid = self.next_id
+        self.next_id += 1
         if slots is None:
             facing = "L" if side == "left" else "R"
             slots = (facing,) * (sig.arity if arity is None else arity)
@@ -55,7 +58,7 @@ def _as_matrix(table: Sequence[Scalar]) -> StraddledMatrix:
 def gadget_G1(f: SymSignature) -> StraddledMatrix:
     """Square-circle pair joined by a double edge; rows index the square's
     dangling slot, columns the circle's.  Equals [[f0,f2],[f1,f3]]."""
-    b = _Builder()
+    b = GridBuilder()
     sq = b.node("left", f)
     ci = b.node("right", EQ3)
     b.wire((sq, 1), (ci, 1))
@@ -67,7 +70,7 @@ def gadget_G1(f: SymSignature) -> StraddledMatrix:
 def gadget_G2(f: SymSignature) -> StraddledMatrix:
     """Four-node cycle with a doubled lower edge (square dangling = row,
     circle dangling = column)."""
-    b = _Builder()
+    b = GridBuilder()
     s1 = b.node("left", f)
     c1 = b.node("right", EQ3)
     s2 = b.node("left", f)
@@ -84,7 +87,7 @@ def gadget_G2(f: SymSignature) -> StraddledMatrix:
 def gadget_G3(f: SymSignature) -> SymSignature:
     """Ternary gadget: three dangling squares meeting a central square
     through three circles; output on the left side."""
-    b = _Builder()
+    b = GridBuilder()
     q = [b.node("left", f) for _ in range(3)]   # dangling squares
     mid = b.node("left", f)
     c0 = b.node("right", EQ3)   # joins q0, q1, mid
@@ -118,7 +121,7 @@ def _sym_from_table(table: Sequence[Scalar], arity: int) -> SymSignature:
 def _component_A(f: SymSignature) -> List[List[Scalar]]:
     """4x4 matrix of component A: one square over one circle, one shared
     edge; rows = (top-left, bottom-left), cols = (top-right, bottom-right)."""
-    b = _Builder()
+    b = GridBuilder()
     sq = b.node("left", f)
     ci = b.node("right", EQ3)
     b.wire((sq, 1), (ci, 1))
@@ -173,10 +176,6 @@ def crossover_pattern(x: Scalar) -> List[List[Scalar]]:
     return m
 
 
-CROSSOVER_MATRIX = [[Fraction(int((i, j) in {(0, 0), (1, 2), (2, 1), (3, 3)}))
-                     for j in range(4)] for i in range(4)]
-
-
 def gamma_chain(f: SymSignature, s: int) -> Tuple[List[List[Scalar]], Scalar]:
     """Normalized signature matrix of the (2s+1)-fold chain of cross-over
     gadgets, with its pattern parameter x_s.
@@ -208,7 +207,7 @@ def gamma_chain_by_power(f: SymSignature, s: int) -> List[List[Scalar]]:
 def nonlinearity_gadget(f: SymSignature, y: Scalar) -> SymSignature:
     """Unary output [y^2 + y b, y a + c] on the right side, built from one
     square between two circles with [y,1] stand-ins on the circles."""
-    b = _Builder()
+    b = GridBuilder()
     u = SymSignature([y, 1])
     c1 = b.node("right", EQ3)
     sq = b.node("left", f)
@@ -225,40 +224,48 @@ def nonlinearity_gadget(f: SymSignature, y: Scalar) -> SymSignature:
     return SymSignature(table)
 
 
-def absorb_g1(y: Scalar) -> Scalar:
-    """Triple of [y,1] ends meeting one circle: factor y^3 + 1."""
-    b = _Builder()
-    u = SymSignature([y, 1])
-    c = b.node("right", EQ3)
-    for s in range(3):
-        t = b.node("left", u)
-        b.wire((t, 0), (c, s))
-    return eval_grid(b.grid())
-
-
-def absorb_g2(f: SymSignature, y: Scalar) -> Scalar:
-    """Two [y,1] ends on one circle, that circle tied to a square whose
-    doubled edge meets another circle with the third [y,1] end."""
-    b = _Builder()
-    u = SymSignature([y, 1])
+def wire_absorber(b: GridBuilder, kind: str, f: Optional[SymSignature],
+                  ends: Sequence[Tuple[int, int]]) -> None:
+    """Wire absorber 'g1' or 'g2' onto three L-facing ends of b: g1 is one
+    circle on all three; g2 is a circle on the first two, tied to a square
+    whose doubled edge meets a circle on the third."""
+    if kind == "g1":
+        c = b.node("right", EQ3)
+        for s, end in enumerate(ends):
+            b.wire(end, (c, s))
+        return
     ca = b.node("right", EQ3)
-    cb = b.node("right", EQ3)
     sq = b.node("left", f)
-    t1 = b.node("left", u)
-    t2 = b.node("left", u)
-    t3 = b.node("left", u)
-    b.wire((t1, 0), (ca, 0))
-    b.wire((t2, 0), (ca, 1))
+    cb = b.node("right", EQ3)
+    b.wire(ends[0], (ca, 0))
+    b.wire(ends[1], (ca, 1))
     b.wire((sq, 0), (ca, 2))
     b.wire((sq, 1), (cb, 0))
     b.wire((sq, 2), (cb, 1))
-    b.wire((t3, 0), (cb, 2))
+    b.wire(ends[2], (cb, 2))
+
+
+def _absorb(kind: str, f: Optional[SymSignature], y: Scalar) -> Scalar:
+    """Factor of one absorber on a triple of [y,1] ends."""
+    b = GridBuilder()
+    u = SymSignature([y, 1])
+    wire_absorber(b, kind, f, [(b.node("left", u), 0) for _ in range(3)])
     return eval_grid(b.grid())
+
+
+def absorb_g1(y: Scalar) -> Scalar:
+    """g1 on [y,1] ends: factor y^3 + 1."""
+    return _absorb("g1", None, y)
+
+
+def absorb_g2(f: SymSignature, y: Scalar) -> Scalar:
+    """g2 on [y,1] ends: factor y^3 + b y^2 + a y + c for f = [1,a,b,c]."""
+    return _absorb("g2", f, y)
 
 
 def absorb_f1(f: SymSignature, x: Scalar) -> Scalar:
     """One square with three [1,x] ends: c x^3 + 3 b x^2 + 3 a x + 1."""
-    b = _Builder()
+    b = GridBuilder()
     u = SymSignature([1, x])
     sq = b.node("left", f)
     for s in range(3):
@@ -268,7 +275,7 @@ def absorb_f1(f: SymSignature, x: Scalar) -> Scalar:
 
 
 def absorb_f2(f: SymSignature, x: Scalar) -> Scalar:
-    b = _Builder()
+    b = GridBuilder()
     u = SymSignature([1, x])
     s1 = b.node("left", f)
     s2 = b.node("left", f)
@@ -285,7 +292,7 @@ def absorb_f2(f: SymSignature, x: Scalar) -> Scalar:
 
 
 def absorb_f3(f: SymSignature, x: Scalar) -> Scalar:
-    b = _Builder()
+    b = GridBuilder()
     u = SymSignature([1, x])
     s1 = b.node("left", f)
     s2 = b.node("left", f)
@@ -304,14 +311,3 @@ def absorb_f3(f: SymSignature, x: Scalar) -> Scalar:
     t = b.node("right", u, slots=("R",))
     b.wire((s3, 2), (t, 0))
     return eval_grid(b.grid())
-
-
-def absorb_factors_left(f: SymSignature, y: Scalar) -> Dict[str, Scalar]:
-    """Multiplicative factors available for absorbing [y,1] triples."""
-    return {"g1": absorb_g1(y), "g2": absorb_g2(f, y)}
-
-
-def absorb_factors_right(f: SymSignature, x: Scalar) -> Dict[str, Scalar]:
-    """Multiplicative factors available for absorbing [1,x] triples."""
-    return {"f1": absorb_f1(f, x), "f2": absorb_f2(f, x),
-            "f3": absorb_f3(f, x)}

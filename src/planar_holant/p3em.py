@@ -203,9 +203,9 @@ def solve_sigma(xp: Sequence[int], yp3: int, yp4: int
 
 # -- base cases and exceptional graphs ------------------------------------
 
-_BASE_BUILDERS = (fixtures.dumbbell, fixtures.base_b, fixtures.base_c,
-                  fixtures.base_d, fixtures.base_e, fixtures.prism,
-                  fixtures.base_g, fixtures.base_h)
+BASE_BUILDERS = (fixtures.dumbbell, fixtures.base_b, fixtures.base_c,
+                 fixtures.base_d, fixtures.base_e, fixtures.prism,
+                 fixtures.base_g, fixtures.base_h)
 
 BASE_MAX_VERTICES = 8     # the largest base shape
 
@@ -216,7 +216,7 @@ def _canon_table():
     if not _CANON:
         _CANON["K4"] = fixtures.k4().canonical_form()
         _CANON["M23"] = fixtures.m23().canonical_form()
-        _CANON["bases"] = frozenset(b().canonical_form() for b in _BASE_BUILDERS)
+        _CANON["bases"] = frozenset(b().canonical_form() for b in BASE_BUILDERS)
     return _CANON
 
 

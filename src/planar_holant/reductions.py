@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .gadgets import absorb_g1, absorb_g2, gamma_chain
+from .gadgets import (GridBuilder, absorb_g1, absorb_g2, gamma_chain,
+                      wire_absorber)
 from .holant_core import (GridNode, SignatureGrid, eval_grid, eval_gadget,
                           gadget_assignment_counts)
 from .p3em import ExceptionalGraph, find_p3em, triples
@@ -88,43 +89,30 @@ def planarize(grid: SignatureGrid, crossings: Sequence[Crossing]) -> SignatureGr
             raise TripleCrossing("an edge cannot cross itself at one point")
         per_edge.setdefault(c.edge_a, []).append((c.pos_a, ci, 0))
         per_edge.setdefault(c.edge_b, []).append((c.pos_b, ci, 1))
-    out = grid.copy()
-    out.embedding = None
-    next_id = max(out.nodes) + 1 if out.nodes else 0
-    cross_nodes: Dict[int, int] = {}
+    b = GridBuilder(grid)
     # slot order of the cross node: (a_in, b_in, a_out, b_out); value 1 iff
     # a_in == a_out and b_in == b_out; both orientations share this table
     # because opposite slots pair up either way
     table = crossover_table()
-    for ci in range(len(crossings)):
-        nid = next_id
-        next_id += 1
-        cross_nodes[ci] = nid
-        out.nodes[nid] = GridNode(nid, "table", ("R", "R", "L", "L"), table=table)
+    cross_nodes = [b.node("table", table, slots=("R", "R", "L", "L"))
+                   for _ in crossings]
     # rewire each crossed edge as a chain: L-end -> c1 -> c2 ... -> R-end
-    new_edges = []
-    handled = set()
+    b.edges = []
     for idx, (na, sa, nb, sb) in enumerate(grid.edges):
         if idx not in per_edge:
-            new_edges.append((na, sa, nb, sb))
+            b.wire((na, sa), (nb, sb))
             continue
-        handled.add(idx)
         if grid.nodes[na].slots[sa] == "L":
             lend, rend = (na, sa), (nb, sb)
         else:
             lend, rend = (nb, sb), (na, sa)
-        chain = sorted(per_edge[idx])
         cur = lend
-        for (_pos, ci, role) in chain:
-            nid = cross_nodes[ci]
-            in_slot = 0 if role == 0 else 1
-            out_slot = 2 if role == 0 else 3
+        for (_pos, ci, role) in sorted(per_edge[idx]):
             # entering slot faces R (receives the L-side strand)
-            new_edges.append((cur[0], cur[1], nid, in_slot))
-            cur = (nid, out_slot)
-        new_edges.append((cur[0], cur[1], rend[0], rend[1]))
-    out.edges = new_edges
-    return SignatureGrid(out.nodes, out.edges, out.dangling)
+            b.wire(cur, (cross_nodes[ci], role))
+            cur = (cross_nodes[ci], 2 + role)
+        b.wire(cur, rend)
+    return b.grid()
 
 
 @dataclass
@@ -259,58 +247,27 @@ def unary_absorption_transform(grid: SignatureGrid, f: SymSignature, x: Scalar,
         if not n.is_equality() or n.arity != 3:
             raise ReductionError("right nodes must be ternary equalities")
     g, edge_map = merge_degree2_left_map(grid)
-    left_of_edge = {e: lid for lid, e in edge_map.items()}
     match = find_p3em(g)
     if isinstance(match, ExceptionalGraph):
         raise ExceptionalGraphError(match)
     grp = triples(g, match)
     g1 = absorb_g1(y)
-    g2 = absorb_g2(f, y)
-    if g1 != 0:
-        absorber, factor1 = "g1", g1
-    elif g2 != 0:
-        absorber, factor1 = "g2", g2
-    else:
+    kind, factor1 = ("g1", g1) if g1 != 0 else ("g2", absorb_g2(f, y))
+    if factor1 == 0:
         raise ZeroFactor("both absorber factors vanish")
-    out = grid.copy()
-    out.embedding = None
-    next_id = max(out.nodes) + 1
+    b = GridBuilder(grid)
     dtab = degenerate_straddled_table(x, y)
-    d_left_slot: Dict[int, Tuple[int, int]] = {}
+    d_end: Dict[int, Tuple[int, int]] = {}
     # replace every binary left node by a ternary f node tied to a
     # degenerate table, leaving its [y,1] end open
     for n in lefts:
-        fid = n.id
-        out.nodes[fid] = GridNode(fid, "left", ("L", "L", "L"), sym=f)
-        did = next_id
-        next_id += 1
-        out.nodes[did] = GridNode(did, "table", ("L", "R"), table=dtab)
-        out.edges.append((fid, 2, did, 1))
-        d_left_slot[edge_map[fid]] = (did, 0)
+        b.nodes[n.id] = GridNode(n.id, "left", ("L", "L", "L"), sym=f)
+        did = b.node("table", dtab, slots=("L", "R"))
+        b.wire((n.id, 2), (did, 1))
+        d_end[edge_map[n.id]] = (did, 0)
     for t in grp:
-        ends = [d_left_slot[e] for e in t["edges"]]
-        if absorber == "g1":
-            cid = next_id
-            next_id += 1
-            out.nodes[cid] = GridNode(cid, "right", ("R", "R", "R"), sym=EQ3)
-            for slot, end in enumerate(ends):
-                out.edges.append((end[0], end[1], cid, slot))
-        else:
-            ca = next_id
-            sq = next_id + 1
-            cb = next_id + 2
-            next_id += 3
-            out.nodes[ca] = GridNode(ca, "right", ("R", "R", "R"), sym=EQ3)
-            out.nodes[sq] = GridNode(sq, "left", ("L", "L", "L"), sym=f)
-            out.nodes[cb] = GridNode(cb, "right", ("R", "R", "R"), sym=EQ3)
-            out.edges.append((ends[0][0], ends[0][1], ca, 0))
-            out.edges.append((ends[1][0], ends[1][1], ca, 1))
-            out.edges.append((sq, 0, ca, 2))
-            out.edges.append((sq, 1, cb, 0))
-            out.edges.append((sq, 2, cb, 1))
-            out.edges.append((ends[2][0], ends[2][1], cb, 2))
-    factor = factor1 ** len(grp)
-    return SignatureGrid(out.nodes, out.edges, out.dangling), factor
+        wire_absorber(b, kind, f, [d_end[e] for e in t["edges"]])
+    return b.grid(), factor1 ** len(grp)
 
 
 class ExceptionalGraphError(ReductionError):

@@ -186,10 +186,6 @@ def sqrt_exact(x: Union[int, Fraction]) -> Scalar:
     return QuadExt(Fraction(0), Fraction(s, den), d)
 
 
-def is_rational(x: Scalar) -> bool:
-    return isinstance(x, (int, Fraction)) or (isinstance(x, QuadExt) and x.b == 0)
-
-
 def as_fraction(x: Scalar) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)

@@ -63,9 +63,6 @@ class SymSignature:
         n = self.arity
         return [self.values[bin(i).count("1")] for i in range(1 << n)]
 
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.values)
-
     def to_json(self):
         return [format_scalar(v) for v in self.values]
 
@@ -78,9 +75,6 @@ class SymSignature:
 
 
 EQ3 = SymSignature([1, 0, 0, 1])
-DELTA0 = SymSignature([1, 0])
-DELTA1 = SymSignature([0, 1])
-DELTA2 = SymSignature([1, 1])
 EXACT_ONE_3 = SymSignature([0, 1, 0, 0])
 
 

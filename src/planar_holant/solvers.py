@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from itertools import count
+from itertools import combinations
+from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .plane_graph import (GraphBuilder, PlaneGraph, plane_graph_of_grid)
@@ -315,6 +316,8 @@ def brute_force_pm(g: PlaneGraph, weights: Optional[Dict[int, Scalar]] = None) -
 # -- grid plumbing -------------------------------------------------------
 
 def _grid_sides(grid: SignatureGrid):
+    if grid.dangling:
+        raise WrongForm("grid has dangling slots")
     lefts = grid.left_nodes()
     rights = grid.right_nodes()
     if len(lefts) + len(rights) != len(grid.nodes):
@@ -565,136 +568,97 @@ def solve_case5(grid: SignatureGrid, a: Scalar, b: Scalar) -> Scalar:
 
 # -- matchgate case: Fisher-style decorations ----------------------------
 
+# One matchgate fragment per kind, as the ccw rotation of each fragment
+# vertex.  A rotation lists ports 'a', 'b', 'c' (the node's external darts,
+# in its ccw order) and ends of internal edges: edge j has end 2j at one
+# vertex and end 2j + 1 at the other.  The listed edges carry the left
+# weight.  A fragment of one vertex is the node itself.
+_FRAGMENTS: Dict[str, Tuple[Tuple[tuple, ...], Tuple[int, ...]]] = {
+    # triangle 0-1-2 with pendant legs 3, 4, 5: external degree 0 or 2
+    "even": (((6, 0, 5), (8, 2, 1), (10, 4, 3),
+              ("a", 7), ("b", 9), ("c", 11)), (0, 1, 2)),
+    # plain triangle: external degree 1 or 3
+    "odd": ((("a", 0, 5), ("b", 2, 1), ("c", 4, 3)), (0, 1, 2)),
+    # star centre: exactly one
+    "one": ((("a", "b", "c"),), ()),
+    # claw, ports 0, 1, 2 around centre 3: exactly two
+    "two": ((("a", 1), ("b", 3), ("c", 5), (0, 2, 4)), ()),
+}
+
+
+def _fragment(kind: str):
+    """(rotations, weighted edges, internal edges as vertex pairs)."""
+    if kind not in _FRAGMENTS:
+        raise SolverError(f"unknown decoration {kind}")
+    rots, weighted = _FRAGMENTS[kind]
+    end_at = {x: v for v, rot in enumerate(rots) for x in rot
+              if isinstance(x, int)}
+    edges = [(end_at[j], end_at[j + 1]) for j in range(0, len(end_at), 2)]
+    return rots, weighted, edges
+
+
 def _decorate(grid: SignatureGrid, left_kind: str, right_kind: str,
               left_weight: Scalar):
-    """Replace every grid node by a local matchgate fragment.
-
-    Kinds: 'even' (triangle with pendant legs; allows external degree 0/2,
-    weight left_weight per triangle edge), 'odd' (plain triangle, degree
-    1/3, weight on triangle edges), 'one' (star center, exactly one),
-    'two' (claw, exactly two).  Returns (plane graph, edge weights).
-    """
-    g = plane_graph_of_grid(grid)
-    b = GraphBuilder(g)
+    """Replace every grid node by its fragment from _FRAGMENTS: left_kind's
+    with left_weight on the weighted edges for left nodes, right_kind's
+    with weight 1 for right nodes.  Returns (plane graph, edge weights)."""
+    b = GraphBuilder(plane_graph_of_grid(grid))
     weights: Dict[int, Scalar] = {}
     next_v = max(b.rotation) + 1
-    fresh = count(b.fresh_dart())
-
+    d0 = b.fresh_dart()
+    left_fragment, right_fragment = _fragment(left_kind), _fragment(right_kind)
     for nid in sorted(grid.nodes):
-        node = grid.nodes[nid]
-        kind = left_kind if node.side == "left" else right_kind
-        w = left_weight if node.side == "left" else Fraction(1)
-        rot = list(b.rotation[nid])  # external darts, ccw
-        k = len(rot)
-        if kind == "one":
-            continue  # star center: the vertex itself forces exactly one
-        if kind in ("even", "odd"):
-            tri = [next_v + i for i in range(k)]
-            next_v += k
-            legs = []
-            if kind == "even":
-                legs = [next_v + i for i in range(k)]
-                next_v += k
-            # wire triangle cycle
-            tri_darts = {}
-            for i in range(k):
-                d1, d2 = next(fresh), next(fresh)
-                b.retwin(d1, d2)
-                tri_darts[(i, (i + 1) % k)] = d1
-                tri_darts[((i + 1) % k, i)] = d2
-                weights[min(d1, d2)] = w
-            leg_darts = {}
-            if kind == "even":
-                for i in range(k):
-                    d1, d2 = next(fresh), next(fresh)
-                    b.retwin(d1, d2)
-                    leg_darts[i] = (d1, d2)  # d1 at triangle vertex, d2 at leg
-            # the fragment takes over all of nid's darts, which
-            # remove_vertex would delete, so only the rotation goes
-            del b.rotation[nid]
-            for i in range(k):
-                ext = rot[i]
-                prev_d = tri_darts[(i, (i - 1) % k)]
-                next_d = tri_darts[(i, (i + 1) % k)]
-                if kind == "odd":
-                    b.add_vertex(tri[i], [ext, next_d, prev_d])
-                else:
-                    b.add_vertex(tri[i], [leg_darts[i][0], next_d, prev_d])
-                    b.add_vertex(legs[i], [ext, leg_darts[i][1]])
-        elif kind == "two":
-            # claw: center c adjacent to k port vertices carrying externals
-            ports = [next_v + i for i in range(k)]
-            c = next_v + k
-            next_v += k + 1
-            del b.rotation[nid]
-            c_rot = []
-            for i in range(k):
-                d1, d2 = next(fresh), next(fresh)
-                b.retwin(d1, d2)
-                b.add_vertex(ports[i], [rot[i], d2])
-                c_rot.append(d1)
-            b.add_vertex(c, c_rot)
-        else:
-            raise SolverError(f"unknown decoration {kind}")
+        left = grid.nodes[nid].side == "left"
+        rots, weighted, edges = left_fragment if left else right_fragment
+        if len(rots) == 1:
+            continue  # the node itself
+        # the fragment takes over all of nid's darts, which remove_vertex
+        # would delete, so only the rotation goes
+        ext = b.rotation.pop(nid)
+        for j in range(len(edges)):
+            b.retwin(d0 + 2 * j, d0 + 2 * j + 1)
+        for j in weighted:
+            weights[d0 + 2 * j] = left_weight if left else Fraction(1)
+        for v, rot in enumerate(rots):
+            b.add_vertex(next_v + v, [ext["abc".index(x)] if isinstance(x, str)
+                                      else d0 + x for x in rot])
+        next_v += len(rots)
+        d0 += 2 * len(edges)
     return b.freeze(), weights
 
 
 def pm_fragment_signature(kind: str, w: Scalar = Fraction(1)) -> SymSignature:
-    """Local matching signature of a decoration fragment: value per external
-    degree pattern, by direct enumeration of internal matchings."""
-    from itertools import product as iproduct
-    from math import comb
-    tri_edges = [(0, 1), (1, 2), (2, 0)]
-    if kind == "odd":
-        verts = [0, 1, 2]
-        inner = tri_edges
-        port = {i: i for i in range(3)}
-        wmap = {e: w for e in inner}
-    elif kind == "even":
-        verts = [0, 1, 2, 3, 4, 5]  # triangle 0,1,2; legs 3,4,5
-        inner = tri_edges + [(0, 3), (1, 4), (2, 5)]
-        port = {i: 3 + i for i in range(3)}
-        wmap = {e: (w if e in tri_edges else Fraction(1)) for e in inner}
-    elif kind == "one":
-        verts = [0]
-        inner = []
-        port = {i: 0 for i in range(3)}
-        wmap = {}
-    elif kind == "two":
-        verts = [0, 1, 2, 3]  # ports 0,1,2, center 3
-        inner = [(0, 3), (1, 3), (2, 3)]
-        port = {i: i for i in range(3)}
-        wmap = {e: Fraction(1) for e in inner}
-    else:
-        raise SolverError(kind)
+    """Local matching signature of a fragment of _FRAGMENTS: value per
+    external degree, by direct enumeration of internal matchings."""
+    rots, weighted, edges = _fragment(kind)
+    wedges = [(u, v, w if j in weighted else Fraction(1))
+              for j, (u, v) in enumerate(edges)]
+    port = {"abc".index(x): v for v, rot in enumerate(rots) for x in rot
+            if isinstance(x, str)}
     vals = []
     for wgt in range(4):
         out: Scalar = Fraction(0)
-        for ext in iproduct((0, 1), repeat=3):
-            if sum(ext) != wgt:
-                continue
-            used = [port[i] for i in range(3) if ext[i]]
+        for ext in combinations(range(3), wgt):
+            used = [port[i] for i in ext]
             if len(set(used)) != len(used):
-                continue  # a port matched twice: no completion
-            need = [v for v in verts if v not in used]
-            out = out + _match_sum(need, inner, wmap)
+                continue  # a vertex matched twice: no completion
+            out = out + _match_sum([v for v in range(len(rots))
+                                    if v not in used], wedges)
         # symmetric by construction: divide by the number of patterns summed
         vals.append(out / comb(3, wgt))
     return SymSignature(vals)
 
 
-def _match_sum(need: List[int], edges, wmap) -> Scalar:
+def _match_sum(need: List[int], edges) -> Scalar:
     if not need:
         return Fraction(1)
-    v = need[0]
-    rest = need[1:]
+    v, rest = need[0], need[1:]
     total: Scalar = Fraction(0)
-    for e in edges:
-        if v in e:
-            other = e[0] if e[1] == v else e[1]
-            if other in rest:
-                nxt = [x for x in rest if x != other]
-                total = total + wmap[e] * _match_sum(nxt, edges, wmap)
+    for (a, c, wt) in edges:
+        other = c if a == v else a if c == v else None
+        if other is not None and other in rest:
+            total = total + wt * _match_sum([x for x in rest if x != other],
+                                            edges)
     return total
 
 
@@ -727,7 +691,7 @@ def solve_matchgate(grid: SignatureGrid, a: Scalar, b: Scalar, sign: int) -> Sca
             dec, weights = _decorate(grid, "even", "even", q / p)
             return quarter * p ** nU * count_pm(dec, weights)
         if q == 0:
-            return Fraction(0) if lefts else quarter
+            return Fraction(0)
         _preflight("two", Fraction(1), (0, 0, 1, 0))
         dec, weights = _decorate(grid, "two", "even", Fraction(1))
         return quarter * q ** nU * count_pm(dec, weights)

@@ -247,6 +247,22 @@ def test_solve_hard_signature_is_an_input_error(tmp_path):
     assert "#P-hard" in cli_input_error("solve", path)
 
 
+@pytest.mark.parametrize("sig", ["[1,1,1,1]", "[2,0,0,3]", "[1,0,1,0]",
+                                 "[3,1,1,3]", "[1,0,-1,2]"])
+def test_solve_rejects_dangling_slots(tmp_path, sig):
+    # one signature per tractable case, on the cube with one edge cut
+    from planar_holant import fixtures
+    from planar_holant.plane_graph import grid_from_cubic_bipartite
+    from planar_holant.signatures import SymSignature
+    grid = grid_from_cubic_bipartite(fixtures.cube(),
+                                     SymSignature(json.loads(sig)))
+    na, sa, nb, sb = grid.edges.pop()
+    grid.dangling.extend([(na, sa), (nb, sb)])
+    path = tmp_path / "cut.json"
+    path.write_text(grid.to_json())
+    assert "grid has dangling slots" in cli_input_error("solve", str(path))
+
+
 @pytest.mark.parametrize("breakage", ["orientation", "decoration"])
 def test_solver_invariant_failure_exits_4(tmp_path, monkeypatch, capsys, breakage):
     from planar_holant import cli, solvers

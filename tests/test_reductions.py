@@ -173,6 +173,27 @@ def test_absorption_zero_factor():
                          f, e.x, e.y)
 
 
+def test_absorption_g2_path():
+    # a given y with y^3 + 1 = 0 makes g1 vanish, so the transform places g2
+    from planar_holant.gadgets import absorb_g1, absorb_g2
+    f = SymSignature([1, 1, 2, 1])
+    x, y = Fraction(3), Fraction(-1)
+    assert absorb_g1(y) == 0 and absorb_g2(f, y) == 1
+    fb = connect_unary(f, SymSignature([1, x]))
+    bases = [fixtures.dumbbell()] + [
+        g for g in (generate_cubic_plane(4, s) for s in range(8))
+        if exceptional_kind(g) is None][:5]
+    assert len(bases) == 6
+    for g in bases:
+        grid = incidence_grid(g, fb, EQ3)
+        out, factor = unary_absorption_transform(grid, f, x, y)
+        assert factor == 1
+        # a table per edge, and per triple g2's square and two circles
+        k = len(g.edges()) // 3
+        assert len(out.nodes) == len(grid.nodes) + len(g.edges()) + 3 * k
+        assert eval_grid(out) == factor * eval_grid(grid)
+
+
 def test_gadget_p_properties():
     rep = verify_P()
     assert rep.support_ok and rep.uniqueness_ok
