@@ -135,7 +135,7 @@ def cmd_gadget(args) -> int:
                "z": format_scalar(z)})
         return EXIT_OK
     elif args.kind == "nonlin":
-        y = parse_scalar(args.unary)
+        y = _parse_scalar_arg(args.unary)
         _emit({"signature": gadgets.nonlinearity_gadget(f, y).to_json()})
         return EXIT_OK
     else:

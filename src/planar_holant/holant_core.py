@@ -162,26 +162,64 @@ class SignatureGrid:
     @staticmethod
     def from_json_dict(spec: dict) -> "SignatureGrid":
         nodes = {}
-        for rec in spec["nodes"]:
+        for rec in _records(spec, "nodes", _is_node_record,
+                            "an object with an integer id, a side, a list of "
+                            "L/R slots and a list symmetric or table"):
             slots = tuple(s["side"] for s in rec["slots"])
             sym = table = None
             if "symmetric" in rec:
                 sym = SymSignature.from_json(rec["symmetric"])
             else:
                 table = tuple(parse_scalar(v) for v in rec["table"])
-            nodes[int(rec["id"])] = GridNode(int(rec["id"]), rec["side"], slots,
-                                             sym, table)
+            nodes[rec["id"]] = GridNode(rec["id"], rec["side"], slots, sym, table)
         emb = None
         if "embedding" in spec:
-            emb = {int(v): tuple(o) for v, o in spec["embedding"].items()}
-        return SignatureGrid(nodes,
-                             [tuple(e) for e in spec["edges"]],
-                             [tuple(d) for d in spec.get("dangling", [])],
-                             emb)
+            emb = spec["embedding"]
+            if not isinstance(emb, dict) or not all(
+                    k.lstrip("-").isdigit() and _is_ints(o)
+                    for k, o in emb.items()):
+                raise GridError("grid JSON 'embedding' must map node ids to "
+                                "lists of slot numbers")
+            emb = {int(v): tuple(o) for v, o in emb.items()}
+        return SignatureGrid(
+            nodes,
+            [tuple(e) for e in _records(spec, "edges", lambda e: _is_ints(e, 4),
+                                        "[node, slot, node, slot]")],
+            [tuple(d) for d in _records(spec, "dangling",
+                                        lambda d: _is_ints(d, 2),
+                                        "[node, slot]", [])],
+            emb)
 
     @staticmethod
     def from_json(text: str) -> "SignatureGrid":
         return SignatureGrid.from_json_dict(json.loads(text))
+
+
+def _is_ints(x, length: Optional[int] = None) -> bool:
+    return (isinstance(x, list) and length in (None, len(x))
+            and all(isinstance(v, int) and not isinstance(v, bool) for v in x))
+
+
+def _is_node_record(rec) -> bool:
+    return (isinstance(rec, dict) and _is_ints([rec.get("id")])
+            and rec.get("side") in ("left", "right", "table")
+            and isinstance(rec.get("slots"), list)
+            and all(isinstance(s, dict) and s.get("side") in ("L", "R")
+                    for s in rec["slots"])
+            and isinstance(rec.get("symmetric", rec.get("table")), list))
+
+
+def _records(spec, key: str, ok, what: str, default=None) -> list:
+    """spec[key] (default when absent), checked to be a list of records
+    that each pass ok."""
+    recs = spec.get(key, default) if isinstance(spec, dict) else None
+    if not isinstance(recs, list):
+        raise GridError(f"grid JSON needs a list '{key}'")
+    for rec in recs:
+        if not ok(rec):
+            raise GridError(f"each record of '{key}' must be {what}: "
+                            f"{str(rec)[:60]}")
+    return recs
 
 
 def _terms(grid: SignatureGrid,

@@ -203,12 +203,19 @@ def to_float(x: Scalar) -> float:
 
 
 def parse_scalar(s) -> Scalar:
-    """Parse "p/q" strings, ints, or {"a":..,"b":..,"d":..} dicts."""
+    """Parse "p/q" strings, ints, or {"a":..,"b":..,"d":..} objects, the
+    last read as a + b*sqrt(d) for rationals a, b and an integer d."""
     if isinstance(s, dict):
-        a = Fraction(str(s["a"]))
-        b = Fraction(str(s["b"]))
-        d = int(s["d"])
-        return _norm(QuadExt(a, b, d)) if b else a
+        if sorted(s) != ["a", "b", "d"]:
+            raise ValueError(f"a scalar object needs the keys a, b and d: {s}")
+        a, b, d = (parse_scalar(s[k]) for k in "abd")
+        if not all(isinstance(x, Fraction) for x in (a, b, d)) \
+                or d.denominator != 1:
+            raise ValueError(f"a scalar object needs rationals a, b and an "
+                             f"integer d: {s}")
+        return a + b * sqrt_exact(d)
+    if isinstance(s, bool):
+        raise ValueError(f"a scalar cannot be a boolean: {s}")
     if isinstance(s, int):
         return Fraction(s)
     return Fraction(str(s))

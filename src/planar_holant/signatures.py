@@ -58,11 +58,6 @@ class SymSignature:
     def reversed(self) -> "SymSignature":
         return SymSignature(list(reversed(self.values)))
 
-    def table(self) -> List[Scalar]:
-        """Expand to the explicit 2^arity truth table, lexicographic."""
-        n = self.arity
-        return [self.values[bin(i).count("1")] for i in range(1 << n)]
-
     def to_json(self):
         return [format_scalar(v) for v in self.values]
 
@@ -211,7 +206,7 @@ def hadamard3_inv(f: SymSignature) -> SymSignature:
     return hadamard3(f).scale(Fraction(1, 8))
 
 
-def connect_unary(f: SymSignature, u: SymSignature, side: str = "last") -> SymSignature:
+def connect_unary(f: SymSignature, u: SymSignature) -> SymSignature:
     """Contract a unary [u0,u1] onto one slot of a symmetric signature."""
     if u.arity != 1:
         raise ValueError("unary expected")

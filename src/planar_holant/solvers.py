@@ -1,9 +1,10 @@
 """Polynomial-time exact solvers for the tractable signature classes.
 
-count_pm implements the FKT pipeline: Kasteleyn orientation by a dual
-spanning-tree sweep, then the Pfaffian of the Kasteleyn matrix, kept as
-per-row dicts of nonzeros, by exact sparse skew elimination with greedy
-minimum-degree pivots.  Every perfect matching carries the same sign under
+count_pm implements the FKT pipeline in one pass over the whole graph:
+Kasteleyn orientation by a walk of each component's dual spanning tree,
+then the Pfaffian of one Kasteleyn matrix, kept as per-row dicts of
+nonzeros, by exact sparse skew elimination with greedy minimum-degree
+pivots.  Every perfect matching carries the same sign under
 a Pfaffian orientation; with all weights positive the weighted Pfaffian
 shows it, otherwise a second, unit-weight Pfaffian reads it.  The five
 class solvers reduce to perfect-matching counts (cases 4 and 5), GF(2)
@@ -37,90 +38,63 @@ class WrongForm(SolverError, ValueError):
 
 class KasteleynOrientation:
     """Map dart -> True when the edge is oriented out of that dart's vertex;
-    every non-root face has an odd number of boundary-aligned darts."""
+    every face but one root face per component has an odd number of
+    boundary-aligned darts."""
 
-    def __init__(self, g: PlaneGraph, oriented_out: Dict[int, bool], root_face: int):
+    def __init__(self, g: PlaneGraph, oriented_out: Dict[int, bool],
+                 root_faces: List[int]):
         self.graph = g
         self.oriented_out = oriented_out
-        self.root_face = root_face
+        self.root_faces = root_faces
 
     def verify(self) -> bool:
-        for f in self.graph.faces():
-            if f.id == self.root_face:
-                continue
-            aligned = sum(1 for d in f.boundary if self.oriented_out[d])
-            if aligned % 2 == 0:
-                return False
-        return True
+        if len(self.oriented_out) != len(self.graph.twin):
+            return False
+        roots = set(self.root_faces)
+        return all(sum(self.oriented_out[d] for d in f.boundary) % 2
+                   for f in self.graph.faces() if f.id not in roots)
 
 
-def kasteleyn_orient(g: PlaneGraph, root_face: Optional[int] = None) -> KasteleynOrientation:
-    """Pfaffian orientation of a connected simple plane graph."""
-    if len(g.connected_components()) != 1:
-        raise SolverError("orientation wants a connected graph")
-    faces = g.faces()
-    if root_face is None:
-        root_face = faces[0].id
-    # primal spanning tree
-    tree_edges = set()
-    seen = {g.vertices()[0]}
-    stack = [g.vertices()[0]]
-    while stack:
-        v = stack.pop()
-        for d in g.rotation[v]:
-            w = g.vertex_of[g.twin[d]]
-            if w not in seen:
-                seen.add(w)
-                tree_edges.add(g.edge_of(d))
-                stack.append(w)
-    if len(seen) != len(g.vertices()):
-        raise SolverError("graph is disconnected")
-    # arbitrary orientation on tree edges: out of the smaller dart
+def kasteleyn_orient(g: PlaneGraph) -> KasteleynOrientation:
+    """Pfaffian orientation of a simple plane graph, one component at a
+    time: a DFS spanning tree oriented out of its smaller darts, then the
+    co-tree edges, which span the component's dual, oriented in reverse
+    order of a breadth-first walk of the faces from the root face (the face
+    of the component's smallest dart).  In reverse walk order a face's only
+    undecided edge is the one it was reached by, which is set to make the
+    face odd."""
     oriented_out: Dict[int, bool] = {}
-    for e in tree_edges:
-        oriented_out[e] = True
-        oriented_out[g.twin[e]] = False
-    # co-tree edges form a spanning tree of the dual; sweep leaves-up
-    cotree = [e for e in g.edges() if e not in tree_edges]
-    face_edges: Dict[int, List[int]] = {f.id: [] for f in faces}
-    for e in cotree:
-        f1, f2 = g.edge_faces(e)
-        face_edges[f1].append(e)
-        if f2 != f1:
-            face_edges[f2].append(e)
-    undecided = {f.id: len(face_edges[f.id]) for f in faces}
-    order = []
-    ready = [fid for fid, k in undecided.items() if k == 1 and fid != root_face]
-    decided_edges = set()
-    while ready:
-        fid = ready.pop()
-        e = next(x for x in face_edges[fid] if x not in decided_edges)
-        decided_edges.add(e)
-        order.append((fid, e))
-        f1, f2 = g.edge_faces(e)
-        other = f2 if f1 == fid else f1
-        undecided[other] -= 1
-        undecided[fid] -= 1
-        if other != root_face and undecided[other] == 1:
-            ready.append(other)
-    if len(decided_edges) != len(cotree):
-        raise SolverError("dual sweep failed (graph not plane-connected?)")
-    boundaries = {f.id: f.boundary for f in faces}
-    for fid, e in order:
-        boundary = boundaries[fid]
-        aligned = 0
-        pending_darts = [d for d in boundary if g.edge_of(d) == e]
-        for d in boundary:
-            if g.edge_of(d) == e:
-                continue
-            if oriented_out[d]:
-                aligned += 1
-        # choose orientation of e so total aligned on this face is odd
-        d = pending_darts[0]
-        want = (aligned % 2 == 0)
-        oriented_out[d] = want
-        oriented_out[g.twin[d]] = not want
-    ko = KasteleynOrientation(g, oriented_out, root_face)
+    root_faces: List[int] = []
+    for comp in g.connected_components():
+        seen = {comp[0]}
+        stack = [comp[0]]
+        while stack:
+            v = stack.pop()
+            for d in g.rotation[v]:
+                w = g.vertex_of[g.twin[d]]
+                if w not in seen:
+                    seen.add(w)
+                    e = g.edge_of(d)
+                    oriented_out[e], oriented_out[g.twin[e]] = True, False
+                    stack.append(w)
+        root = min(d for v in comp for d in g.rotation[v])
+        walk = [root]
+        reached = {root}
+        reached_by: List[int] = []   # per reached face, its co-tree dart
+        for fid in walk:             # walk grows while it is read
+            for d in g.face_boundary(fid):
+                far = g.face_of(g.twin[d])
+                if d not in oriented_out and far not in reached:
+                    reached.add(far)
+                    walk.append(far)
+                    reached_by.append(g.twin[d])
+        for d in reversed(reached_by):
+            aligned = sum(oriented_out[x] for x in g.face_boundary(g.face_of(d))
+                          if x != d)
+            oriented_out[d] = aligned % 2 == 0
+            oriented_out[g.twin[d]] = aligned % 2 == 1
+        root_faces.append(root)
+    ko = KasteleynOrientation(g, oriented_out, root_faces)
     if not ko.verify():
         raise SolverError("Kasteleyn verification failed")
     return ko
@@ -202,28 +176,14 @@ def count_pm(g: PlaneGraph, weights: Optional[Dict[int, Scalar]] = None) -> Scal
 
     Self-loops never participate and are dropped; parallel edges are
     separated by double subdivision so the Kasteleyn matrix stays simple.
+    One matrix covers every component: its Pfaffian is, up to one global
+    sign, the product of the components' Pfaffians.
     """
-    weights = dict(weights or {})
-    total: Scalar = Fraction(1)
-    for comp in g.connected_components():
-        sub = g.induced(comp)
-        total = total * _count_pm_connected(sub, weights)
-        if total == 0:
-            return Fraction(0)
-    return total
-
-
-def _count_pm_connected(g: PlaneGraph, weights: Dict[int, Scalar]) -> Scalar:
-    if len(g.vertices()) % 2:
+    # an odd component has no matching (and may be a lone vertex whose
+    # loops, once dropped, leave no plane graph)
+    if any(len(comp) % 2 for comp in g.connected_components()):
         return Fraction(0)
-    g2, wmap = _simplify_for_pm(g, weights)
-    if len(g2.vertices()) % 2:
-        return Fraction(0)
-    if len(g2.edges()) == 0:
-        return Fraction(1) if not g2.vertices() else Fraction(0)
-    for comp in g2.connected_components():
-        if len(comp) % 2:
-            return Fraction(0)
+    g2, wmap = _simplify_for_pm(g, weights or {})
     ko = kasteleyn_orient(g2)
     idx = {v: i for i, v in enumerate(g2.vertices())}
 
@@ -254,36 +214,28 @@ def _count_pm_connected(g: PlaneGraph, weights: Dict[int, Scalar]) -> Scalar:
 
 def _simplify_for_pm(g: PlaneGraph, weights: Dict[int, Scalar]):
     """Drop self-loops; doubly subdivide one edge of every parallel pair
-    (PM-count preserving; the weight rides on one new segment)."""
+    (PM-count preserving; the weight rides on the first segment, which
+    keeps the edge id)."""
     b = GraphBuilder(g)
+    ends = {e: tuple(sorted(g.edge_ends(e))) for e in g.edges()}
+    for e, (u, v) in ends.items():
+        if u == v:
+            b.delete_edge(e)
     wmap: Dict[int, Scalar] = {}
-    loops = [e for e in g.edges() if g.vertex_of[e] == g.vertex_of[g.twin[e]]]
-    for e in loops:
-        b.delete_edge(e)
     pair_seen = set()
-    to_split = []
-    for e in g.edges():
-        if e in loops:
-            continue
-        u, v = g.edge_ends(e)
-        key = (min(u, v), max(u, v))
-        if key in pair_seen:
-            to_split.append(e)
-        else:
-            pair_seen.add(key)
-            wmap[e] = weights.get(e, Fraction(1))
-    nv = max(b.rotation) + 1
+    nv = max(b.rotation, default=-1) + 1
     d = b.fresh_dart()
-    for e in to_split:
-        w = weights.get(e, Fraction(1))
-        b.subdivide(e, nv, d)
-        b.subdivide(d + 1, nv + 1, d + 2)
-        nv += 2
-        d += 4
-        wmap[min(e, b.twin[e])] = w  # weight on the first segment
-    g2 = b.freeze()
-    # re-key weights to edge ids of g2 (first segments keep the low dart id)
-    return g2, {min(e, g2.twin[e]): w for e, w in wmap.items()}
+    for e, pair in ends.items():
+        if pair[0] == pair[1]:
+            continue
+        wmap[e] = weights.get(e, Fraction(1))
+        if pair in pair_seen:
+            b.subdivide(e, nv, d)
+            b.subdivide(d + 1, nv + 1, d + 2)
+            nv += 2
+            d += 4
+        pair_seen.add(pair)
+    return b.freeze(), wmap
 
 
 def brute_force_pm(g: PlaneGraph, weights: Optional[Dict[int, Scalar]] = None) -> Scalar:
@@ -410,50 +362,48 @@ def affine_family_of(f: SymSignature) -> Optional[Tuple[str, Scalar]]:
 
 def gauss_sum_gf2(n: int, quad: set, lin: set, const: int) -> Scalar:
     """Sum over GF(2)^n of (-1)^{Q(x)} for Q = sum_{(i,j) in quad} x_i x_j +
-    sum_{i in lin} x_i + const, by repeated pair elimination."""
-    quad = {(min(i, j), max(i, j)) for (i, j) in quad}
+    sum_{i in lin} x_i + const (pairs with i != j), over the variables in
+    increasing order: one without neighbours in Q sums to 2 or 0, one with
+    neighbours is summed together with its smallest neighbour.  Every term
+    a step adds lies above the step's variable, so each is decided once."""
+    nbr: List[set] = [set() for _ in range(n)]
+    for i, j in quad:
+        nbr[i].add(j)
+        nbr[j].add(i)
     lin = set(lin)
-    live = set(range(n))
+    paired = set()
     factor = 1
-    while quad:
-        i, j = min(quad)
-        quad.discard((i, j))
-        # Q = x_i x_j + x_i B + x_j A + C; summing the pair gives 2*(-1)^{AB}
-        A = {k for k in live - {i, j} if (min(j, k), max(j, k)) in quad}
-        B = {k for k in live - {i, j} if (min(i, k), max(i, k)) in quad}
-        for k in A:
-            quad.discard((min(j, k), max(j, k)))
-        for k in B:
-            quad.discard((min(i, k), max(i, k)))
-        a_lin = j in lin   # x_j's own linear term joins A
-        b_lin = i in lin
-        lin.discard(i)
-        lin.discard(j)
-        # new term A*B where A = sum_{k in A} x_k (+ a_lin), similarly B
+    for i in range(n):
+        if i in paired:
+            continue
         factor *= 2
-        live -= {i, j}
-        # expand the product of two affine forms into quad/lin/const
+        if not nbr[i]:
+            if i in lin:
+                return Fraction(0)
+            continue
+        j = min(nbr[i])
+        paired.add(j)
+        # Q = x_i x_j + x_i B + x_j A + C; summing the pair gives 2*(-1)^{AB}
+        # with A = N(j) - i (+ x_j's linear term), B = N(i) - j (+ x_i's)
+        A, B = nbr[j] - {i}, nbr[i] - {j}
+        for k in A:
+            nbr[k].discard(j)
+        for k in B:
+            nbr[k].discard(i)
         for ka in A:
             for kb in B:
                 if ka == kb:
                     lin ^= {ka}
                 else:
-                    key = (min(ka, kb), max(ka, kb))
-                    if key in quad:
-                        quad.discard(key)
-                    else:
-                        quad.add(key)
+                    nbr[ka] ^= {kb}
+                    nbr[kb] ^= {ka}
+        a_lin, b_lin = j in lin, i in lin
         if b_lin:
             lin ^= A
         if a_lin:
             lin ^= B
-        if a_lin and b_lin:
-            const ^= 1
-    lin &= live
-    if lin:
-        return Fraction(0)
-    sign = -1 if const else 1
-    return Fraction(sign * factor * 2 ** len(live))
+        const ^= a_lin and b_lin
+    return Fraction(-factor if const else factor)
 
 
 def solve_affine(grid: SignatureGrid, family: str, a: Scalar) -> Scalar:

@@ -359,3 +359,64 @@ def test_malformed_assignment_json_is_an_input_error(tmp_path, capsys, verb,
     argv = ["p3em", verb, data_path("cover_example_graph.json"), str(path)]
     assert cli.main(argv) == cli.EXIT_INPUT
     assert capsys.readouterr().err.startswith("error: assignment file needs")
+
+
+@pytest.mark.parametrize("sig, message", [
+    ('[{"a":1},0,0,1]', "needs the keys a, b and d"),
+    ('[true,0,0,1]', "cannot be a boolean"),
+    ('[{"a":"0","b":"1","d":"-3"},2,2,2]', "sqrt(-3)"),
+    ('[{"a":"0","b":"1","d":"3/2"},0,0,1]', "integer d"),
+])
+def test_malformed_scalar_is_an_input_error(sig, message):
+    assert message in cli_input_error("classify", "--sig", sig)
+
+
+def test_object_scalar_in_options_and_grid_json(tmp_path):
+    assert "needs the keys" in cli_input_error(
+        "reduce", "absorb", data_path("cover_example_grid.json"),
+        "--sig", "[1,1,2,1]", "--x", '{"a":3}', "--y", "-1")
+    out = run_cli("gadget", "nonlin", "--sig", "[1,2,3,5]",
+                  "--unary", '{"a":"5","b":"1","d":"4"}')
+    assert out["signature"] == ["70", "19"]     # 5 + sqrt(4) = 7
+    spec = json.loads(open(data_path("cover_example_grid.json")).read())
+    spec["nodes"][0]["symmetric"][0] = {"a": 0}
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(spec))
+    assert "needs the keys" in cli_input_error("eval", str(path))
+
+
+def test_object_scalar_radicand_is_made_square_free():
+    # sqrt(4) = 2, so this is [2,2,2,2]: degenerate, case 1
+    out = run_cli("classify", "--sig", '[{"a":"0","b":"1","d":"4"},2,2,2]')
+    assert out["planar"] == "FP" and out["cases"][0]["case"] == 1
+    out = run_cli("classify", "--sig", '[{"a":"0","b":"1","d":"12"},0,0,1]')
+    assert out["cases"][0]["params"]["a"] == {"a": "0", "b": "2", "d": "3"}
+
+
+BAD_GRIDS = {
+    "no_nodes": {"edges": []},
+    "node_without_slots": {"nodes": [{"id": 0, "side": "left",
+                                      "symmetric": ["1", "0", "0", "1"]}],
+                           "edges": []},
+    "not_an_object": [1, 2],
+}
+
+
+@pytest.mark.parametrize("verb", ["eval", "solve", "reduce planarize",
+                                  "reduce interpolate", "reduce absorb"])
+@pytest.mark.parametrize("shape", sorted(BAD_GRIDS))
+def test_malformed_grid_json_is_an_input_error(tmp_path, capsys, verb, shape):
+    from planar_holant import cli
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(BAD_GRIDS[shape]))
+    crossings = tmp_path / "crossings.json"
+    crossings.write_text("[]")
+    argv = verb.split() + [str(path), "--crossings", str(crossings),
+                           "--sig", "[1,1,2,1]", "--x", "3", "--y", "-1"]
+    if verb in ("eval", "solve"):
+        argv = argv[:2]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid JSON needs") or \
+        err.startswith("error: each record of 'nodes'")
+    assert err.count("\n") == 1

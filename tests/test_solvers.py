@@ -46,10 +46,50 @@ def test_count_pm_odd_graph_zero():
 def test_kasteleyn_on_cycle():
     g = c4()
     ko = kasteleyn_orient(g)
-    inner = [f for f in g.faces() if f.id != ko.root_face]
+    inner = [f for f in g.faces() if f.id not in ko.root_faces]
     for f in inner:
         aligned = sum(1 for d in f.boundary if ko.oriented_out[d])
         assert aligned % 2 == 1
+
+
+def disjoint_union(*graphs):
+    parts = [fixtures.relabeled(g, 1000 * k, 10000 * k)
+             for k, g in enumerate(graphs)]
+    return PlaneGraph({d: t for g in parts for d, t in g.twin.items()},
+                      {d: v for g in parts for d, v in g.vertex_of.items()},
+                      {v: r for g in parts for v, r in g.rotation.items()})
+
+
+def loop_only():
+    return PlaneGraph({0: 1, 1: 0}, {0: 0, 1: 0}, {0: (0, 1)})
+
+
+@pytest.mark.parametrize("parts", [("cube", "k4"), ("dumbbell", "m23"),
+                                   ("cube", "cube"), ("k4", "prism")])
+def test_count_pm_of_disjoint_unions(parts):
+    g = disjoint_union(*(getattr(fixtures, p)() for p in parts))
+    rng = random.Random(" ".join(parts))
+    for _ in range(3):
+        w = {e: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+             for e in g.edges()}
+        assert count_pm(g, w) == brute_force_pm(g, w)
+    assert count_pm(g) == brute_force_pm(g)
+
+
+def test_count_pm_of_empty_and_loop_only_graphs():
+    assert count_pm(PlaneGraph({}, {}, {})) == 1
+    # dropping the loop would leave a lone vertex, which is no plane graph
+    assert count_pm(loop_only()) == 0
+    assert count_pm(disjoint_union(loop_only(), fixtures.cube())) == 0
+    assert count_pm(disjoint_union(fixtures.cube(), loop_only())) == 0
+
+
+def test_kasteleyn_on_disconnected_graph():
+    g = disjoint_union(fixtures.cube(), fixtures.k4(), fixtures.m23())
+    ko = kasteleyn_orient(g)
+    assert ko.verify()
+    assert len(ko.root_faces) == len(g.connected_components()) == 3
+    assert len({g.vertex_of[f] // 1000 for f in ko.root_faces}) == 3
 
 
 def dense_pfaffian(mat):
