@@ -116,6 +116,14 @@ class SignatureGrid:
             used.add(key)
         if used != want:
             raise GridError("every slot must be used exactly once")
+        if self.embedding is not None:
+            if self.embedding.keys() != self.nodes.keys():
+                raise GridError("the embedding must list every node and "
+                                "no other")
+            for nid, order in self.embedding.items():
+                if sorted(order) != list(range(self.nodes[nid].arity)):
+                    raise GridError(f"the embedding of node {nid} must list "
+                                    f"each of its slots once: {list(order)}")
 
     # -- construction helpers -----------------------------------------
 

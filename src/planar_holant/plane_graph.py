@@ -479,42 +479,20 @@ def merge_degree2_left(grid) -> PlaneGraph:
 
 
 def merge_degree2_left_map(grid) -> Tuple[PlaneGraph, Dict[int, int]]:
-    """merge_degree2_left plus the map from left node id to edge id."""
-    if grid.embedding is None:
-        raise GraphError("merge needs an embedded grid")
-    twin: Dict[int, int] = {}
-    vertex_of: Dict[int, int] = {}
-    rotation: Dict[int, Tuple[int, ...]] = {}
-    dart_ids: Dict[Tuple[int, int], int] = {}
-    nxt = 0
-    rights = [n for n in grid.nodes.values() if n.side == "right"]
-    lefts = [n for n in grid.nodes.values() if n.side != "right"]
-    if any(n.arity != 2 for n in lefts):
+    """merge_degree2_left plus the map from left node id to edge id.  On
+    the grid's plane graph each left node, in id order, joins its two far
+    darts into one edge, named by the smaller dart, and is removed."""
+    lefts = sorted(n.id for n in grid.nodes.values() if n.side != "right")
+    if any(grid.nodes[lid].arity != 2 for lid in lefts):
         raise GraphError("all left nodes must be binary")
-    for n in rights:
-        rot = []
-        for s in grid.embedding[n.id]:
-            dart_ids[(n.id, s)] = nxt
-            rot.append(nxt)
-            vertex_of[nxt] = n.id
-            nxt += 1
-        rotation[n.id] = tuple(rot)
-    ends: Dict[int, List[Tuple[int, int]]] = {}
-    for (na, sa, nb, sb) in grid.edges:
-        ln, rn = ((na, sa), (nb, sb))
-        if grid.nodes[na].side == "right":
-            ln, rn = rn, ln
-        ends.setdefault(ln[0], []).append(rn)
+    b = GraphBuilder(plane_graph_of_grid(grid))
     edge_map: Dict[int, int] = {}
-    for lid, pair in ends.items():
-        if len(pair) != 2:
-            raise GraphError(f"left node {lid} not fully connected")
-        d1 = dart_ids[pair[0]]
-        d2 = dart_ids[pair[1]]
-        twin[d1] = d2
-        twin[d2] = d1
+    for lid in lefts:
+        d1, d2 = (b.twin[d] for d in b.rotation[lid])
+        b.retwin(d1, d2)
+        b.remove_vertex(lid)
         edge_map[lid] = min(d1, d2)
-    return PlaneGraph(twin, vertex_of, rotation), edge_map
+    return b.freeze(), edge_map
 
 
 def grid_from_cubic_bipartite(g: PlaneGraph, f, right_sig=None,

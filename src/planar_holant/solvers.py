@@ -7,9 +7,10 @@ nonzeros, by exact sparse skew elimination with greedy minimum-degree
 pivots.  Every perfect matching carries the same sign under
 a Pfaffian orientation; with all weights positive the weighted Pfaffian
 shows it, otherwise a second, unit-weight Pfaffian reads it.  The five
-class solvers reduce to perfect-matching counts (cases 4 and 5), GF(2)
-Gauss sums (affine), or closed products (degenerate, generalized
-equality), and every one is oracle-tested against brute-force evaluation.
+class solvers reduce to perfect-matching counts (cases 4 and 5), one GF(2)
+Gauss sum over each affine family's sign form (AFFINE_FORMS), or closed
+products (degenerate, generalized equality), and every one is
+oracle-tested against brute-force evaluation.
 """
 
 from __future__ import annotations
@@ -239,30 +240,12 @@ def _simplify_for_pm(g: PlaneGraph, weights: Dict[int, Scalar]):
 
 
 def brute_force_pm(g: PlaneGraph, weights: Optional[Dict[int, Scalar]] = None) -> Scalar:
-    """Independent oracle: enumerate perfect matchings recursively."""
+    """Independent oracle: enumerate perfect matchings recursively.  A
+    self-loop never matches, as its far end is not among the vertices
+    _match_sum has left to match."""
     weights = weights or {}
-    edges = []
-    for e in g.edges():
-        u, v = g.edge_ends(e)
-        if u != v:
-            edges.append((e, u, v))
-    verts = set(g.vertices())
-
-    def rec(remaining: frozenset) -> Scalar:
-        if not remaining:
-            return Fraction(1)
-        v = min(remaining)
-        total: Scalar = Fraction(0)
-        for (e, a, bb) in edges:
-            if a == v and bb in remaining or bb == v and a in remaining:
-                other = bb if a == v else a
-                if other == v:
-                    continue
-                w = weights.get(e, Fraction(1))
-                total = total + w * rec(remaining - {v, other})
-        return total
-
-    return rec(frozenset(verts))
+    edges = [(*g.edge_ends(e), weights.get(e, Fraction(1))) for e in g.edges()]
+    return _match_sum(g.vertices(), edges)
 
 
 # -- grid plumbing -------------------------------------------------------
@@ -343,11 +326,21 @@ def solve_geneq(grid: SignatureGrid, a: Scalar, b: Scalar) -> Scalar:
     return total
 
 
+# affine family -> (parity, pairs, linear): at input weight w the
+# signature is a * [w = parity mod 2] * (-1)^{pairs*C(w,2) + linear*w},
+# where parity None admits every weight
+AFFINE_FORMS = {
+    "even": (0, 0, 0), "even_signed": (0, 1, 0),
+    "odd": (1, 0, 0), "odd_signed": (1, 1, 0),
+    "alternating": (None, 1, 1), "two_block": (None, 1, 0),
+}
+
 # affine family -> pattern; the signature is a times the pattern
 AFFINE_PATTERNS = {
-    "even": (1, 0, 1, 0), "even_signed": (1, 0, -1, 0),
-    "odd": (0, 1, 0, 1), "odd_signed": (0, 1, 0, -1),
-    "alternating": (1, -1, -1, 1), "two_block": (1, 1, -1, -1),
+    name: tuple(0 if parity not in (None, w % 2)
+                else (-1) ** (pairs * comb(w, 2) + linear * w)
+                for w in range(4))
+    for name, (parity, pairs, linear) in AFFINE_FORMS.items()
 }
 
 
@@ -407,98 +400,39 @@ def gauss_sum_gf2(n: int, quad: set, lin: set, const: int) -> Scalar:
 
 
 def solve_affine(grid: SignatureGrid, family: str, a: Scalar) -> Scalar:
-    """Affine classes: one GF(2) variable per right node, per-left-node
-    parity constraints and quadratic signs, evaluated as a Gauss sum."""
-    if family not in AFFINE_PATTERNS:
+    """Affine classes as one Gauss sum: a GF(2) variable per right node,
+    and per left node its family's sign form over the three slot
+    variables.  A parity family also gives each left node a variable z,
+    since [x1+x2+x3 = p] = 1/2 sum_z (-1)^{z(x1+x2+x3+p)}, and the sum is
+    divided by 2^#z.  The z are numbered, so eliminated, first: numbered
+    last, the signed parity families ran several times slower."""
+    if family not in AFFINE_FORMS:
         raise WrongForm(f"unknown affine family {family}")
     f = SymSignature([a * p for p in AFFINE_PATTERNS[family]])
     lefts, rights = _require_case(grid, f)
+    parity, pairs, linear = AFFINE_FORMS[family]
+    nz = len(lefts) if parity is not None else 0
     nbr = _neighbors(grid)
-    rindex = {n.id: i for i, n in enumerate(rights)}
-    nvars = len(rights)
-    # linear support constraints first: eliminate via GF(2) row reduction
-    rows: List[Tuple[set, int]] = []    # (set of vars, parity)
-    for n in lefts:
-        vs = [rindex[r] for r in nbr[n.id]]
-        if family in ("even", "even_signed"):
-            rows.append((_xor_set(vs), 0))
-        elif family in ("odd", "odd_signed"):
-            rows.append((_xor_set(vs), 1))
-    basis: Dict[int, Tuple[set, int]] = {}
-    for vs, parity in rows:
-        vs = set(vs)
-        while vs:
-            p = max(vs)
-            if p in basis:
-                bs, bp = basis[p]
-                vs ^= bs
-                parity ^= bp
-            else:
-                basis[p] = (vs, parity)
-                break
-        else:
-            if parity:
-                return Fraction(0)
-    # substitute pivot variables into the quadratic sign, if any
-    signed = family in ("even_signed", "odd_signed", "alternating", "two_block")
-    free = [v for v in range(nvars) if v not in basis]
-    free_pos = {v: i for i, v in enumerate(free)}
-
+    rindex = {n.id: nz + i for i, n in enumerate(rights)}
     quad: set = set()
     lin: set = set()
-    const = 0
-    if signed:
-        # express every variable over the free ones; a basis row's support
-        # below its pivot only involves smaller indices, so sweep upward
-        cache: Dict[int, Tuple[set, int]] = {
-            v: ({free_pos[v]}, 0) for v in free}
-        for p in sorted(basis):
-            vs, parity = basis[p]
-            acc: set = set()
-            c0 = parity
-            for u in vs:
-                if u == p:
-                    continue
-                s, c = cache[u]
-                acc ^= s
-                c0 ^= c
-            cache[p] = (acc, c0)
-        for n in lefts:
-            vs = [rindex[r] for r in nbr[n.id]]
-            if family == "alternating":
-                # [1,-1,-1,1] at weight w is (-1)^{C(w,2) + w}: the pair
-                # terms below plus a linear term per slot
-                for v in vs:
-                    s, c = cache[v]
-                    lin = lin ^ s
-                    const ^= c
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    si, ci = cache[vs[i]]
-                    sj, cj = cache[vs[j]]
-                    # (si + ci)(sj + cj) over GF(2)
-                    for xa in si:
-                        for xb in sj:
-                            if xa == xb:
-                                lin ^= {xa}
-                            else:
-                                key = (min(xa, xb), max(xa, xb))
-                                quad ^= {key}
-                    if cj:
-                        lin ^= si
-                    if ci:
-                        lin ^= sj
-                    if ci and cj:
-                        const ^= 1
-    total = gauss_sum_gf2(len(free), quad, lin, const)
+    for z, n in enumerate(lefts):
+        vs = [rindex[r] for r in nbr[n.id]]
+        for x in vs:
+            if linear:
+                lin ^= {x}
+            if nz:
+                quad ^= {(z, x)}
+        if pairs:
+            for x, y in combinations(vs, 2):
+                if x == y:
+                    lin ^= {x}     # x * x = x over GF(2)
+                else:
+                    quad ^= {(min(x, y), max(x, y))}
+        if nz and parity:
+            lin ^= {z}
+    total = gauss_sum_gf2(nz + len(rights), quad, lin, 0) / 2 ** nz
     return a ** len(lefts) * total
-
-
-def _xor_set(vs: Sequence[int]) -> set:
-    out: set = set()
-    for v in vs:
-        out ^= {v}
-    return out
 
 
 def solve_case5(grid: SignatureGrid, a: Scalar, b: Scalar) -> Scalar:
@@ -614,7 +548,7 @@ def _match_sum(need: List[int], edges) -> Scalar:
 
 def _preflight(kind: str, w: Scalar, want) -> None:
     got = pm_fragment_signature(kind, w).values
-    if got != tuple(want):
+    if got != want:
         raise SolverError(f"decoration {kind} realizes {got}, wanted {want}")
 
 
@@ -634,24 +568,14 @@ def solve_matchgate(grid: SignatureGrid, a: Scalar, b: Scalar, sign: int) -> Sca
     fh = hadamard3(f)
     quarter = Fraction(1, 4) ** nV
     _preflight("even", Fraction(1), (1, 0, 1, 0))  # transformed equalities
-    if sign == 1:
-        p, q = fh[0], fh[2]     # [p,0,q,0]
-        if p != 0:
-            _preflight("even", q / p, (1, 0, q / p, 0))
-            dec, weights = _decorate(grid, "even", "even", q / p)
-            return quarter * p ** nU * count_pm(dec, weights)
-        if q == 0:
-            return Fraction(0)
-        _preflight("two", Fraction(1), (0, 0, 1, 0))
-        dec, weights = _decorate(grid, "two", "even", Fraction(1))
-        return quarter * q ** nU * count_pm(dec, weights)
-    p, q = fh[1], fh[3]         # [0,p,0,q]
-    if q != 0:
-        _preflight("odd", p / q, (0, p / q, 0, 1))
-        dec, weights = _decorate(grid, "odd", "even", p / q)
-        return quarter * q ** nU * count_pm(dec, weights)
-    if p == 0:
-        return Fraction(0)
-    _preflight("one", Fraction(1), (0, 1, 0, 0))
-    dec, weights = _decorate(grid, "one", "even", Fraction(1))
-    return quarter * p ** nU * count_pm(dec, weights)
+    # fh is [p,0,q,0] (sign +1) or [0,p,0,q] (sign -1); the first kind whose
+    # scale entry is nonzero realizes fh / scale, with that weight entry
+    picks = {1: (("even", 0, 2), ("two", 2, 2)),
+             -1: (("odd", 3, 1), ("one", 1, 1))}
+    for kind, scale, weight in picks[sign]:
+        if fh[scale] != 0:
+            w = fh[weight] / fh[scale]
+            _preflight(kind, w, tuple(v / fh[scale] for v in fh.values))
+            dec, weights = _decorate(grid, kind, "even", w)
+            return quarter * fh[scale] ** nU * count_pm(dec, weights)
+    return Fraction(0)

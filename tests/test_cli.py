@@ -190,6 +190,25 @@ def test_solve_force_case():
     assert out["value"] == "9"
 
 
+@pytest.mark.parametrize("command", [["solve"], ["solve", "--force-case", "5"],
+                                     ["eval"]])
+@pytest.mark.parametrize("order", [None, [0, 1, 7]],
+                         ids=["node_missing", "slot_past_arity"])
+def test_bad_embedding_is_an_input_error(tmp_path, command, order):
+    # the solvers build their plane graph from the embedding, so it must
+    # list every node, and each node's slots exactly once
+    with open(data_path("cover_example_grid.json")) as fh:
+        spec = json.load(fh)
+    if order is None:
+        del spec["embedding"]["0"]
+    else:
+        spec["embedding"]["0"] = order
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(spec))
+    err = cli_input_error(command[0], str(path), *command[1:])
+    assert "embedding" in err
+
+
 def test_eval_rejects_slot_facing_the_wrong_side(tmp_path):
     # two right =2 nodes chained through an L-facing slot: evaluated
     # anyway, the eq-eq edge would drop one equality (6 instead of 3)
@@ -378,7 +397,8 @@ def test_object_scalar_in_options_and_grid_json(tmp_path):
     out = run_cli("gadget", "nonlin", "--sig", "[1,2,3,5]",
                   "--unary", '{"a":"5","b":"1","d":"4"}')
     assert out["signature"] == ["70", "19"]     # 5 + sqrt(4) = 7
-    spec = json.loads(open(data_path("cover_example_grid.json")).read())
+    with open(data_path("cover_example_grid.json")) as fh:
+        spec = json.load(fh)
     spec["nodes"][0]["symmetric"][0] = {"a": 0}
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(spec))

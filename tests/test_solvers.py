@@ -8,11 +8,12 @@ from planar_holant.generators import (generate_cubic_bipartite_plane,
                                       generate_cubic_plane)
 from planar_holant.holant_core import eval_grid
 from planar_holant.plane_graph import grid_from_cubic_bipartite
+from planar_holant.scalars import sqrt_exact
 from planar_holant.signatures import SymSignature
 from planar_holant.plane_graph import PlaneGraph
-from planar_holant.solvers import (WrongForm, _decorate, _pfaffian,
-                                   brute_force_pm, count_pm, gauss_sum_gf2,
-                                   kasteleyn_orient,
+from planar_holant.solvers import (AFFINE_PATTERNS, WrongForm, _decorate,
+                                   _pfaffian, brute_force_pm, count_pm,
+                                   gauss_sum_gf2, kasteleyn_orient,
                                    pm_fragment_signature, solve_affine,
                                    solve_case5, solve_degenerate, solve_geneq,
                                    solve_matchgate)
@@ -291,6 +292,23 @@ def test_affine_trivial_examples():
     assert solve_affine(m23, "even", Fraction(1)) == 1 == eval_grid(m23)
     m23b = grid_from_cubic_bipartite(fixtures.m23(), SymSignature([1, 1, -1, -1]))
     assert solve_affine(m23b, "two_block", Fraction(1)) == 0 == eval_grid(m23b)
+
+
+@pytest.mark.parametrize("family", list(AFFINE_PATTERNS))
+def test_affine_families_match_eval_grid(family):
+    # small cubic bipartite graphs have parallel edges, so some left nodes
+    # meet one right node on two slots; seed 4 gives two_block nonzero sums
+    values = set()
+    for n in (2, 4, 6, 8, 12, 16):
+        for seed in (0, 4):
+            g = generate_cubic_bipartite_plane(n, seed)
+            for a in (Fraction(1), Fraction(-3, 2), sqrt_exact(2)):
+                f = SymSignature([a * p for p in AFFINE_PATTERNS[family]])
+                grid = grid_from_cubic_bipartite(g, f)
+                got = solve_affine(grid, family, a)
+                assert got == eval_grid(grid), (n, seed, a)
+                values.add(got)
+    assert len(values) > 3
 
 
 def test_gauss_sum_against_enumeration():
