@@ -1,9 +1,11 @@
 """A mutable rotation system that keeps its faces up to date locally.
 
 FaceKernel is the one graph-surgery kernel of the matching construction
-(see p3em_cases): a GraphBuilder whose steps re-walk only the faces they
-touch and can be undone exactly.  It lives apart from plane_graph so that
-the other GraphBuilder and PlaneGraph users neither run nor load it.
+(see p3em_cases) and of the generators' expansion moves: a GraphBuilder
+whose steps re-walk only the faces they touch and can be undone exactly.
+It lives apart from plane_graph, whose GraphBuilder the one-off
+constructions (solver simplifications and decorations, materialize, the
+grid conversions) use with a single full freeze().
 """
 
 from __future__ import annotations
@@ -82,6 +84,7 @@ class FaceKernel(GraphBuilder):
     # -- queries, as on PlaneGraph ----------------------------------------
 
     vertices = PlaneGraph.vertices
+    edges = PlaneGraph.edges
     edge_of = PlaneGraph.edge_of
     edge_ends = PlaneGraph.edge_ends
     next_dart = PlaneGraph.next_dart

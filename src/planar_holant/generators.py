@@ -1,6 +1,6 @@
 """Random and exhaustive generation of cubic plane multigraphs.
 
-Expansion moves (each adds two vertices, keeps the graph cubic and plane):
+Expansion moves (each keeps the graph cubic and plane):
 
 * vertex -> triangle: blow a vertex up into a triangle face;
 * parallel-pair insertion: replace an edge by a path with a doubled middle;
@@ -9,9 +9,13 @@ Expansion moves (each adds two vertices, keeps the graph cubic and plane):
   them by two non-crossing rungs through that face.
 
 The moves invert the reduction steps used by the matching constructor, so
-closure under them stays inside valid inputs.  The bipartite generator
-restricts itself to the parity-preserving moves (parallel pair, ladder
-with color-aligned rungs) and checks 2-colorability after every move.
+closure under them stays inside valid inputs.  Each move edits a
+FaceKernel in place with the builder verbs; a generator grows one kernel,
+one committed step per move, and validates the result once, by its final
+freeze().  The bipartite generator restricts itself to the
+parity-preserving moves (parallel pair, ladder with color-aligned rungs,
+read off the positions of its two darts on the face) and checks
+2-colorability once, at the end.
 
 Leapfrog (the truncation of the dual) maps a cubic plane graph G to the
 cubic plane graph with one vertex per dart d of G, adjacent to the
@@ -26,9 +30,10 @@ constructor do not follow the construction order.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
-from .plane_graph import GraphBuilder, PlaneGraph, two_coloring
+from .face_kernel import FaceKernel
+from .plane_graph import PlaneGraph, two_coloring
 from . import fixtures
 
 
@@ -36,82 +41,75 @@ class InfeasibleSize(ValueError):
     pass
 
 
-def vertex_to_triangle(g: PlaneGraph, v: int) -> PlaneGraph:
-    b = GraphBuilder(g)
-    rot = list(b.rotation[v])
+def vertex_to_triangle(k: FaceKernel, v: int) -> None:
+    rot = list(k.rotation[v])
     if len(rot) != 3:
         raise InfeasibleSize("cubic vertex expected")
-    base = max(b.rotation) + 1
+    base = max(k.rotation) + 1
     ids = [v, base, base + 1]
-    d = b.fresh_dart()
+    d = k.fresh_dart()
     tri = [(d + 2 * i, d + 2 * i + 1) for i in range(3)]  # triangle darts
     for i in range(3):
         # corner i keeps outgoing dart rot[i], plus triangle darts to i-1, i+1
         prev_d = tri[(i - 1) % 3][1]
         next_d = tri[i][0]
-        b.add_vertex(ids[i], [rot[i], next_d, prev_d])
+        k.add_vertex(ids[i], [rot[i], next_d, prev_d])
     for d1, d2 in tri:
-        b.retwin(d1, d2)
-    return b.freeze()
+        k.retwin(d1, d2)
 
 
-def parallel_pair_insert(g: PlaneGraph, e: int) -> PlaneGraph:
+def parallel_pair_insert(k: FaceKernel, e: int) -> None:
     """Edge {X,Y} becomes X-p-q-Y with a doubled p-q middle."""
-    b = GraphBuilder(g)
-    base = max(b.rotation) + 1
+    base = max(k.rotation) + 1
     p, q = base, base + 1
-    dp1, dp2 = b.subdivide(e, p, b.fresh_dart())     # p between X and q
-    dq1, dq2 = b.subdivide(dp2, q, b.fresh_dart())   # q between p and Y
+    d = k.fresh_dart()
+    dp1, dp2 = k.subdivide(e, p, d)         # p between X and q
+    dq1, dq2 = k.subdivide(dp2, q, d + 2)   # q between p and Y
     # add the second p-q edge; rotations: p: [toward X, toward q, extra];
     # placing the doubled edge next to the existing one keeps a bigon face
-    x = b.fresh_dart()
-    b.add_vertex(p, [dp1, dp2, x])
-    b.add_vertex(q, [dq1, dq2, x + 1])
-    b.retwin(x, x + 1)
-    return b.freeze()
+    x = d + 4
+    k.add_vertex(p, [dp1, dp2, x])
+    k.add_vertex(q, [dq1, dq2, x + 1])
+    k.retwin(x, x + 1)
 
 
-def self_loop_insert(g: PlaneGraph, e: int) -> PlaneGraph:
+def self_loop_insert(k: FaceKernel, e: int) -> None:
     """Edge {C,D} becomes C-B-D with a pendant loop vertex A at B."""
-    b = GraphBuilder(g)
-    base = max(b.rotation) + 1
+    base = max(k.rotation) + 1
     bb, aa = base, base + 1
-    d1, d2 = b.subdivide(e, bb, b.fresh_dart())
-    s1 = b.fresh_dart()
-    s2, l1, l2 = s1 + 1, s1 + 2, s1 + 3
-    b.add_vertex(bb, [d1, s1, d2])
-    b.add_vertex(aa, [s2, l1, l2])
-    b.retwin(s1, s2)
-    b.retwin(l1, l2)
-    return b.freeze()
+    d = k.fresh_dart()
+    d1, d2 = k.subdivide(e, bb, d)
+    s1, s2, l1, l2 = d + 2, d + 3, d + 4, d + 5
+    k.add_vertex(bb, [d1, s1, d2])
+    k.add_vertex(aa, [s2, l1, l2])
+    k.retwin(s1, s2)
+    k.retwin(l1, l2)
 
 
-def ladder_insert(g: PlaneGraph, d_a: int, d_b: int) -> PlaneGraph:
+def ladder_insert(k: FaceKernel, d_a: int, d_b: int) -> None:
     """Insert a two-rung ladder through the face containing darts d_a, d_b
     (distinct edges on a common face boundary)."""
-    if g.face_of(d_a) != g.face_of(d_b) or g.edge_of(d_a) == g.edge_of(d_b):
+    if k.face_of(d_a) != k.face_of(d_b) or k.edge_of(d_a) == k.edge_of(d_b):
         raise InfeasibleSize("darts must lie on one face, distinct edges")
-    b = GraphBuilder(g)
-    base = max(b.rotation) + 1
+    base = max(k.rotation) + 1
     u1, u2, w1, w2 = base, base + 1, base + 2, base + 3
+    d = k.fresh_dart()
     # subdivide edge a twice: order along d_a is u1 then u2
-    a1, a2 = b.subdivide(d_a, u1, b.fresh_dart())
-    a3, a4 = b.subdivide(a2, u2, b.fresh_dart())
-    b1, b2 = b.subdivide(d_b, w1, b.fresh_dart())
-    b3, b4 = b.subdivide(b2, w2, b.fresh_dart())
-    r1a = b.fresh_dart()
-    r1b, r2a, r2b = r1a + 1, r1a + 2, r1a + 3
+    a1, a2 = k.subdivide(d_a, u1, d)
+    a3, a4 = k.subdivide(a2, u2, d + 2)
+    b1, b2 = k.subdivide(d_b, w1, d + 4)
+    b3, b4 = k.subdivide(b2, w2, d + 6)
+    r1a, r1b, r2a, r2b = d + 8, d + 9, d + 10, d + 11
     # rungs connect u1-w2 and u2-w1: along the face boundary the two edges
     # are traversed in opposite senses, so anti-aligned rungs do not cross;
     # the shared face lies on the side of darts d_a, d_b, so each rung dart
     # goes on that side of its subdivision vertex
-    b.add_vertex(u1, [a1, r1a, a2])
-    b.add_vertex(u2, [a3, r2a, a4])
-    b.add_vertex(w1, [b1, r2b, b2])
-    b.add_vertex(w2, [b3, r1b, b4])
-    b.retwin(r1a, r1b)
-    b.retwin(r2a, r2b)
-    return b.freeze()
+    k.add_vertex(u1, [a1, r1a, a2])
+    k.add_vertex(u2, [a3, r2a, a4])
+    k.add_vertex(w1, [b1, r2b, b2])
+    k.add_vertex(w2, [b3, r1b, b4])
+    k.retwin(r1a, r1b)
+    k.retwin(r2a, r2b)
 
 
 MOVES = ("triangle", "parallel", "loop", "ladder")
@@ -119,27 +117,33 @@ BIPARTITE_MOVES = ("parallel", "ladder")
 STALL_MOVES = 10000     # rejections in a row before the bipartite search gives up
 
 
-def _apply_random_move(g: PlaneGraph, rng: random.Random,
-                       moves: Tuple[str, ...]) -> Optional[PlaneGraph]:
+def _apply_random_move(k: FaceKernel, rng: random.Random, moves: Tuple[str, ...],
+                       room: int, bipartite: bool) -> bool:
+    """Draw a move and run it on k as one committed step, or reject it
+    before touching k.  A ladder adds 4 vertices, so it needs room >= 4;
+    the corners of a face of a bipartite graph alternate colours, so there
+    its two darts must sit an even number of positions apart."""
     kind = rng.choice(moves)
-    try:
-        if kind == "triangle":
-            return vertex_to_triangle(g, rng.choice(g.vertices()))
-        if kind == "parallel":
-            return parallel_pair_insert(g, rng.choice(g.edges()))
-        if kind == "loop":
-            return self_loop_insert(g, rng.choice(g.edges()))
-        faces = [f for f in g.faces()
-                 if len({g.edge_of(d) for d in f.boundary}) >= 2]
+    if kind == "triangle":
+        vertex_to_triangle(k, rng.choice(k.vertices()))
+    elif kind == "parallel":
+        parallel_pair_insert(k, rng.choice(k.edges()))
+    elif kind == "loop":
+        self_loop_insert(k, rng.choice(k.edges()))
+    else:
+        faces = [f for f in k.faces()
+                 if len({k.edge_of(d) for d in f.boundary}) >= 2]
         if not faces:
-            return None
-        f = rng.choice(faces)
-        d_a = rng.choice(f.boundary)
-        others = [d for d in f.boundary if g.edge_of(d) != g.edge_of(d_a)]
-        d_b = rng.choice(others)
-        return ladder_insert(g, d_a, d_b)
-    except InfeasibleSize:
-        return None
+            return False
+        bd = rng.choice(faces).boundary
+        i = rng.randrange(len(bd))
+        j = rng.choice([x for x, d in enumerate(bd)
+                        if k.edge_of(d) != k.edge_of(bd[i])])
+        if room < 4 or (bipartite and (i - j) % 2):
+            return False
+        ladder_insert(k, bd[i], bd[j])
+    k.commit()
+    return True
 
 
 def generate_cubic_plane(n: int, seed: int) -> PlaneGraph:
@@ -150,11 +154,10 @@ def generate_cubic_plane(n: int, seed: int) -> PlaneGraph:
     g = rng.choice((fixtures.dumbbell, fixtures.m23, fixtures.k4))()
     while len(g.vertices()) > n:
         g = rng.choice((fixtures.dumbbell, fixtures.m23))()
-    while len(g.vertices()) < n:
-        g2 = _apply_random_move(g, rng, MOVES)
-        if g2 is not None and len(g2.vertices()) <= n:
-            g = g2
-    return g
+    k = FaceKernel(g)
+    while len(k.rotation) < n:
+        _apply_random_move(k, rng, MOVES, n - len(k.rotation), False)
+    return k.freeze()
 
 
 def generate_cubic_bipartite_plane(n: int, seed: int) -> PlaneGraph:
@@ -162,18 +165,17 @@ def generate_cubic_bipartite_plane(n: int, seed: int) -> PlaneGraph:
     if n < 2 or n % 2:
         raise InfeasibleSize(f"no cubic graph on {n} vertices")
     rng = random.Random(seed)
-    g = fixtures.m23()
+    k = FaceKernel(fixtures.m23())
     rejected = 0    # moves rejected since the last accepted one
-    while len(g.vertices()) < n:
-        g2 = _apply_random_move(g, rng, BIPARTITE_MOVES)
-        if g2 is None or len(g2.vertices()) > n or two_coloring(g2) is None:
-            rejected += 1
-            if rejected > STALL_MOVES:
-                raise InfeasibleSize(f"move search stalled: {STALL_MOVES} "
-                                     f"moves in a row rejected")
+    while len(k.rotation) < n:
+        if _apply_random_move(k, rng, BIPARTITE_MOVES, n - len(k.rotation), True):
+            rejected = 0
             continue
-        g = g2
-        rejected = 0
+        rejected += 1
+        if rejected > STALL_MOVES:
+            raise InfeasibleSize(f"move search stalled: {STALL_MOVES} "
+                                 f"moves in a row rejected")
+    g = k.freeze()
     assert two_coloring(g) is not None
     return g
 
@@ -193,20 +195,20 @@ def move_closure(max_vertices: int) -> List[PlaneGraph]:
         g = frontier.pop()
         if len(g.vertices()) + 2 > max_vertices:
             continue
-        candidates: List[PlaneGraph] = []
-        for v in g.vertices():
-            candidates.append(vertex_to_triangle(g, v))
+        moves: List[tuple] = [(vertex_to_triangle, v) for v in g.vertices()]
         for e in g.edges():
-            candidates.append(parallel_pair_insert(g, e))
-            candidates.append(self_loop_insert(g, e))
-        for f in g.faces():
-            for i, d_a in enumerate(f.boundary):
-                for d_b in f.boundary[i + 1:]:
-                    if g.edge_of(d_a) != g.edge_of(d_b):
-                        candidates.append(ladder_insert(g, d_a, d_b))
-        for c in candidates:
-            if len(c.vertices()) > max_vertices:
-                continue
+            moves += [(parallel_pair_insert, e), (self_loop_insert, e)]
+        if len(g.vertices()) + 4 <= max_vertices:     # a ladder adds 4 vertices
+            for f in g.faces():
+                for i, d_a in enumerate(f.boundary):
+                    moves += [(ladder_insert, d_a, d_b) for d_b in f.boundary[i + 1:]
+                              if g.edge_of(d_a) != g.edge_of(d_b)]
+        k = FaceKernel(g)
+        for move, *args in moves:
+            move(k, *args)
+            step = k.commit()
+            c = k.freeze()
+            k.undo(step)
             key = c.canonical_form()
             if key not in seen:
                 seen[key] = c

@@ -21,6 +21,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from .plane_graph import _is_ints, _records
 from .scalars import Scalar, format_scalar, parse_scalar
 from .signatures import SymSignature
 
@@ -172,7 +173,8 @@ class SignatureGrid:
         nodes = {}
         for rec in _records(spec, "nodes", _is_node_record,
                             "an object with an integer id, a side, a list of "
-                            "L/R slots and a list symmetric or table"):
+                            "L/R slots and a list symmetric or table",
+                            GridError, "grid"):
             slots = tuple(s["side"] for s in rec["slots"])
             sym = table = None
             if "symmetric" in rec:
@@ -192,20 +194,14 @@ class SignatureGrid:
         return SignatureGrid(
             nodes,
             [tuple(e) for e in _records(spec, "edges", lambda e: _is_ints(e, 4),
-                                        "[node, slot, node, slot]")],
-            [tuple(d) for d in _records(spec, "dangling",
-                                        lambda d: _is_ints(d, 2),
-                                        "[node, slot]", [])],
+                                        "[node, slot, node, slot]", GridError, "grid")],
+            [tuple(d) for d in _records(spec, "dangling", lambda d: _is_ints(d, 2),
+                                        "[node, slot]", GridError, "grid", [])],
             emb)
 
     @staticmethod
     def from_json(text: str) -> "SignatureGrid":
         return SignatureGrid.from_json_dict(json.loads(text))
-
-
-def _is_ints(x, length: Optional[int] = None) -> bool:
-    return (isinstance(x, list) and length in (None, len(x))
-            and all(isinstance(v, int) and not isinstance(v, bool) for v in x))
 
 
 def _is_node_record(rec) -> bool:
@@ -215,19 +211,6 @@ def _is_node_record(rec) -> bool:
             and all(isinstance(s, dict) and s.get("side") in ("L", "R")
                     for s in rec["slots"])
             and isinstance(rec.get("symmetric", rec.get("table")), list))
-
-
-def _records(spec, key: str, ok, what: str, default=None) -> list:
-    """spec[key] (default when absent), checked to be a list of records
-    that each pass ok."""
-    recs = spec.get(key, default) if isinstance(spec, dict) else None
-    if not isinstance(recs, list):
-        raise GridError(f"grid JSON needs a list '{key}'")
-    for rec in recs:
-        if not ok(rec):
-            raise GridError(f"each record of '{key}' must be {what}: "
-                            f"{str(rec)[:60]}")
-    return recs
 
 
 def _terms(grid: SignatureGrid,

@@ -303,35 +303,33 @@ def _trace_code(twin, succ, start, bound=None) -> Optional[tuple]:
 
 def build(spec: dict) -> PlaneGraph:
     """Build and validate a PlaneGraph from its JSON dict form."""
-    twin = {}
-    vertex_of = {}
-    for rec in _records(spec, "darts", ("id", "twin", "vertex")):
-        twin[rec["id"]] = rec["twin"]
-        vertex_of[rec["id"]] = rec["vertex"]
-    rotation = {}
-    for rec in _records(spec, "vertices", ("id", "rotation")):
-        rot = rec["rotation"]
-        if not isinstance(rot, list) or not all(_is_int(d) for d in rot):
-            raise GraphError(f"vertex {rec['id']}: rotation must be a list of dart ids")
-        rotation[rec["id"]] = tuple(rot)
-    return PlaneGraph(twin, vertex_of, rotation)
+    darts = _records(spec, "darts", lambda r: isinstance(r, dict) and _is_ints(
+        [r.get("id"), r.get("twin"), r.get("vertex")]),
+        "an object with integer fields id, twin, vertex")
+    verts = _records(spec, "vertices", lambda r: isinstance(r, dict) and _is_ints(
+        [r.get("id")]) and _is_ints(r.get("rotation")),
+        "an object with an integer id and a list rotation of dart ids")
+    return PlaneGraph({r["id"]: r["twin"] for r in darts},
+                      {r["id"]: r["vertex"] for r in darts},
+                      {r["id"]: tuple(r["rotation"]) for r in verts})
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+def _is_ints(x, length: Optional[int] = None) -> bool:
+    return (isinstance(x, list) and length in (None, len(x))
+            and all(isinstance(v, int) and not isinstance(v, bool) for v in x))
 
 
-def _records(spec, key: str, fields: Tuple[str, ...]) -> list:
-    """spec[key], checked to be a list of objects with integer fields
-    (a vertex's rotation is checked by the caller)."""
-    recs = spec.get(key) if isinstance(spec, dict) else None
+def _records(spec, key: str, ok, what: str, error=GraphError, noun: str = "graph",
+             default=None) -> list:
+    """spec[key] (default when absent), checked to be a list of records
+    that each pass ok; the first failure raises error, naming the noun's
+    JSON."""
+    recs = spec.get(key, default) if isinstance(spec, dict) else None
     if not isinstance(recs, list):
-        raise GraphError(f"graph JSON needs a list '{key}'")
+        raise error(f"{noun} JSON needs a list '{key}'")
     for rec in recs:
-        if not isinstance(rec, dict) or not all(
-                f in rec and (f == "rotation" or _is_int(rec[f])) for f in fields):
-            raise GraphError(f"each record of '{key}' needs integer "
-                             f"fields {', '.join(fields)}: {str(rec)[:60]}")
+        if not ok(rec):
+            raise error(f"each record of '{key}' must be {what}: {str(rec)[:60]}")
     return recs
 
 

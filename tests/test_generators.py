@@ -1,12 +1,15 @@
 import hashlib
+import itertools
 import random
 
 import pytest
 
 from planar_holant import fixtures, generators
+from planar_holant.face_kernel import FaceKernel
 from planar_holant.generators import (InfeasibleSize, generate_cubic_plane,
                                       generate_cubic_bipartite_plane,
-                                      leapfrog, move_closure, relabel)
+                                      ladder_insert, leapfrog, move_closure,
+                                      relabel)
 from planar_holant.p3em import find_p3em, verify
 from planar_holant.plane_graph import two_coloring
 from planar_holant.solvers import count_pm
@@ -27,7 +30,8 @@ def test_bipartite_generator_two_colorable():
 
 
 def test_many_samples_validate():
-    # construction goes through PlaneGraph validation on every move
+    # every generated graph goes through PlaneGraph validation once, at its
+    # final freeze(); commit() checks the darts of each move
     count = 0
     for seed in range(250):
         for n in (4, 6, 8, 10):
@@ -59,12 +63,16 @@ GENERATOR_DIGESTS = {
         "9ce3cc36fa0a597bd1980db2b42194a3d161686b203a525af60cc858a8bf7055",
     (generate_cubic_plane, 800, 3):
         "c62123469489e9177a93162edab95ccb1f5df7acb3d7df8815b94e29d2f092f7",
+    (generate_cubic_plane, 1600, 4):
+        "fa5a6ad9fe194d0dff0d7d555dbeaf725620404c6f520fbfe6fd5f0419016e12",
     (generate_cubic_bipartite_plane, 20, 1):
         "73c11719cd17ca9c0f67d525b4fc9dde7d980cd82e376d3c825b347da955744e",
     (generate_cubic_bipartite_plane, 200, 2):
         "8eecfb43671bb7208a301f965813f4f8f8df794eb19b1d4fa95ff69be6237ec3",
     (generate_cubic_bipartite_plane, 800, 3):
         "be98b686eb9050e3c096716008b64b5eb575e683d17d864705631ce34f9dc280",
+    (generate_cubic_bipartite_plane, 1000, 4):
+        "5b224840f06a7129f2c99d7b6ac646b670e3b293cc9668453ad2e13a190a29a3",
 }
 
 
@@ -73,6 +81,37 @@ GENERATOR_DIGESTS = {
 def test_generator_output_pinned(gen, n, seed):
     text = gen(n, seed).to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == GENERATOR_DIGESTS[gen, n, seed]
+
+
+def test_move_closure_pinned():
+    closure = move_closure(8)
+    text = "".join(g.to_json() for g in closure)
+    assert len(closure) == 146
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "59d64ce11b39b9dcafcb5af639728aaa67eb0eaa81e9fe95c5da7d6a396089b6"
+
+
+def test_ladder_parity_rule_is_two_colorability():
+    # the bipartite generator accepts a ladder by the parity of its darts'
+    # positions on the face instead of 2-coloring the result
+    bases = [fixtures.cube(), fixtures.m23()] + [
+        generate_cubic_bipartite_plane(n, s) for n in (4, 8, 12, 20)
+        for s in range(4)]
+    cases = 0
+    for g in bases:
+        k = FaceKernel(g)
+        for f in g.faces():
+            bd = f.boundary
+            for i, j in itertools.permutations(range(len(bd)), 2):
+                if g.edge_of(bd[i]) == g.edge_of(bd[j]):
+                    continue
+                ladder_insert(k, bd[i], bd[j])
+                step = k.commit()
+                bipartite = two_coloring(k.freeze()) is not None
+                k.undo(step)
+                assert bipartite == ((i - j) % 2 == 0), (g, bd, i, j)
+                cases += 1
+    assert cases > 3000
 
 
 def test_bipartite_stall_guard_counts_rejections_only(monkeypatch):

@@ -6,33 +6,17 @@ import random
 import pytest
 
 from planar_holant import fixtures, p3em_cases
-from planar_holant.generators import (ladder_insert, parallel_pair_insert,
-                                      self_loop_insert, vertex_to_triangle)
+from planar_holant.face_kernel import FaceKernel
+from planar_holant.generators import MOVES, _apply_random_move
 from planar_holant.p3em import (ExceptionalGraph, exceptional_kind,
                                 find_p3em, materialize, verify)
 
 
 def _random_grow(g, rng, steps):
+    k = FaceKernel(g)
     for _ in range(steps):
-        kind = rng.choice(("triangle", "parallel", "loop", "ladder"))
-        try:
-            if kind == "triangle":
-                g = vertex_to_triangle(g, rng.choice(g.vertices()))
-            elif kind == "parallel":
-                g = parallel_pair_insert(g, rng.choice(g.edges()))
-            elif kind == "loop":
-                g = self_loop_insert(g, rng.choice(g.edges()))
-            else:
-                faces = [f for f in g.faces()
-                         if len({g.edge_of(d) for d in f.boundary}) >= 2]
-                f = rng.choice(faces)
-                d_a = rng.choice(f.boundary)
-                others = [d for d in f.boundary
-                          if g.edge_of(d) != g.edge_of(d_a)]
-                g = ladder_insert(g, d_a, rng.choice(others))
-        except Exception:
-            continue
-    return g
+        _apply_random_move(k, rng, MOVES, 4, False)
+    return k.freeze()
 
 
 SEEDS = list(range(12))
@@ -79,7 +63,6 @@ def test_all_reduction_labels_reachable():
                                               _find_b_coincidence,
                                               _face_labels,
                                               _rotate_labels, solve_kernel)
-        from planar_holant.face_kernel import FaceKernel
         g = fixtures.coincident_pentagon_fixture()
         k = FaceKernel(g)
         for f in k.faces():
