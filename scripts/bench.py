@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Write a benchmark record: BENCH_pm.json for fkt-solve, BENCH_p3em.json
-for p3em-random, BENCH_p3em_fullerene.json for p3em-fullerene.
+for p3em-random, BENCH_p3em_fullerene.json for p3em-fullerene,
+BENCH_eval.json for holant-eval.
 
     python3 scripts/bench.py --parent P*.json --change C*.json [--out FILE]
 
@@ -28,7 +29,10 @@ three times each, on one generated graph per size:
 * p3em-fullerene: find_p3em on the leapfrog fullerenes C180, C540, C1620
   and C4860 (generators.leapfrog from the dodecahedron), each under the
   random ids generators.relabel gives it with seed 1, with the same
-  exponent.
+  exponent;
+* holant-eval: eval_grid on the [2,1,1,2] grid of
+  generate_cubic_bipartite_plane(n, 1), n = 50, 100, 200 and 400, with
+  the elimination width of each grid and the same exponent.
 """
 
 from __future__ import annotations
@@ -51,6 +55,9 @@ from run import src_sha256  # noqa: E402  (perfbench/run.py)
 from planar_holant import fixtures  # noqa: E402
 from planar_holant.generators import (  # noqa: E402
     generate_cubic_bipartite_plane, generate_cubic_plane, leapfrog, relabel)
+from planar_holant.holant_core import elimination_width, eval_grid  # noqa: E402
+from planar_holant.plane_graph import grid_from_cubic_bipartite  # noqa: E402
+from planar_holant.signatures import SymSignature  # noqa: E402
 from planar_holant.p3em import find_p3em  # noqa: E402
 from planar_holant.solvers import count_pm  # noqa: E402
 
@@ -62,6 +69,7 @@ TARGET_S = 2.0
 PM_SIZES = (1000, 5000, 10000)
 P3EM_SIZES = (800, 1600, 3200, 6400)
 FULLERENE_SIZES = (180, 540, 1620, 4860)
+EVAL_SIZES = (50, 100, 200, 400)
 
 
 def timed3(fn):
@@ -106,7 +114,7 @@ def scale_p3em():
                      "generate_s": gen_s, "find_p3em_s": med, "runs_s": times})
         print(f"n={n} generate {gen_s:.1f} s, find_p3em {med:.3f} s",
               file=sys.stderr)
-    return p3em_table(rows)
+    return "find_p3em_scale", fitted(rows, "find_p3em_s")
 
 
 def scale_fullerene():
@@ -120,21 +128,35 @@ def scale_fullerene():
         rows.append({"n": n, "generator": "relabel(leapfrog^%d(dodecahedron), "
                      "Random(1))" % steps, "find_p3em_s": med, "runs_s": times})
         print(f"n={n} find_p3em {med:.3f} s", file=sys.stderr)
-    return p3em_table(rows)
+    return "find_p3em_scale", fitted(rows, "find_p3em_s")
 
 
-def p3em_table(rows):
-    """The find_p3em scale table, with the least-squares exponent of the
-    median time against n."""
+def scale_eval():
+    rows = []
+    for n in EVAL_SIZES:
+        grid = grid_from_cubic_bipartite(generate_cubic_bipartite_plane(n, 1),
+                                         SymSignature([2, 1, 1, 2]))
+        _, med, times = timed3(lambda: eval_grid(grid))
+        rows.append({"n": n, "generator": "generate_cubic_bipartite_plane(n, 1)",
+                     "signature": [2, 1, 1, 2],
+                     "variables": len(grid.right_nodes()),
+                     "width": elimination_width(grid),
+                     "eval_grid_s": med, "runs_s": times})
+        print(f"n={n} width {rows[-1]['width']}, eval_grid {med:.3f} s",
+              file=sys.stderr)
+    return "eval_grid_scale", fitted(rows, "eval_grid_s")
+
+
+def fitted(rows, key):
+    """A scale table, with the least-squares exponent of the median time
+    (rows' key) against n."""
     xs = [math.log(r["n"]) for r in rows]
-    ys = [math.log(r["find_p3em_s"]) for r in rows]
+    ys = [math.log(r[key]) for r in rows]
     mx, my = statistics.fmean(xs), statistics.fmean(ys)
     slope = (sum((x - mx) * (y - my) for x, y in zip(xs, ys))
              / sum((x - mx) ** 2 for x in xs))
-    return "find_p3em_scale", {
-        "python": platform.python_version(), "src_sha256": src_sha256(),
-        "sizes": rows, "exponent": slope,
-    }
+    return {"python": platform.python_version(), "src_sha256": src_sha256(),
+            "sizes": rows, "exponent": slope}
 
 
 P3EM_LAYERS = ("plane_graph.construct_calls", "plane_graph.construct_s",
@@ -164,6 +186,10 @@ WORKLOADS = {   # workload -> (default output, traced layer metrics, scale)
                            "p3em_cases.steps.chord", "p3em_cases.steps.pentagon",
                            "p3em_cases.steps.pentagon_coincident"),
                        scale_fullerene),
+    "holant-eval": ("BENCH_eval.json",
+                    ("holant_core.eval_calls", "holant_core.eval_s",
+                     "reductions.interpolate_s", "reductions.planarize_s"),
+                    scale_eval),
 }
 
 

@@ -1,7 +1,7 @@
 """Gadget constructions evaluated as signature grids.
 
 Every operation here builds the corresponding planar bipartite fragment
-and contracts it exactly with the brute-force gadget evaluator; closed
+and contracts it exactly with the variable-elimination evaluator; closed
 forms from the derivations serve as test oracles only.  Square vertices
 carry the ternary signature under study, circles carry =3, triangles are
 unary stand-ins for halves of the degenerate straddled signature.

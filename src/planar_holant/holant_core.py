@@ -1,15 +1,16 @@
-"""Signature grids and exact brute-force Holant evaluation.
+"""Signature grids and exact Holant evaluation by variable elimination.
 
 A grid is a bipartite network: every internal edge joins an L-facing slot
 to an R-facing slot.  Left nodes face only L, right nodes only R; table
 nodes carry an explicit row-major table and may mix slot sides (straddled
 signatures, cross-over).  Symmetric nodes carry a SymSignature.
 
-One evaluator, _terms, serves every entry point.  Its state has one
-boolean per right-hand equality node, whose slots all copy it, and one per
-remaining internal edge; dangling slots are pinned.  HOLANT_MAX_EDGES
-(default 24) caps the number of these free variables, so a grid whose
-right nodes are all equalities costs 2^#right whatever its edge count.
+One contraction, _contract, serves every entry point.  Its variables are
+one boolean per right-hand equality node, whose slots all copy it, and one
+per remaining internal edge; dangling slots are pinned.  Every other node
+is a sparse factor, and the variables are summed out in a greedy
+min-degree order (bucket elimination).  HOLANT_MAX_EDGES (default 24) caps
+the order's width, the most variables in one table, before any is built.
 """
 
 from __future__ import annotations
@@ -213,14 +214,13 @@ def _is_node_record(rec) -> bool:
             and isinstance(rec.get("symmetric", rec.get("table")), list))
 
 
-def _terms(grid: SignatureGrid,
-           pin: Dict[Tuple[int, int], int]) -> Iterator[Scalar]:
-    """Yield the product of node values for every internal state.
+def _compile(grid: SignatureGrid, pin: Dict[Tuple[int, int], int]):
+    """The variable count and, per node that is not a right equality, the
+    node, its slots' columns and its scope; None if pins conflict.
 
     Dangling slots read their bit from pin.  A right equality with a pinned
-    slot is fixed to that bit (conflicting pins yield nothing).  Every slot
-    compiles to an index into bits + (0, 1): a free variable's position, or
-    -2 / -1 for a constant 0 / 1.  SignatureGrid guarantees that an edge
+    slot is fixed to that bit.  Every slot compiles to a column: a variable,
+    or -2 / -1 for a constant 0 / 1.  SignatureGrid guarantees that an edge
     has at most one right endpoint, so no edge joins two equalities."""
     col: Dict[int, Optional[int]] = {
         n.id: None for n in grid.nodes.values()
@@ -228,7 +228,7 @@ def _terms(grid: SignatureGrid,
     for (nid, _), b in pin.items():
         if nid in col:
             if col[nid] is not None and col[nid] != b - 2:
-                return
+                return None
             col[nid] = b - 2
     nbits = 0
     for nid, c in col.items():
@@ -242,19 +242,93 @@ def _terms(grid: SignatureGrid,
             c = nbits
             nbits += 1
         at[(na, sa)] = at[(nb, sb)] = c
+    factors = []
+    for n in grid.nodes.values():
+        if n.id not in col:
+            cols = [at[(n.id, s)] for s in range(n.arity)]
+            factors.append((n, cols, tuple(sorted({c for c in cols if c >= 0}))))
+    return nbits, factors
+
+
+def _contract(grid: SignatureGrid, pin: Dict[Tuple[int, int], int],
+              support: bool = False) -> Scalar:
+    """Sum over every internal state of the product of node values or, with
+    support, the number of states whose product is nonzero (0 if pins
+    conflict).  Each node of _compile is a sparse factor {assignment of its
+    scope: nonzero value} in the bucket of its first variable in
+    elimination order; a bucket's product, that variable summed out, moves
+    on the same way, and the last bucket holds the constants."""
+    zero, one = (0, 1) if support else (Fraction(0), Fraction(1))
+    compiled = _compile(grid, pin)
+    if compiled is None:
+        return zero
+    nbits, factors = compiled
+    order, width = _elimination_order(nbits, [f[2] for f in factors])
     cap = max_edges_cap()
-    if nbits > cap:
-        raise TooManyEdges(f"{nbits} free variables exceeds cap {cap}")
-    others = [(n.value, [at[(n.id, s)] for s in range(n.arity)])
-              for n in grid.nodes.values() if n.id not in col]
-    for bits in product((0, 1), repeat=nbits):
-        bits += (0, 1)
-        term: Scalar = Fraction(1)
-        for value, cols in others:
-            term = term * value([bits[c] for c in cols])
-            if term == 0:
-                break
-        yield term
+    if width > cap:
+        raise TooManyEdges(f"elimination width {width} exceeds cap {cap} "
+                           "(HOLANT_MAX_EDGES)")
+    pos = {v: i for i, v in enumerate(order)}
+    buckets: List[list] = [[] for _ in range(nbits + 1)]
+
+    def place(scope, table):
+        buckets[min((pos[v] for v in scope), default=nbits)].append((scope, table))
+
+    for n, cols, scope in factors:
+        table = {}
+        for key in product((0, 1), repeat=len(scope)):
+            value = n.value([key[scope.index(c)] if c >= 0 else c + 2
+                             for c in cols])
+            if value != 0:
+                table[key] = 1 if support else value
+        place(scope, table)
+    for v, bucket in zip(order, buckets):
+        scope = (v,) + tuple(sorted({u for f, _ in bucket for u in f} - {v}))
+        picks = [([scope.index(u) for u in f], table) for f, table in bucket]
+        summed: Dict[tuple, Scalar] = {}
+        for key in product((0, 1), repeat=len(scope)):
+            value = one
+            for idx, table in picks:
+                w = table.get(tuple(key[i] for i in idx))
+                if w is None:
+                    break
+                value = value * w
+            else:
+                rest = key[1:]
+                summed[rest] = summed[rest] + value if rest in summed else value
+        place(scope[1:], {k: x for k, x in summed.items() if x != 0})
+    result = one
+    for _, table in buckets[nbits]:
+        result = result * table.get((), zero)
+    return result
+
+
+def _elimination_order(nbits: int, scopes: List[Tuple[int, ...]]):
+    """Greedy min-degree order of the variables (ties to the lower index)
+    and its width: the most variables in one bucket's table, the one summed
+    out included."""
+    adj: Dict[int, set] = {v: set() for v in range(nbits)}
+    for scope in scopes:
+        for v in scope:
+            adj[v].update(scope)
+            adj[v].discard(v)
+    order, width = [], 0
+    while adj:
+        v = min(adj, key=lambda u: (len(adj[u]), u))
+        near = adj.pop(v)
+        order.append(v)
+        width = max(width, len(near) + 1)
+        for u in near:
+            adj[u] |= near - {u}
+            adj[u].discard(v)
+    return order, width
+
+
+def elimination_width(grid: SignatureGrid) -> int:
+    """Width of the elimination order eval_grid uses on grid, the number
+    HOLANT_MAX_EDGES caps (dangling slots count as pinned)."""
+    nbits, factors = _compile(grid, dict.fromkeys(grid.dangling, 0))
+    return _elimination_order(nbits, [f[2] for f in factors])[1]
 
 
 def _pins(grid: SignatureGrid) -> Iterator[Dict[Tuple[int, int], int]]:
@@ -268,7 +342,7 @@ def eval_grid(grid: SignatureGrid) -> Scalar:
     node values."""
     if grid.dangling:
         raise DanglingPresent("grid has dangling slots")
-    return sum(_terms(grid, {}), Fraction(0))
+    return _contract(grid, {})
 
 
 def eval_collapsed(grid: SignatureGrid) -> Scalar:
@@ -286,11 +360,11 @@ def eval_gadget(grid: SignatureGrid) -> List[Scalar]:
     slots, row-major in the order of grid.dangling."""
     if not grid.dangling:
         raise GridError("eval_gadget expects dangling slots")
-    return [sum(_terms(grid, pin), Fraction(0)) for pin in _pins(grid)]
+    return [_contract(grid, pin) for pin in _pins(grid)]
 
 
 def gadget_assignment_counts(grid: SignatureGrid) -> List[int]:
     """Number of internal edge assignments with a nonzero product, per
     external assignment (same order as eval_gadget).  Edges that disagree
     at an equality give product 0, so these are the nonzero states."""
-    return [sum(1 for t in _terms(grid, pin) if t != 0) for pin in _pins(grid)]
+    return [_contract(grid, pin, support=True) for pin in _pins(grid)]

@@ -10,7 +10,7 @@ shows it, otherwise a second, unit-weight Pfaffian reads it.  The five
 class solvers reduce to perfect-matching counts (cases 4 and 5), one GF(2)
 Gauss sum over each affine family's sign form (AFFINE_FORMS), or closed
 products (degenerate, generalized equality), and every one is
-oracle-tested against brute-force evaluation.
+oracle-tested against exact evaluation of the grid (holant_core).
 """
 
 from __future__ import annotations

@@ -6,14 +6,17 @@ import pytest
 
 from planar_holant import fixtures
 from planar_holant.generators import generate_cubic_bipartite_plane
-from planar_holant.holant_core import (DanglingPresent, GridError, GridNode,
-                                       SignatureGrid, TooManyEdges,
+from planar_holant.holant_core import (DEFAULT_MAX_EDGES, DanglingPresent,
+                                       GridError, GridNode, SignatureGrid,
+                                       TooManyEdges, elimination_width,
                                        eval_collapsed, eval_gadget, eval_grid,
                                        gadget_assignment_counts)
 from planar_holant.plane_graph import grid_from_cubic_bipartite
 from planar_holant.reductions import Crossing, planarize
+from planar_holant.scalars import format_scalar, sqrt_exact
 from planar_holant.signatures import (EQ3, SymSignature, hadamard3,
                                       hadamard3_inv)
+from planar_holant.solvers import solve_case5, solve_matchgate
 
 
 def running_example():
@@ -216,3 +219,158 @@ def test_grid_json_roundtrip():
     g2 = SignatureGrid.from_json(grid.to_json())
     assert eval_grid(g2) == 9
     assert g2.to_json_dict() == grid.to_json_dict()
+
+
+def terms(grid, pin):
+    """Reference enumerator: the product of node values for each of the 2^n
+    states of the variables the evaluator eliminates.  One variable per
+    right equality, whose slots all copy it, and one per other internal
+    edge; dangling slots read their bit from pin, a pinned equality is fixed
+    to that bit and conflicting pins yield no state."""
+    col = {n.id: None for n in grid.nodes.values()
+           if n.side == "right" and n.is_equality()}
+    for (nid, _), b in pin.items():
+        if nid in col:
+            if col[nid] is not None and col[nid] != b - 2:
+                return
+            col[nid] = b - 2
+    nbits = 0
+    for nid, c in col.items():
+        if c is None:
+            col[nid] = nbits
+            nbits += 1
+    at = {key: b - 2 for key, b in pin.items()}
+    for (na, sa, nb, sb) in grid.edges:
+        c = col[na] if na in col else col.get(nb)
+        if c is None:
+            c = nbits
+            nbits += 1
+        at[(na, sa)] = at[(nb, sb)] = c
+    others = [(n.value, [at[(n.id, s)] for s in range(n.arity)])
+              for n in grid.nodes.values() if n.id not in col]
+    for bits in product((0, 1), repeat=nbits):
+        bits += (0, 1)
+        term = Fraction(1)
+        for value, cols in others:
+            term = term * value([bits[c] for c in cols])
+            if term == 0:
+                break
+        yield term
+
+
+def assert_same(got, want):
+    assert got == want
+    assert type(got) is type(want)
+    assert format_scalar(got) == format_scalar(want)
+
+
+def assert_matches_terms(grid):
+    """eval_grid, or eval_gadget and gadget_assignment_counts, against the
+    reference enumerator pin by pin."""
+    if not grid.dangling:
+        assert_same(eval_grid(grid), sum(terms(grid, {}), Fraction(0)))
+        return
+    pins = [dict(zip(grid.dangling, ext))
+            for ext in product((0, 1), repeat=len(grid.dangling))]
+    for got, pin in zip(eval_gadget(grid), pins):
+        assert_same(got, sum(terms(grid, pin), Fraction(0)))
+    for got, pin in zip(gadget_assignment_counts(grid), pins):
+        assert_same(got, sum(1 for t in terms(grid, pin) if t != 0))
+
+
+def weight(rng, kind):
+    if kind == "sqrt2":
+        return Fraction(rng.randint(-2, 2)) + rng.randint(-2, 2) * sqrt_exact(2)
+    if kind == "zeros":
+        return Fraction(rng.choice([0, 0, 0, 1, -2]))
+    return Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+
+
+def disjoint(g1, g2):
+    """The union of two grids, g2's node ids shifted past g1's."""
+    off = max(g1.nodes, default=0) + 1
+    nodes = dict(g1.nodes)
+    for nid, n in g2.nodes.items():
+        nodes[nid + off] = GridNode(nid + off, n.side, n.slots, n.sym, n.table)
+    return SignatureGrid(
+        nodes, list(g1.edges) + [(na + off, sa, nb + off, sb)
+                                 for (na, sa, nb, sb) in g2.edges],
+        list(g1.dangling) + [(nid + off, s) for (nid, s) in g2.dangling])
+
+
+def differential_grid(rng, i, sizes=(2, 4, 6, 8, 12, 16)):
+    """Closed grid i of the differential set: =3 right nodes (n/2
+    variables on n vertices) or, every fourth, non-equality right nodes
+    (3n/2 variables, n <= 8); every fifth planarized with one cross-over,
+    which adds two variables; weights rational, zero-heavy or in
+    Q(sqrt 2)."""
+    kind = ("rational", "zeros", "sqrt2")[i % 3]
+    eq = i % 4 != 3
+    n = rng.choice(sizes if eq else [v for v in sizes if v <= 8])
+    g = generate_cubic_bipartite_plane(n, 300 + i)
+
+    def sig():
+        return SymSignature([weight(rng, kind) for _ in range(4)])
+    grid = grid_from_cubic_bipartite(g, sig(), right_sig=None if eq else sig())
+    return crossed(grid, rng) if i % 5 == 0 else grid
+
+
+def test_elimination_matches_enumeration_closed():
+    rng = random.Random(12)
+    for i in range(40):
+        assert_matches_terms(differential_grid(rng, i))
+    # 2^12 states: =3 on 24 vertices, non-equality right nodes on 8
+    for i, kind in ((0, "sqrt2"), (3, "zeros")):
+        g = generate_cubic_bipartite_plane(24 if i == 0 else 8, 5)
+        f, r = (SymSignature([weight(rng, kind) for _ in range(4)])
+                for _ in range(2))
+        assert_matches_terms(grid_from_cubic_bipartite(
+            g, f, right_sig=None if i == 0 else r))
+    assert_matches_terms(disjoint(differential_grid(rng, 2),
+                                  differential_grid(rng, 3)))
+    assert_matches_terms(disjoint(differential_grid(rng, 1), SignatureGrid.empty()))
+    assert_matches_terms(SignatureGrid.empty())
+
+
+def test_elimination_matches_enumeration_gadgets():
+    rng = random.Random(13)
+    for i in range(36):
+        grid = differential_grid(rng, i, sizes=(2, 4, 6, 8))
+        if len(grid.edges) < 3:
+            continue
+        assert_matches_terms(cut_edges(grid, rng, 1 + i % 3))
+    # two cut edges at one =3 node: pins 01 and 10 conflict there
+    grid = grid_from_cubic_bipartite(generate_cubic_bipartite_plane(6, 2),
+                                     SymSignature([1, 2, -1, 3]))
+    eq = grid.right_nodes()[0].id
+    at_eq = [e for e in grid.edges if eq in (e[0], e[2])][:2]
+    gad = SignatureGrid(grid.nodes, [e for e in grid.edges if e not in at_eq],
+                        [k for e in at_eq for k in (e[:2], e[2:])])
+    assert_matches_terms(gad)
+    assert_matches_terms(disjoint(gad, differential_grid(rng, 4, sizes=(2, 4))))
+
+
+def test_hundred_vertex_grid_beyond_the_free_variable_cap(monkeypatch):
+    """50 free variables, past 24, but an elimination width of at most 7:
+    the default cap accepts it, and the value is the solvers'.  The cap
+    bounds the width, and the error states both."""
+    a, b = Fraction(1, 2), Fraction(-3, 2)
+    for s in (1, 2, 3):
+        g = generate_cubic_bipartite_plane(100, s)
+        case5 = grid_from_cubic_bipartite(
+            g, SymSignature([3 * a + b, -a - b, -a + b, 3 * a - b]))
+        assert len(case5.right_nodes()) > DEFAULT_MAX_EDGES
+        assert elimination_width(case5) <= 7
+        assert eval_grid(case5) == solve_case5(case5, a, b)
+        match = grid_from_cubic_bipartite(g, SymSignature([2, 1, 1, 2]))
+        assert eval_grid(match) == solve_matchgate(match, Fraction(2),
+                                                   Fraction(1), 1)
+        width = elimination_width(match)
+        monkeypatch.setenv("HOLANT_MAX_EDGES", str(width))
+        assert eval_grid(match) == solve_matchgate(match, Fraction(2),
+                                                   Fraction(1), 1)
+        monkeypatch.setenv("HOLANT_MAX_EDGES", str(width - 1))
+        with pytest.raises(TooManyEdges,
+                           match=f"width {width} exceeds cap {width - 1}"):
+            eval_grid(match)
+        monkeypatch.delenv("HOLANT_MAX_EDGES")
