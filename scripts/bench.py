@@ -12,20 +12,22 @@ and of the change: ``--trace 0`` reports give the end-to-end metrics and
 reports.  Per side the record keeps every run's seed, Python version, git
 sha, source hash, per-size latency table and metrics, plus the median and
 quartiles of each end-to-end metric; runs of the two sides with the same
-seed form a pair, and the record counts the pairs in which the change has
-the lower large_p50_ms.  A run made from an uncommitted tree has git sha
+seed form a pair, and for every end-to-end metric the record counts the
+pairs in which the change is better (lower, or higher for ok_ratio) and
+the ties.  A run made from an uncommitted tree has git sha
 null; its source hash, the one perfbench/run.py computes, still
 identifies the code.
 
 It then times the workload's kernel in this checkout at fixed sizes,
-three times each, on one generated graph per size:
+three times each, on one generated graph per size; generating that graph
+is timed three times too:
 
 * fkt-solve: count_pm on generate_cubic_bipartite_plane(n, 1), n = 1000,
-  5000 and 10^4, with the time to generate each graph on its own, against
-  the ROADMAP target of 2 s at 10^4 (reported, not gated);
-* p3em-random: find_p3em on generate_cubic_plane(n, 1), n = 800, 1600,
-  3200 and 6400, with the time to generate each graph on its own and the
-  least-squares exponent of the median time against n;
+  5000 and 10^4, against the ROADMAP targets of 2 s for count_pm and
+  1.5 s for generating at 10^4 (reported, not gated);
+* p3em-random: find_p3em on generate_cubic_plane(n, 1), n = 500, 1000,
+  2000, 5000, 10^4 and 2 * 10^4, with the least-squares exponent of the
+  median time against n, of find_p3em and of generating;
 * p3em-fullerene: find_p3em on the leapfrog fullerenes C180, C540, C1620
   and C4860 (generators.leapfrog from the dodecahedron), each under the
   random ids generators.relabel gives it with seed 1, with the same
@@ -66,8 +68,9 @@ END_TO_END = ("wall_s", "small_p50_ms", "large_p50_ms", "scaling_exponent",
 NOTE = ("a run with git_sha null was made from an uncommitted tree; "
         "src_sha256 (perfbench/run.py's hash of src/) identifies its code")
 TARGET_S = 2.0
+GENERATE_TARGET_S = 1.5
 PM_SIZES = (1000, 5000, 10000)
-P3EM_SIZES = (800, 1600, 3200, 6400)
+P3EM_SIZES = (500, 1000, 2000, 5000, 10000, 20000)
 FULLERENE_SIZES = (180, 540, 1620, 4860)
 EVAL_SIZES = (50, 100, 200, 400)
 
@@ -85,14 +88,13 @@ def timed3(fn):
 def scale_pm():
     rows = []
     for n in PM_SIZES:
-        t0 = time.perf_counter()
-        g = generate_cubic_bipartite_plane(n, 1)
-        gen_s = time.perf_counter() - t0
+        g, gen_s, gen_times = timed3(lambda: generate_cubic_bipartite_plane(n, 1))
         value, med, times = timed3(lambda: count_pm(g))
         rows.append({"n": n, "generator": "generate_cubic_bipartite_plane(n, 1)",
-                     "generate_s": gen_s, "count_pm_s": med, "runs_s": times,
+                     "generate_s": gen_s, "generate_runs_s": gen_times,
+                     "count_pm_s": med, "runs_s": times,
                      "value_bits": value.numerator.bit_length()})
-        print(f"n={n} generate {gen_s:.1f} s, count_pm {med:.3f} s",
+        print(f"n={n} generate {gen_s:.2f} s, count_pm {med:.3f} s",
               file=sys.stderr)
     largest = rows[-1]
     return "count_pm_scale", {
@@ -100,21 +102,23 @@ def scale_pm():
         "sizes": rows,
         "target": {"n": largest["n"], "target_s": TARGET_S,
                    "met": largest["count_pm_s"] < TARGET_S},
+        "generate_target": {"n": largest["n"], "target_s": GENERATE_TARGET_S,
+                            "met": largest["generate_s"] < GENERATE_TARGET_S},
     }
 
 
 def scale_p3em():
     rows = []
     for n in P3EM_SIZES:
-        t0 = time.perf_counter()
-        g = generate_cubic_plane(n, 1)
-        gen_s = time.perf_counter() - t0
+        g, gen_s, gen_times = timed3(lambda: generate_cubic_plane(n, 1))
         _, med, times = timed3(lambda: find_p3em(g))
         rows.append({"n": n, "generator": "generate_cubic_plane(n, 1)",
-                     "generate_s": gen_s, "find_p3em_s": med, "runs_s": times})
-        print(f"n={n} generate {gen_s:.1f} s, find_p3em {med:.3f} s",
+                     "generate_s": gen_s, "generate_runs_s": gen_times,
+                     "find_p3em_s": med, "runs_s": times})
+        print(f"n={n} generate {gen_s:.2f} s, find_p3em {med:.3f} s",
               file=sys.stderr)
-    return "find_p3em_scale", fitted(rows, "find_p3em_s")
+    return "find_p3em_scale", {**fitted(rows, "find_p3em_s"),
+                               "generate_exponent": exponent(rows, "generate_s")}
 
 
 def scale_fullerene():
@@ -147,16 +151,19 @@ def scale_eval():
     return "eval_grid_scale", fitted(rows, "eval_grid_s")
 
 
-def fitted(rows, key):
-    """A scale table, with the least-squares exponent of the median time
-    (rows' key) against n."""
+def exponent(rows, key):
+    """The least-squares exponent of the median time (rows' key) against n."""
     xs = [math.log(r["n"]) for r in rows]
     ys = [math.log(r[key]) for r in rows]
     mx, my = statistics.fmean(xs), statistics.fmean(ys)
-    slope = (sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-             / sum((x - mx) ** 2 for x in xs))
+    return (sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+            / sum((x - mx) ** 2 for x in xs))
+
+
+def fitted(rows, key):
+    """A scale table, with the exponent of rows' key."""
     return {"python": platform.python_version(), "src_sha256": src_sha256(),
-            "sizes": rows, "exponent": slope}
+            "sizes": rows, "exponent": exponent(rows, key)}
 
 
 P3EM_LAYERS = ("plane_graph.construct_calls", "plane_graph.construct_s",
@@ -229,17 +236,20 @@ def main(argv=None) -> int:
     out, layers, scale = WORKLOADS[workload]
     parent = side(args.parent, workload, layers)
     change = side(args.change, workload, layers)
-    before = {r["seed"]: r["large_p50_ms"] for r in parent["runs"]}
-    pairs = [(before[r["seed"]], r["large_p50_ms"]) for r in change["runs"]
-             if r["seed"] in before]
+    before = {r["seed"]: r for r in parent["runs"]}
+    pairs = [(before[r["seed"]], r) for r in change["runs"] if r["seed"] in before]
+    sign = {k: -1 if k == "ok_ratio" else 1 for k in END_TO_END}   # 1: lower is better
+    wins = {k: {"pairs": len(pairs),
+                "change_wins": sum(sign[k] * (c[k] - p[k]) < 0 for p, c in pairs),
+                "ties": sum(c[k] == p[k] for p, c in pairs)}
+            for k in END_TO_END}
     key, table = scale()
     record = {
         "workload": workload,
         "note": NOTE,
         "parent": parent,
         "change": change,
-        "large_p50_ms_pairs": {"pairs": len(pairs),
-                               "change_wins": sum(c < p for p, c in pairs)},
+        "pair_wins": wins,
         key: table,
     }
     Path(args.out or ROOT / out).write_text(json.dumps(record, indent=1) + "\n")

@@ -1,11 +1,18 @@
 """A mutable rotation system that keeps its faces up to date locally.
 
-FaceKernel is the one graph-surgery kernel of the matching construction
-(see p3em_cases) and of the generators' expansion moves: a GraphBuilder
-whose steps re-walk only the faces they touch and can be undone exactly.
-It lives apart from plane_graph, whose GraphBuilder the one-off
-constructions (solver simplifications and decorations, materialize, the
-grid conversions) use with a single full freeze().
+FaceKernel is the one graph-surgery kernel: a GraphBuilder whose steps
+re-walk only the faces they touch and can be undone exactly.  It keeps
+the face map and nothing else.  Two subclasses add what their users read:
+
+* P3emKernel, here, keeps the candidate heaps from which the matching
+  construction (see p3em_cases) picks its reduction steps;
+* generators.GrowthKernel keeps the sorted lists and id counters from
+  which the expansion moves draw.
+
+So neither pays for the other's upkeep.  The kernel lives apart from
+plane_graph, whose GraphBuilder the one-off constructions (solver
+simplifications and decorations, materialize, the grid conversions) use
+with a single full freeze().
 """
 
 from __future__ import annotations
@@ -36,16 +43,8 @@ class FaceKernel(GraphBuilder):
     twin involution and rotation membership on the logged darts, re-walks
     only the faces through them and returns a Surgery; undo() restores the
     graph and faces of before the step.  Faces carry the ids and boundaries
-    PlaneGraph.faces() gives them.  Loops, parallel pairs, bridges, faces
-    of length 3, 4 and 5 and faces with a chord are kept as heaps of
-    candidates that are checked when picked, so each pick is the smallest a
-    full scan would find.  commit pushes the candidates at the touched
-    vertices and faces; undo pushes faces only, since no pick is made on a
-    kernel after an undo.  A step logs the whole rotation of each vertex it
-    touches, so commit re-walks every face through one, and a face it keeps
-    keeps its bridges (non-loop edges whose two darts it holds) and its
-    chords (edges off its boundary with both ends on it): the created
-    faces hold every new candidate of both kinds.
+    PlaneGraph.faces() gives them.  A step logs the whole rotation of each
+    vertex it touches, so commit re-walks every face through one.
     """
 
     def __init__(self, g: PlaneGraph):
@@ -55,36 +54,14 @@ class FaceKernel(GraphBuilder):
     def _start(self, faces: Iterable[Face]) -> None:
         self.face: Dict[int, Face] = {}
         self.face_of_dart: Dict[int, int] = {}
-        self._short: Dict[int, List[int]] = {3: [], 4: [], 5: []}
-        self._loops: List[int] = []
-        self._pairs: List[Tuple[int, int]] = []
-        self._bridges: List[int] = []    # edges with both darts on one face
-        self._chords: List[int] = []     # ids of faces that may have a chord
         self._old_dart: Dict[int, Tuple[Optional[int], Optional[int]]] = {}
         self._old_rot: Dict[int, Optional[Tuple[int, ...]]] = {}
         for f in faces:
             self._add_face(f)
-        self._push_bridges(self.face)
-        self._scan(self.rotation)
-
-    def split_off(self, vertices: Iterable[int]) -> "FaceKernel":
-        """A kernel of its own for a union of components, faces copied."""
-        k = FaceKernel.__new__(FaceKernel)
-        GraphBuilder.__init__(k)
-        fids = set()
-        for v in sorted(vertices):
-            k.rotation[v] = list(self.rotation[v])
-            for d in self.rotation[v]:
-                k.twin[d] = self.twin[d]
-                k.vertex_of[d] = v
-                fids.add(self.face_of_dart[d])
-        k._start(self.face[f] for f in sorted(fids))
-        return k
 
     # -- queries, as on PlaneGraph ----------------------------------------
 
     vertices = PlaneGraph.vertices
-    edges = PlaneGraph.edges
     edge_of = PlaneGraph.edge_of
     edge_ends = PlaneGraph.edge_ends
     next_dart = PlaneGraph.next_dart
@@ -99,100 +76,10 @@ class FaceKernel(GraphBuilder):
     def face_boundary(self, fid: int) -> Tuple[int, ...]:
         return self.face[fid].boundary
 
-    # -- detection: the smallest of each kind, as a full scan finds it -------
-
-    def smallest_loop(self) -> Optional[int]:
-        while self._loops:
-            e = self._loops[0]
-            t = self.twin.get(e)
-            if t is not None and e < t and self.vertex_of[e] == self.vertex_of[t]:
-                return e
-            heapq.heappop(self._loops)
-        return None
-
-    def smallest_parallel_pair(self) -> Optional[Tuple[int, int]]:
-        """The pair (e1, e2) of the two smallest edges joining two vertices,
-        over the vertex pairs, the one with the smallest e2."""
-        while self._pairs:
-            e2, e1 = self._pairs[0]
-            if (e1 in self.twin and e1 < self.twin[e1]
-                    and self._parallel_at(self.vertex_of[e1],
-                                          self.vertex_of[self.twin[e1]])[:2] == [e1, e2]):
-                return e1, e2
-            heapq.heappop(self._pairs)
-        return None
-
-    def smallest_bridge(self) -> Optional[int]:
-        """The smallest non-loop edge whose two darts lie on one face."""
-        while self._bridges:
-            e = self._bridges[0]
-            t = self.twin.get(e)
-            if (t is not None and e < t and self.vertex_of[e] != self.vertex_of[t]
-                    and self.face_of_dart[e] == self.face_of_dart[t]):
-                return e
-            heapq.heappop(self._bridges)
-        return None
-
-    def smallest_chord(self) -> Optional[Tuple[Face, int]]:
-        """(face, smallest chord) for the smallest face with a chord, an
-        edge off its boundary with both ends on it."""
-        while self._chords:
-            f = self.face.get(self._chords[0])
-            if f is not None:
-                on_cycle = {self.vertex_of[d] for d in f.boundary}
-                cyc_edges = {self.edge_of(d) for d in f.boundary}
-                chords = [self.edge_of(d) for v in on_cycle for d in self.rotation[v]
-                          if self.edge_of(d) not in cyc_edges
-                          and self.vertex_of[self.twin[d]] in on_cycle]
-                if chords:
-                    return f, min(chords)
-            heapq.heappop(self._chords)
-        return None
-
-    def smallest_face(self, length: int) -> Optional[Face]:
-        heap = self._short[length]
-        while heap:
-            f = self.face.get(heap[0])
-            if f is not None and len(f.boundary) == length:
-                return f
-            heapq.heappop(heap)
-        return None
-
-    def _parallel_at(self, v: int, w: int) -> List[int]:
-        """Sorted ids of the edges from v to a different vertex w."""
-        if v == w:
-            return []
-        return sorted(self.edge_of(d) for d in self.rotation[v]
-                      if self.vertex_of[self.twin[d]] == w)
-
-    def _scan(self, vertices: Iterable[int]) -> None:
-        for v in vertices:
-            rot = self.rotation.get(v)
-            if rot is None:
-                continue
-            far = [self.vertex_of[self.twin[d]] for d in rot]
-            for d, w in zip(rot, far):
-                if w == v:
-                    heapq.heappush(self._loops, self.edge_of(d))
-                elif far.count(w) > 1:
-                    es = self._parallel_at(v, w)
-                    heapq.heappush(self._pairs, (es[1], es[0]))
-
     def _add_face(self, f: Face) -> None:
         self.face[f.id] = f
         for d in f.boundary:
             self.face_of_dart[d] = f.id
-        heapq.heappush(self._chords, f.id)
-        if len(f.boundary) in self._short:
-            heapq.heappush(self._short[len(f.boundary)], f.id)
-
-    def _push_bridges(self, fids: Iterable[int]) -> None:
-        """Push the edges whose two darts lie on one of the faces fids."""
-        twin, face_of_dart = self.twin, self.face_of_dart
-        for fid in fids:
-            for d in self.face[fid].boundary:
-                if d < twin[d] and face_of_dart[twin[d]] == fid:
-                    heapq.heappush(self._bridges, d)
 
     def _drop_face(self, fid: int) -> Face:
         f = self.face.pop(fid)
@@ -278,8 +165,6 @@ class FaceKernel(GraphBuilder):
             f = Face(orbit[i], tuple(orbit[i:] + orbit[:i]))
             self._add_face(f)
             created.append(f.id)
-        self._push_bridges(created)
-        self._scan({*old_rot, *(vertex_of[d] for d in old_dart if d in vertex_of)})
         dv = sum((v in rotation) - (r is not None) for v, r in old_rot.items())
         dd = sum((d in twin) - (t is not None) for d, (t, _) in old_dart.items())
         return Surgery(old_dart, old_rot, dead, created,
@@ -304,3 +189,146 @@ class FaceKernel(GraphBuilder):
                 self.rotation.pop(v, None)
             else:
                 self.rotation[v] = list(r)
+
+
+class P3emKernel(FaceKernel):
+    """A FaceKernel that also keeps the candidates of the matching
+    construction's reduction steps.
+
+    Loops, parallel pairs, bridges, faces of length 3, 4 and 5 and faces
+    with a chord are kept as heaps of candidates that are checked when
+    picked, so each pick is the smallest a full scan would find.  commit
+    pushes the candidates at the touched vertices and faces; undo pushes
+    faces only, since no pick is made on a kernel after an undo.  A face
+    that a step keeps keeps its bridges (non-loop edges whose two darts it
+    holds) and its chords (edges off its boundary with both ends on it), so
+    the created faces hold every new candidate of both kinds.
+    """
+
+    def _start(self, faces: Iterable[Face]) -> None:
+        self._short: Dict[int, List[int]] = {3: [], 4: [], 5: []}
+        self._loops: List[int] = []
+        self._pairs: List[Tuple[int, int]] = []
+        self._bridges: List[int] = []    # edges with both darts on one face
+        self._chords: List[int] = []     # ids of faces that may have a chord
+        super()._start(faces)
+        self._push_bridges(self.face)
+        self._scan(self.rotation)
+
+    def split_off(self, vertices: Iterable[int]) -> "P3emKernel":
+        """A kernel of its own for a union of components, faces copied."""
+        k = P3emKernel.__new__(P3emKernel)
+        GraphBuilder.__init__(k)
+        fids = set()
+        for v in sorted(vertices):
+            k.rotation[v] = list(self.rotation[v])
+            for d in self.rotation[v]:
+                k.twin[d] = self.twin[d]
+                k.vertex_of[d] = v
+                fids.add(self.face_of_dart[d])
+        k._start(self.face[f] for f in sorted(fids))
+        return k
+
+    def commit(self) -> Surgery:
+        s = super().commit()
+        self._push_bridges(s.created)
+        self._scan({*s.old_rot,
+                    *(self.vertex_of[d] for d in s.old_dart if d in self.vertex_of)})
+        return s
+
+    # -- detection: the smallest of each kind, as a full scan finds it -------
+
+    def smallest_loop(self) -> Optional[int]:
+        while self._loops:
+            e = self._loops[0]
+            t = self.twin.get(e)
+            if t is not None and e < t and self.vertex_of[e] == self.vertex_of[t]:
+                return e
+            heapq.heappop(self._loops)
+        return None
+
+    def smallest_parallel_pair(self) -> Optional[Tuple[int, int]]:
+        """The pair (e1, e2) of the two smallest edges joining two vertices,
+        over the vertex pairs, the one with the smallest e2."""
+        while self._pairs:
+            e2, e1 = self._pairs[0]
+            if (e1 in self.twin and e1 < self.twin[e1]
+                    and self._parallel_at(self.vertex_of[e1],
+                                          self.vertex_of[self.twin[e1]])[:2] == [e1, e2]):
+                return e1, e2
+            heapq.heappop(self._pairs)
+        return None
+
+    def smallest_bridge(self) -> Optional[int]:
+        """The smallest non-loop edge whose two darts lie on one face."""
+        while self._bridges:
+            e = self._bridges[0]
+            t = self.twin.get(e)
+            if (t is not None and e < t and self.vertex_of[e] != self.vertex_of[t]
+                    and self.face_of_dart[e] == self.face_of_dart[t]):
+                return e
+            heapq.heappop(self._bridges)
+        return None
+
+    def smallest_chord(self) -> Optional[Tuple[Face, int]]:
+        """(face, smallest chord) for the smallest face with a chord, an
+        edge off its boundary with both ends on it."""
+        while self._chords:
+            f = self.face.get(self._chords[0])
+            if f is not None:
+                on_cycle = {self.vertex_of[d] for d in f.boundary}
+                cyc_edges = {self.edge_of(d) for d in f.boundary}
+                chords = [self.edge_of(d) for v in on_cycle for d in self.rotation[v]
+                          if self.edge_of(d) not in cyc_edges
+                          and self.vertex_of[self.twin[d]] in on_cycle]
+                if chords:
+                    return f, min(chords)
+            heapq.heappop(self._chords)
+        return None
+
+    def smallest_face(self, length: int) -> Optional[Face]:
+        heap = self._short[length]
+        while heap:
+            f = self.face.get(heap[0])
+            if f is not None and len(f.boundary) == length:
+                return f
+            heapq.heappop(heap)
+        return None
+
+    def _parallel_at(self, v: int, w: int) -> List[int]:
+        """Sorted ids of the edges from v to a different vertex w."""
+        if v == w:
+            return []
+        return sorted(self.edge_of(d) for d in self.rotation[v]
+                      if self.vertex_of[self.twin[d]] == w)
+
+    def _scan(self, vertices: Iterable[int]) -> None:
+        for v in vertices:
+            rot = self.rotation.get(v)
+            if rot is None:
+                continue
+            far = [self.vertex_of[self.twin[d]] for d in rot]
+            for d, w in zip(rot, far):
+                if w == v:
+                    heapq.heappush(self._loops, self.edge_of(d))
+                elif far.count(w) > 1:
+                    es = self._parallel_at(v, w)
+                    heapq.heappush(self._pairs, (es[1], es[0]))
+
+    def _add_face(self, f: Face) -> None:
+        # the base's two lines, written out: a super() call on every face
+        # a step creates costs P3EM about 1.5%
+        self.face[f.id] = f
+        for d in f.boundary:
+            self.face_of_dart[d] = f.id
+        heapq.heappush(self._chords, f.id)
+        if len(f.boundary) in self._short:
+            heapq.heappush(self._short[len(f.boundary)], f.id)
+
+    def _push_bridges(self, fids: Iterable[int]) -> None:
+        """Push the edges whose two darts lie on one of the faces fids."""
+        twin, face_of_dart = self.twin, self.face_of_dart
+        for fid in fids:
+            for d in self.face[fid].boundary:
+                if d < twin[d] and face_of_dart[twin[d]] == fid:
+                    heapq.heappush(self._bridges, d)

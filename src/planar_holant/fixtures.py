@@ -227,7 +227,7 @@ def bridge_fixture() -> PlaneGraph:
 def chord_fixture() -> PlaneGraph:
     """Chord {A,B} whose removal sides are dodecahedron fragments: simple,
     bridgeless, girth five, and the chord is the first reducible feature."""
-    from .face_kernel import FaceKernel
+    from .face_kernel import P3emKernel
     from .p3em_cases import step_reduce
     for rotA in ((0, 1, 2), (0, 2, 1)):
         for rotB in ((0, 1, 2), (0, 2, 1)):
@@ -249,7 +249,7 @@ def chord_fixture() -> PlaneGraph:
                 continue
             if len(g.connected_components()) != 1:
                 continue
-            if step_reduce(FaceKernel(g)).label == "chord":
+            if step_reduce(P3emKernel(g)).label == "chord":
                 return g
     raise RuntimeError("chord fixture construction failed")
 

@@ -10,9 +10,15 @@ Expansion moves (each keeps the graph cubic and plane):
 
 The moves invert the reduction steps used by the matching constructor, so
 closure under them stays inside valid inputs.  Each move edits a
-FaceKernel in place with the builder verbs; a generator grows one kernel,
-one committed step per move, and validates the result once, by its final
-freeze().  The bipartite generator restricts itself to the
+GrowthKernel in place with the builder verbs; a generator grows one
+kernel, one committed step per move, and validates the result once, by
+its final freeze().  The kernel keeps sorted lists of the vertices, the
+edges and the faces a ladder can run through, and the next free vertex
+and dart ids, and updates them from what each commit or undo logged, so
+a move draws and numbers its ids without a scan of the graph and costs
+about the length of the faces it re-walks.  The lists equal the sorted
+sequences a full scan gives, so the draws, and the output, do not depend
+on how they are kept.  The bipartite generator restricts itself to the
 parity-preserving moves (parallel pair, ladder with color-aligned rungs,
 read off the positions of its two darts on the face) and checks
 2-colorability once, at the end.
@@ -29,11 +35,12 @@ constructor do not follow the construction order.
 
 from __future__ import annotations
 
+import bisect
 import random
 from typing import List, Tuple
 
-from .face_kernel import FaceKernel
-from .plane_graph import PlaneGraph, two_coloring
+from .face_kernel import FaceKernel, Surgery
+from .plane_graph import Face, PlaneGraph, two_coloring
 from . import fixtures
 
 
@@ -41,11 +48,72 @@ class InfeasibleSize(ValueError):
     pass
 
 
-def vertex_to_triangle(k: FaceKernel, v: int) -> None:
+class GrowthKernel(FaceKernel):
+    """The FaceKernel the moves run on.  Through every commit and undo it
+    keeps what a move draws from: sorted lists of the vertices, of the
+    edges (as PlaneGraph.edges) and of the ids of the faces with at least
+    two darts, which in a cubic graph are the faces with two distinct
+    edges, the ones a ladder can run through; and the next free vertex
+    and dart ids, one past the largest in use.  Each update reads only the
+    darts and vertices the step logged and the faces it replaced."""
+
+    def __init__(self, g: PlaneGraph):
+        super().__init__(g)
+        self.vertex_ids = g.vertices()
+        self.edge_ids = g.edges()
+        self.ladder_faces = [f.id for f in self.faces() if len(f.boundary) >= 2]
+        self._next_dart = max(g.twin) + 1
+
+    def fresh_vertex(self) -> int:
+        return self.vertex_ids[-1] + 1
+
+    def fresh_dart(self) -> int:
+        return self._next_dart
+
+    def commit(self) -> Surgery:
+        s = super().commit()
+        self._keep(s, s.dead, [self.face[f] for f in s.created])
+        return s
+
+    def undo(self, s: Surgery) -> None:
+        created = [self.face[f] for f in s.created]
+        super().undo(s)
+        self._keep(s, created, s.dead)
+
+    def _keep(self, s: Surgery, gone: List[Face], new: List[Face]) -> None:
+        """Update the lists and the dart counter after s was committed or
+        undone, which replaced the faces gone by the faces new."""
+        twin = self.twin
+        for v in s.old_rot:
+            _mark(self.vertex_ids, v, v in self.rotation)
+        for d in s.old_dart:
+            _mark(self.edge_ids, d, d in twin and d < twin[d])
+        for f in gone:
+            _mark(self.ladder_faces, f.id, False)
+        for f in new:
+            _mark(self.ladder_faces, f.id, len(f.boundary) >= 2)
+        n = max(self._next_dart, 1 + max((d for d in s.old_dart if d in twin),
+                                         default=-1))
+        while n and n - 1 not in twin:     # the largest darts may be gone
+            n -= 1
+        self._next_dart = n
+
+
+def _mark(ids: List[int], x: int, member: bool) -> None:
+    """Put x into the sorted list ids, or take it out."""
+    i = bisect.bisect_left(ids, x)
+    there = i < len(ids) and ids[i] == x
+    if member and not there:
+        ids.insert(i, x)
+    elif there and not member:
+        del ids[i]
+
+
+def vertex_to_triangle(k: GrowthKernel, v: int) -> None:
     rot = list(k.rotation[v])
     if len(rot) != 3:
         raise InfeasibleSize("cubic vertex expected")
-    base = max(k.rotation) + 1
+    base = k.fresh_vertex()
     ids = [v, base, base + 1]
     d = k.fresh_dart()
     tri = [(d + 2 * i, d + 2 * i + 1) for i in range(3)]  # triangle darts
@@ -58,9 +126,9 @@ def vertex_to_triangle(k: FaceKernel, v: int) -> None:
         k.retwin(d1, d2)
 
 
-def parallel_pair_insert(k: FaceKernel, e: int) -> None:
+def parallel_pair_insert(k: GrowthKernel, e: int) -> None:
     """Edge {X,Y} becomes X-p-q-Y with a doubled p-q middle."""
-    base = max(k.rotation) + 1
+    base = k.fresh_vertex()
     p, q = base, base + 1
     d = k.fresh_dart()
     dp1, dp2 = k.subdivide(e, p, d)         # p between X and q
@@ -73,9 +141,9 @@ def parallel_pair_insert(k: FaceKernel, e: int) -> None:
     k.retwin(x, x + 1)
 
 
-def self_loop_insert(k: FaceKernel, e: int) -> None:
+def self_loop_insert(k: GrowthKernel, e: int) -> None:
     """Edge {C,D} becomes C-B-D with a pendant loop vertex A at B."""
-    base = max(k.rotation) + 1
+    base = k.fresh_vertex()
     bb, aa = base, base + 1
     d = k.fresh_dart()
     d1, d2 = k.subdivide(e, bb, d)
@@ -86,12 +154,12 @@ def self_loop_insert(k: FaceKernel, e: int) -> None:
     k.retwin(l1, l2)
 
 
-def ladder_insert(k: FaceKernel, d_a: int, d_b: int) -> None:
+def ladder_insert(k: GrowthKernel, d_a: int, d_b: int) -> None:
     """Insert a two-rung ladder through the face containing darts d_a, d_b
     (distinct edges on a common face boundary)."""
     if k.face_of(d_a) != k.face_of(d_b) or k.edge_of(d_a) == k.edge_of(d_b):
         raise InfeasibleSize("darts must lie on one face, distinct edges")
-    base = max(k.rotation) + 1
+    base = k.fresh_vertex()
     u1, u2, w1, w2 = base, base + 1, base + 2, base + 3
     d = k.fresh_dart()
     # subdivide edge a twice: order along d_a is u1 then u2
@@ -117,7 +185,7 @@ BIPARTITE_MOVES = ("parallel", "ladder")
 STALL_MOVES = 10000     # rejections in a row before the bipartite search gives up
 
 
-def _apply_random_move(k: FaceKernel, rng: random.Random, moves: Tuple[str, ...],
+def _apply_random_move(k: GrowthKernel, rng: random.Random, moves: Tuple[str, ...],
                        room: int, bipartite: bool) -> bool:
     """Draw a move and run it on k as one committed step, or reject it
     before touching k.  A ladder adds 4 vertices, so it needs room >= 4;
@@ -125,17 +193,15 @@ def _apply_random_move(k: FaceKernel, rng: random.Random, moves: Tuple[str, ...]
     its two darts must sit an even number of positions apart."""
     kind = rng.choice(moves)
     if kind == "triangle":
-        vertex_to_triangle(k, rng.choice(k.vertices()))
+        vertex_to_triangle(k, rng.choice(k.vertex_ids))
     elif kind == "parallel":
-        parallel_pair_insert(k, rng.choice(k.edges()))
+        parallel_pair_insert(k, rng.choice(k.edge_ids))
     elif kind == "loop":
-        self_loop_insert(k, rng.choice(k.edges()))
+        self_loop_insert(k, rng.choice(k.edge_ids))
     else:
-        faces = [f for f in k.faces()
-                 if len({k.edge_of(d) for d in f.boundary}) >= 2]
-        if not faces:
+        if not k.ladder_faces:
             return False
-        bd = rng.choice(faces).boundary
+        bd = k.face_boundary(rng.choice(k.ladder_faces))
         i = rng.randrange(len(bd))
         j = rng.choice([x for x, d in enumerate(bd)
                         if k.edge_of(d) != k.edge_of(bd[i])])
@@ -154,7 +220,7 @@ def generate_cubic_plane(n: int, seed: int) -> PlaneGraph:
     g = rng.choice((fixtures.dumbbell, fixtures.m23, fixtures.k4))()
     while len(g.vertices()) > n:
         g = rng.choice((fixtures.dumbbell, fixtures.m23))()
-    k = FaceKernel(g)
+    k = GrowthKernel(g)
     while len(k.rotation) < n:
         _apply_random_move(k, rng, MOVES, n - len(k.rotation), False)
     return k.freeze()
@@ -165,7 +231,7 @@ def generate_cubic_bipartite_plane(n: int, seed: int) -> PlaneGraph:
     if n < 2 or n % 2:
         raise InfeasibleSize(f"no cubic graph on {n} vertices")
     rng = random.Random(seed)
-    k = FaceKernel(fixtures.m23())
+    k = GrowthKernel(fixtures.m23())
     rejected = 0    # moves rejected since the last accepted one
     while len(k.rotation) < n:
         if _apply_random_move(k, rng, BIPARTITE_MOVES, n - len(k.rotation), True):
@@ -203,7 +269,7 @@ def move_closure(max_vertices: int) -> List[PlaneGraph]:
                 for i, d_a in enumerate(f.boundary):
                     moves += [(ladder_insert, d_a, d_b) for d_b in f.boundary[i + 1:]
                               if g.edge_of(d_a) != g.edge_of(d_b)]
-        k = FaceKernel(g)
+        k = GrowthKernel(g)
         for move, *args in moves:
             move(k, *args)
             step = k.commit()

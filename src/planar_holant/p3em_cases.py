@@ -1,6 +1,6 @@
 """Reduction steps of the matching construction and their lifts.
 
-All steps on one connected component run on one FaceKernel.  Each case does
+All steps on one connected component run on one P3emKernel.  Each case does
 its surgery in place (contractions, deletions and retwins keep dart ids
 stable away from the fragment) and commits it, which re-walks only the
 faces through the touched darts; the kernel itself is then the child.  The
@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from .face_kernel import FaceKernel, Surgery
+from .face_kernel import P3emKernel, Surgery
 from .plane_graph import GraphError, PlaneGraph
 from .p3em import (BASE_MAX_VERTICES, FaceAssignment, P3emError, base_case,
                    exceptional_kind, place_pool, solve_sigma, verify)
@@ -51,16 +51,16 @@ class Certificate:
 @dataclass
 class ReductionStep:
     label: str
-    children: List[FaceKernel]
+    children: List[P3emKernel]
     lift: Callable[[List[Certificate]], Certificate]
 
 
 def solve_component(g: PlaneGraph) -> FaceAssignment:
     """Certificate for a connected, non-exceptional cubic plane graph."""
-    return solve_kernel(FaceKernel(g)).sigma
+    return solve_kernel(P3emKernel(g)).sigma
 
 
-def solve_kernel(k: FaceKernel) -> Certificate:
+def solve_kernel(k: P3emKernel) -> Certificate:
     """Certificate for the graph k holds; k holds it again afterwards.
 
     Walks the reduction tree depth first on an explicit stack of (kernel,
@@ -91,7 +91,7 @@ def solve_kernel(k: FaceKernel) -> Certificate:
     return cert
 
 
-def _base_certificate(k: FaceKernel) -> Optional[Certificate]:
+def _base_certificate(k: P3emKernel) -> Optional[Certificate]:
     """The certificate of a base shape; None for any other graph.  Only
     graphs no larger than the largest base shape are frozen and compared."""
     if len(k.rotation) > BASE_MAX_VERTICES:
@@ -111,7 +111,7 @@ def _base_certificate(k: FaceKernel) -> Optional[Certificate]:
     return Certificate(sigma, counts)
 
 
-def step_reduce(k: FaceKernel) -> ReductionStep:
+def step_reduce(k: P3emKernel) -> ReductionStep:
     """One reduction step; priority mirrors the proof's assumption chain."""
     loop = k.smallest_loop()
     if loop is not None:
@@ -192,7 +192,7 @@ def _reachable(g, start: int, banned: Set[int]) -> Set[int]:
 
 # -- commits, splits and lifts -----------------------------------------------
 
-def _commit(k: FaceKernel, label: str, parts: Optional[int] = 1) -> Surgery:
+def _commit(k: P3emKernel, label: str, parts: Optional[int] = 1) -> Surgery:
     """Commit k's surgery; it must leave `parts` planar components of the
     connected parent, so V - E + F must change by 2 * (parts - 1).  With
     parts None the caller checks the change itself."""
@@ -205,12 +205,12 @@ def _commit(k: FaceKernel, label: str, parts: Optional[int] = 1) -> Surgery:
     return s
 
 
-def _in_place(k: FaceKernel, label: str, pool: Set[int]) -> ReductionStep:
+def _in_place(k: P3emKernel, label: str, pool: Set[int]) -> ReductionStep:
     s = _commit(k, label)
     return ReductionStep(label, [k], lambda certs: _lift(k, s, pool, certs[0]))
 
 
-def _split(k: FaceKernel, label: str, pool: Set[int], s: Surgery,
+def _split(k: P3emKernel, label: str, pool: Set[int], s: Surgery,
            seeds: Sequence[int]) -> ReductionStep:
     """Children for the two components of k that contain the seeds."""
     parts = [_reachable(k, v, set()) for v in seeds]
@@ -229,7 +229,7 @@ def _merge(certs: List[Certificate]) -> Certificate:
     return big
 
 
-def _remap(k: FaceKernel, s: Surgery, pool: Set[int],
+def _remap(k: P3emKernel, s: Surgery, pool: Set[int],
            cert: Certificate) -> Tuple[Set[int], Set[int]]:
     """Move cert from the child k holds onto the parent's faces, in place.
     Returns the pool, grown by the parent edges the child lacks and the
@@ -274,7 +274,7 @@ def _remap(k: FaceKernel, s: Surgery, pool: Set[int],
     return pool, set(moves)
 
 
-def _complete(k: FaceKernel, s: Surgery, cert: Certificate, pool: Set[int],
+def _complete(k: P3emKernel, s: Surgery, cert: Certificate, pool: Set[int],
               placed: Set[int]) -> Certificate:
     """Place the pool by the completion search over the faces it touches
     (k holds the parent), and note the faces and edges the lift touched."""
@@ -290,7 +290,7 @@ def _complete(k: FaceKernel, s: Surgery, cert: Certificate, pool: Set[int],
     return cert
 
 
-def _lift(k: FaceKernel, s: Surgery, pool: Set[int],
+def _lift(k: P3emKernel, s: Surgery, pool: Set[int],
           cert: Certificate) -> Certificate:
     pool, moved = _remap(k, s, pool, cert)
     k.undo(s)
@@ -303,7 +303,7 @@ def _other_darts(g, v: int, exclude: Sequence[int]) -> List[int]:
 
 # -- the cases --------------------------------------------------------------
 
-def _case_self_loop(k: FaceKernel, loop_e: int) -> ReductionStep:
+def _case_self_loop(k: P3emKernel, loop_e: int) -> ReductionStep:
     l1, l2 = loop_e, k.twin[loop_e]
     A = k.vertex_of[l1]
     d2A = _other_darts(k, A, (l1, l2))[0]
@@ -321,7 +321,7 @@ def _case_self_loop(k: FaceKernel, loop_e: int) -> ReductionStep:
     return _in_place(k, "self_loop", pool)
 
 
-def _case_double_edge(k: FaceKernel, pair: Tuple[int, int]) -> ReductionStep:
+def _case_double_edge(k: P3emKernel, pair: Tuple[int, int]) -> ReductionStep:
     e2, e3 = pair
     B, C = k.edge_ends(e2)
     d1B = next(d for d in k.rotation[B] if k.edge_of(d) not in pair)
@@ -335,7 +335,7 @@ def _case_double_edge(k: FaceKernel, pair: Tuple[int, int]) -> ReductionStep:
     return _in_place(k, "double_edge", pool)
 
 
-def _case_triangle(k: FaceKernel, face) -> ReductionStep:
+def _case_triangle(k: P3emKernel, face) -> ReductionStep:
     lab = _face_labels(k, face)
     if len(set(lab.b)) == 3:
         pool = set(lab.pe)
@@ -367,7 +367,7 @@ def _case_triangle(k: FaceKernel, face) -> ReductionStep:
     return _in_place(k, "triangle_shared", pool)
 
 
-def _case_bridge(k: FaceKernel, e: int) -> ReductionStep:
+def _case_bridge(k: P3emKernel, e: int) -> ReductionStep:
     dB, dE = e, k.twin[e]
     B, E = k.vertex_of[dB], k.vertex_of[dE]
     dBA, dBC = _other_darts(k, B, (dB,))
@@ -380,7 +380,7 @@ def _case_bridge(k: FaceKernel, e: int) -> ReductionStep:
     return _split(k, "bridge", pool, _commit(k, "bridge", parts=2), sides)
 
 
-def _case_square(k: FaceKernel, face) -> ReductionStep:
+def _case_square(k: P3emKernel, face) -> ReductionStep:
     d1, d2, d3, d4 = face.boundary
     pool = {k.edge_of(d2), k.edge_of(d3), k.edge_of(d4)}
     k.contract_edge(d4, new_vertex=k.vertex_of[d4])   # D-A edge
@@ -389,7 +389,7 @@ def _case_square(k: FaceKernel, face) -> ReductionStep:
     return _in_place(k, "square", pool)
 
 
-def _case_chord(k: FaceKernel, outer, chord: int) -> ReductionStep:
+def _case_chord(k: P3emKernel, outer, chord: int) -> ReductionStep:
     qA, qB = chord, k.twin[chord]
     A, B = k.vertex_of[qA], k.vertex_of[qB]
     boundary2 = set(k.face_boundary(k.face_of(qB)))
@@ -443,7 +443,7 @@ def _find_b_coincidence(lab: FaceLabels) -> Optional[int]:
     return None
 
 
-def _case_b_coincidence(k: FaceKernel, lab: FaceLabels) -> ReductionStep:
+def _case_b_coincidence(k: P3emKernel, lab: FaceLabels) -> ReductionStep:
     # b0 == b2: cut the two edges leaving the cycle (a2,a1,a0,b0) and close
     # each side with a fresh connection re-using the freed darts
     b0 = lab.b[0]
@@ -463,7 +463,7 @@ def _case_b_coincidence(k: FaceKernel, lab: FaceLabels) -> ReductionStep:
     return _split(k, "pentagon_coincident", {e1, e2}, s, (lab.a[0], lab.b[1]))
 
 
-def _side_bit(child: FaceKernel, sub: FaceAssignment, edge: int,
+def _side_bit(child: P3emKernel, sub: FaceAssignment, edge: int,
               marker: int, positive: bool) -> int:
     """1 when edge is assigned to its side whose face does (positive) or
     does not (negative) contain a dart of the marker edge."""
@@ -471,7 +471,7 @@ def _side_bit(child: FaceKernel, sub: FaceAssignment, edge: int,
     return int(has == positive)
 
 
-def _case_pentagon(k: FaceKernel, lab: FaceLabels) -> ReductionStep:
+def _case_pentagon(k: P3emKernel, lab: FaceLabels) -> ReductionStep:
     if len(set(lab.b)) != 5:
         raise P3emError("pentagon case needs distinct spoke neighbors")
     fragment = set(lab.pe) | set(lab.se)

@@ -5,8 +5,9 @@ import random
 import pytest
 
 from planar_holant import fixtures, generators
-from planar_holant.face_kernel import FaceKernel
-from planar_holant.generators import (InfeasibleSize, generate_cubic_plane,
+from planar_holant.generators import (BIPARTITE_MOVES, MOVES, GrowthKernel,
+                                      InfeasibleSize, _apply_random_move,
+                                      generate_cubic_plane,
                                       generate_cubic_bipartite_plane,
                                       ladder_insert, leapfrog, move_closure,
                                       relabel)
@@ -91,6 +92,78 @@ def test_move_closure_pinned():
         "59d64ce11b39b9dcafcb5af639728aaa67eb0eaa81e9fe95c5da7d6a396089b6"
 
 
+def test_generator_sweep_pinned():
+    # one SHA-256 over to_json() of both generators for every even n from
+    # 2 to 60 and seeds 0-9
+    h = hashlib.sha256()
+    for gen in (generate_cubic_plane, generate_cubic_bipartite_plane):
+        for n in range(2, 61, 2):
+            for seed in range(10):
+                h.update(gen(n, seed).to_json().encode())
+    assert h.hexdigest() == \
+        "ad4e4b9ee7d77deedeee7b505b8bee59ae12e442b7284dc9cacad11280a3356a"
+
+
+def _assert_kept(k):
+    """What a GrowthKernel keeps equals what its graph gives from scratch."""
+    g = k.freeze()
+    assert k.vertex_ids == sorted(k.rotation)
+    assert k.edge_ids == g.edges()
+    assert k.ladder_faces == [f.id for f in g.faces() if len(f.boundary) >= 2]
+    assert k.fresh_vertex() == max(k.rotation) + 1
+    assert k.fresh_dart() == max(k.twin) + 1
+
+
+def _ladder_rule_holds(g):
+    # in a cubic graph a face has two distinct edges iff it has two darts
+    return [f.id for f in g.faces() if len({g.edge_of(d) for d in f.boundary}) >= 2] \
+        == [f.id for f in g.faces() if len(f.boundary) >= 2]
+
+
+def test_growth_kernel_keeps_its_lists(monkeypatch):
+    # every commit and undo of move_closure(8), of random move sequences
+    # with undos in between, and of both generators, checked on the spot
+    steps, counts = [], {"commit": 0, "undo": 0}
+    commit, undo = GrowthKernel.commit, GrowthKernel.undo
+
+    def checked_commit(k):
+        s = commit(k)
+        _assert_kept(k)
+        steps.append(s)
+        counts["commit"] += 1
+        return s
+
+    def checked_undo(k, s):
+        undo(k, s)
+        _assert_kept(k)
+        counts["undo"] += 1
+
+    monkeypatch.setattr(GrowthKernel, "commit", checked_commit)
+    monkeypatch.setattr(GrowthKernel, "undo", checked_undo)
+    closure = move_closure(8)
+    assert len(closure) == 146 and all(map(_ladder_rule_holds, closure))
+    rng = random.Random(13)
+    for seed in range(30):
+        base = rng.choice((fixtures.dumbbell, fixtures.m23, fixtures.k4,
+                           fixtures.cube, fixtures.dodecahedron))()
+        k = GrowthKernel(base)
+        _assert_kept(k)
+        bipartite = two_coloring(base) is not None and seed % 2 == 0
+        steps.clear()
+        for _ in range(40):
+            if steps and rng.random() < 0.3:
+                k.undo(steps.pop())
+            else:
+                _apply_random_move(k, rng, BIPARTITE_MOVES if bipartite else MOVES,
+                                   4, bipartite)
+        assert _ladder_rule_holds(k.freeze())
+    for n in (20, 60):
+        for seed in range(3):
+            assert _ladder_rule_holds(generate_cubic_plane(n, seed))
+            assert _ladder_rule_holds(generate_cubic_bipartite_plane(n, seed))
+    assert counts["commit"] > 1500 and counts["undo"] > 900
+
+
 def test_ladder_parity_rule_is_two_colorability():
     # the bipartite generator accepts a ladder by the parity of its darts'
     # positions on the face instead of 2-coloring the result
@@ -99,7 +172,7 @@ def test_ladder_parity_rule_is_two_colorability():
         for s in range(4)]
     cases = 0
     for g in bases:
-        k = FaceKernel(g)
+        k = GrowthKernel(g)
         for f in g.faces():
             bd = f.boundary
             for i, j in itertools.permutations(range(len(bd)), 2):

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from planar_holant import fixtures
-from planar_holant.generators import generate_cubic_bipartite_plane
+from planar_holant.generators import generate_cubic_bipartite_plane, leapfrog
 from planar_holant.holant_core import (DEFAULT_MAX_EDGES, DanglingPresent,
                                        GridError, GridNode, SignatureGrid,
                                        TooManyEdges, elimination_width,
@@ -374,3 +374,25 @@ def test_hundred_vertex_grid_beyond_the_free_variable_cap(monkeypatch):
                            match=f"width {width} exceeds cap {width - 1}"):
             eval_grid(match)
         monkeypatch.delenv("HOLANT_MAX_EDGES")
+
+
+def test_cap_on_wide_leapfrog_grids(monkeypatch):
+    """Leapfrogs of the cube are bipartite (every face is a square or a
+    hexagon) and wider than the generated grids: width 14 at 72 vertices,
+    still evaluated, and width 30 at 216, refused at the cap of 24 before
+    any node table is built."""
+    monkeypatch.delenv("HOLANT_MAX_EDGES", raising=False)
+    g = leapfrog(leapfrog(fixtures.cube()))
+    match = grid_from_cubic_bipartite(g, SymSignature([2, 1, 1, 2]))
+    assert len(g.vertices()) == 72 and elimination_width(match) == 14
+    assert eval_grid(match) == solve_matchgate(match, Fraction(2), Fraction(1), 1)
+    wide = grid_from_cubic_bipartite(leapfrog(g), SymSignature([2, 1, 1, 2]))
+    assert elimination_width(wide) == 30
+
+    def no_table(node, bits):
+        raise AssertionError("a node table was built")
+
+    monkeypatch.setattr(GridNode, "value", no_table)
+    with pytest.raises(TooManyEdges,
+                       match=r"width 30 exceeds cap 24 \(HOLANT_MAX_EDGES\)"):
+        eval_grid(wide)

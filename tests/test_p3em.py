@@ -14,7 +14,7 @@ from planar_holant.p3em import (ExceptionalGraph, base_case, check_sigma,
                                 search_assignment, solve_sigma, triples,
                                 verify)
 from planar_holant.p3em_cases import solve_kernel, step_reduce
-from planar_holant.face_kernel import FaceKernel
+from planar_holant.face_kernel import P3emKernel
 from planar_holant.plane_graph import GraphBuilder, GraphError, PlaneGraph
 
 
@@ -188,7 +188,7 @@ def _one_step(k):
 @pytest.mark.parametrize("label", sorted(CASE_FIXTURES))
 def test_step_reduce_labels(label):
     g = CASE_FIXTURES[label]()
-    step, children = _one_step(FaceKernel(g))
+    step, children = _one_step(P3emKernel(g))
     assert step.label == label
     total_v = sum(len(c.vertices()) for c in children)
     assert total_v <= len(g.vertices()) + 2  # split cases add two helper vertices
@@ -200,7 +200,7 @@ def _coincidence_step(g):
     from planar_holant.p3em_cases import (_case_b_coincidence,
                                           _find_b_coincidence,
                                           _face_labels, _rotate_labels)
-    k = FaceKernel(g)
+    k = P3emKernel(g)
     for f in k.faces():
         if len(f.boundary) != 5:
             continue
@@ -228,7 +228,7 @@ def test_reduction_cases_on_small_library():
     for g in move_closure(8):
         if exceptional_kind(g) is not None or base_case(g) is not None:
             continue
-        step, _ = _one_step(FaceKernel(g))
+        step, _ = _one_step(P3emKernel(g))
         seen_labels.add(step.label)
     assert {"self_loop", "double_edge", "triangle"} <= seen_labels
 
@@ -402,7 +402,7 @@ def _reduction_tree(g):
         out.append(h)
         if exceptional_kind(h) is None and base_case(h) is None:
             stack.extend(c.freeze()
-                         for c in step_reduce(FaceKernel(h)).children)
+                         for c in step_reduce(P3emKernel(h)).children)
     return out
 
 
@@ -456,7 +456,7 @@ def test_face_helpers_match_references():
     assert any(chords) and not all(chords)
     triangles = 0
     for g in graphs:
-        assert FaceKernel(g).smallest_chord() == _find_chord_reference(g)
+        assert P3emKernel(g).smallest_chord() == _find_chord_reference(g)
         if (_find_loop_reference(g) is not None
                 or _find_parallel_reference(g) is not None):
             continue
@@ -656,7 +656,7 @@ def test_kernel_picks_after_retwin_surgery():
     for g in (fixtures.cube(), fixtures.dodecahedron()):
         for e1, e2 in itertools.combinations(g.edges(), 2):
             for x2, y2 in ((e2, g.twin[e2]), (g.twin[e2], e2)):
-                k = FaceKernel(g)
+                k = P3emKernel(g)
                 assert k.smallest_chord() is None and k.smallest_bridge() is None
                 k.retwin(e1, x2)
                 k.retwin(g.twin[e1], y2)
@@ -682,7 +682,7 @@ def test_kernel_logs_subdivide():
               generate_cubic_plane(40, 1)):
         for e in g.edges():
             for dart in (e, g.twin[e]):
-                k = FaceKernel(g)
+                k = P3emKernel(g)
                 v, d = max(g.rotation) + 1, k.fresh_dart()
                 assert k.subdivide(dart, v, d) == (d, d + 1)
                 s = k.commit()

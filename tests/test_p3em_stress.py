@@ -6,14 +6,14 @@ import random
 import pytest
 
 from planar_holant import fixtures, p3em_cases
-from planar_holant.face_kernel import FaceKernel
-from planar_holant.generators import MOVES, _apply_random_move
+from planar_holant.face_kernel import P3emKernel
+from planar_holant.generators import MOVES, GrowthKernel, _apply_random_move
 from planar_holant.p3em import (ExceptionalGraph, exceptional_kind,
                                 find_p3em, materialize, verify)
 
 
 def _random_grow(g, rng, steps):
-    k = FaceKernel(g)
+    k = GrowthKernel(g)
     for _ in range(steps):
         _apply_random_move(k, rng, MOVES, 4, False)
     return k.freeze()
@@ -64,7 +64,7 @@ def test_all_reduction_labels_reachable():
                                               _face_labels,
                                               _rotate_labels, solve_kernel)
         g = fixtures.coincident_pentagon_fixture()
-        k = FaceKernel(g)
+        k = P3emKernel(g)
         for f in k.faces():
             if len(f.boundary) != 5:
                 continue
