@@ -4,6 +4,8 @@ for p3em-random, BENCH_p3em_fullerene.json for p3em-fullerene,
 BENCH_eval.json for holant-eval.
 
     python3 scripts/bench.py --parent P*.json --change C*.json [--out FILE]
+                             [--parent-scale S.json]
+    python3 scripts/bench.py --scale-only WORKLOAD --out S.json
 
 --parent and --change take the reports that perfbench/run.py writes to
 .perfbench_out/ for one workload, run from a checkout of the parent commit
@@ -26,8 +28,10 @@ is timed three times too:
   5000 and 10^4, against the ROADMAP targets of 2 s for count_pm and
   1.5 s for generating at 10^4 (reported, not gated);
 * p3em-random: find_p3em on generate_cubic_plane(n, 1), n = 500, 1000,
-  2000, 5000, 10^4 and 2 * 10^4, with the least-squares exponent of the
-  median time against n, of find_p3em and of generating;
+  2000, 5000, 10^4 and 2 * 10^4, and the whole CLI op on the same graph
+  (cli.main(["p3em", "find", file]), with loading, validation, the final
+  verify and the JSON output), with the least-squares exponent of the
+  median time against n, of find_p3em, of the CLI op and of generating;
 * p3em-fullerene: find_p3em on the leapfrog fullerenes C180, C540, C1620
   and C4860 (generators.leapfrog from the dodecahedron), each under the
   random ids generators.relabel gives it with seed 1, with the same
@@ -35,18 +39,27 @@ is timed three times too:
 * holant-eval: eval_grid on the [2,1,1,2] grid of
   generate_cubic_bipartite_plane(n, 1), n = 50, 100, 200 and 400, with
   the elimination width of each grid and the same exponent.
+
+--scale-only times only that table and writes it to --out.  Run from a
+copy of this script placed in a checkout of the parent, it gives the
+parent's table, which --parent-scale then adds to the record under the
+table's key prefixed with "parent_".
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import io
 import json
 import math
 import platform
 import random
 import statistics
 import sys
+import tempfile
 import time
+from contextlib import redirect_stdout
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -54,7 +67,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from run import src_sha256  # noqa: E402  (perfbench/run.py)
-from planar_holant import fixtures  # noqa: E402
+from planar_holant import cli, fixtures  # noqa: E402
 from planar_holant.generators import (  # noqa: E402
     generate_cubic_bipartite_plane, generate_cubic_plane, leapfrog, relabel)
 from planar_holant.holant_core import elimination_width, eval_grid  # noqa: E402
@@ -76,9 +89,12 @@ EVAL_SIZES = (50, 100, 200, 400)
 
 
 def timed3(fn):
-    """fn's result, the median of three timed runs and the three times."""
+    """fn's result, the median of three timed runs and the three times.
+    Each run starts after a full garbage collection, as perfbench/run.py's
+    ops do, so no run pays for collecting what an earlier one left."""
     times = []
     for _ in range(3):
+        gc.collect()
         t0 = time.perf_counter()
         out = fn()
         times.append(time.perf_counter() - t0)
@@ -107,17 +123,31 @@ def scale_pm():
     }
 
 
+def cli_op(argv):
+    """Exit code of cli.main(argv), its stdout discarded."""
+    with redirect_stdout(io.StringIO()):
+        return cli.main(argv)
+
+
 def scale_p3em():
     rows = []
-    for n in P3EM_SIZES:
-        g, gen_s, gen_times = timed3(lambda: generate_cubic_plane(n, 1))
-        _, med, times = timed3(lambda: find_p3em(g))
-        rows.append({"n": n, "generator": "generate_cubic_plane(n, 1)",
-                     "generate_s": gen_s, "generate_runs_s": gen_times,
-                     "find_p3em_s": med, "runs_s": times})
-        print(f"n={n} generate {gen_s:.2f} s, find_p3em {med:.3f} s",
-              file=sys.stderr)
+    with tempfile.TemporaryDirectory() as work:
+        for n in P3EM_SIZES:
+            g, gen_s, gen_times = timed3(lambda: generate_cubic_plane(n, 1))
+            _, med, times = timed3(lambda: find_p3em(g))
+            path = Path(work) / f"g{n}.json"
+            path.write_text(g.to_json())
+            code, cli_s, cli_times = timed3(lambda: cli_op(["p3em", "find", str(path)]))
+            if code != 0:
+                raise SystemExit(f"p3em find exited {code} at n = {n}")
+            rows.append({"n": n, "generator": "generate_cubic_plane(n, 1)",
+                         "generate_s": gen_s, "generate_runs_s": gen_times,
+                         "find_p3em_s": med, "runs_s": times,
+                         "cli_s": cli_s, "cli_runs_s": cli_times})
+            print(f"n={n} generate {gen_s:.2f} s, find_p3em {med:.3f} s, "
+                  f"p3em find {cli_s:.3f} s", file=sys.stderr)
     return "find_p3em_scale", {**fitted(rows, "find_p3em_s"),
+                               "cli_exponent": exponent(rows, "cli_s"),
                                "generate_exponent": exponent(rows, "generate_s")}
 
 
@@ -226,10 +256,21 @@ def side(paths, workload, layers):
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--parent", nargs="+", required=True)
-    ap.add_argument("--change", nargs="+", required=True)
+    ap.add_argument("--parent", nargs="+")
+    ap.add_argument("--change", nargs="+")
     ap.add_argument("--out")
+    ap.add_argument("--parent-scale")
+    ap.add_argument("--scale-only", choices=sorted(WORKLOADS))
     args = ap.parse_args(argv)
+    if args.scale_only:
+        if not args.out:
+            ap.error("--scale-only needs --out")
+        key, table = WORKLOADS[args.scale_only][2]()
+        record = {"workload": args.scale_only, key: table}
+        Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
+        return 0
+    if not (args.parent and args.change):
+        ap.error("--parent and --change are required")
     workload = json.loads(Path(args.parent[0]).read_text())["provenance"]["workload"]
     if workload not in WORKLOADS:
         raise SystemExit(f"no benchmark record for workload {workload}")
@@ -252,6 +293,11 @@ def main(argv=None) -> int:
         "pair_wins": wins,
         key: table,
     }
+    if args.parent_scale:
+        before_scale = json.loads(Path(args.parent_scale).read_text())
+        if before_scale.get("workload") != workload:
+            raise SystemExit(f"{args.parent_scale}: not a {workload} table")
+        record["parent_" + key] = before_scale[key]
     Path(args.out or ROOT / out).write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

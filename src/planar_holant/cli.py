@@ -16,8 +16,8 @@ from typing import Optional
 from .classifier import classify, classify_binary, dispatch_solve, solve_case
 from .generators import generate_cubic_bipartite_plane, generate_cubic_plane
 from .holant_core import SignatureGrid, eval_collapsed, eval_gadget, eval_grid
-from .p3em import (ExceptionalGraph, P3emError, find_p3em, materialize,
-                   triples, verify)
+from .p3em import (ExceptionalGraph, P3emError, find_p3em, group_triples,
+                   materialize, verify)
 from .plane_graph import PlaneGraph, from_json
 from .scalars import format_scalar, parse_scalar
 from .signatures import SymSignature
@@ -38,9 +38,7 @@ class CliError(Exception):
 
 
 def _emit(payload: dict) -> None:
-    payload = {"schema": SCHEMA, **payload}
-    json.dump(payload, sys.stdout, indent=None)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps({"schema": SCHEMA, **payload}) + "\n")
 
 
 def _load_graph(path: str) -> PlaneGraph:
@@ -106,8 +104,9 @@ def cmd_p3em(args) -> int:
         if isinstance(res, ExceptionalGraph):
             _emit({"exception": res.kinds, "components": res.components})
             return EXIT_OK
+        # find_p3em has verified res on g
         _emit({"assignment": {str(e): f for e, f in sorted(res.items())},
-               "triples": triples(g, res)})
+               "triples": group_triples(g, res)})
         return EXIT_OK
     if args.action == "verify":
         rep = verify(g, _load_assignment(args.assignment))
@@ -122,6 +121,8 @@ def cmd_p3em(args) -> int:
 
 def cmd_gadget(args) -> int:
     f = _parse_sig(args.sig)
+    if f.arity != 3:
+        raise CliError("ternary signature expected")
     if args.kind == "g1":
         m = gadgets.gadget_G1(f)
     elif args.kind == "g2":

@@ -64,7 +64,6 @@ class FaceKernel(GraphBuilder):
     vertices = PlaneGraph.vertices
     edge_of = PlaneGraph.edge_of
     edge_ends = PlaneGraph.edge_ends
-    next_dart = PlaneGraph.next_dart
     edge_faces = PlaneGraph.edge_faces
 
     def faces(self) -> List[Face]:
@@ -150,17 +149,22 @@ class FaceKernel(GraphBuilder):
         seeds = [d for f in dead for d in f.boundary if d in twin]
         seeds += [d for d, (t, _) in old_dart.items() if t is None and d in twin]
         created = []
+        face_of_dart = self.face_of_dart
         for d0 in seeds:
-            if d0 in self.face_of_dart:
+            if d0 in face_of_dart:
                 continue
             orbit = [d0]
-            d = self.next_dart(d0)
-            while d != d0:
-                if d in self.face_of_dart:
+            d = d0
+            while True:     # d = next_dart(d), written out
+                t = twin[d]
+                rot = rotation[vertex_of[t]]
+                d = rot[(rot.index(t) + 1) % len(rot)]
+                if d == d0:
+                    break
+                if d in face_of_dart:
                     raise GraphError(f"face walk from dart {d0} ran into "
-                                     f"face {self.face_of_dart[d]}, which the step kept")
+                                     f"face {face_of_dart[d]}, which the step kept")
                 orbit.append(d)
-                d = self.next_dart(d)
             i = orbit.index(min(orbit))
             f = Face(orbit[i], tuple(orbit[i:] + orbit[:i]))
             self._add_face(f)

@@ -85,16 +85,24 @@ def verify(g: PlaneGraph, sigma: FaceAssignment,
 
 def triples(g: PlaneGraph, sigma: FaceAssignment) -> List[dict]:
     """Group assigned edges into consecutive triples along each face
-    boundary, starting at the smallest boundary dart."""
+    boundary, starting at the smallest boundary dart; sigma is verified
+    first."""
     rep = verify(g, sigma)
     if not rep.ok:
         raise InvalidAssignment(rep.reason)
+    return group_triples(g, sigma)
+
+
+def group_triples(g: PlaneGraph, sigma: FaceAssignment) -> List[dict]:
+    """The triples of a certificate already verified on g."""
     out = []
+    twin = g.twin
     for f in g.faces():
         ordered: List[int] = []
         seen = set()
         for d in f.boundary:   # boundary starts at the minimal dart
-            e = g.edge_of(d)
+            t = twin[d]
+            e = d if d < t else t
             if sigma.get(e) == f.id and e not in seen:
                 seen.add(e)
                 ordered.append(e)
@@ -258,17 +266,23 @@ def place_pool(options: Sequence[Tuple[int, ...]],
                counts: Dict[int, int]) -> Optional[List[int]]:
     """One face per option tuple, the first choice in lexicographic order
     that leaves every face of the options at 0 mod 3 in counts; counts then
-    include the choice.  None, with counts unchanged, when there is none."""
-    touched = {fid for opts in options for fid in opts}
+    include the choice.  None, with counts unchanged, when there is none.
+
+    A face's count is tested as soon as the last option tuple holding it
+    is chosen, since no later choice can change it."""
+    last = {fid: i for i, opts in enumerate(options) for fid in opts}
+    closed: List[List[int]] = [[] for _ in options]   # faces last held at i
+    for fid, i in last.items():
+        closed[i].append(fid)
     choice: List[int] = [0] * len(options)
 
     def rec(i: int) -> bool:
         if i == len(options):
-            return all(counts[f] % 3 == 0 for f in touched)
+            return True
         for fid in options[i]:
             counts[fid] += 1
             choice[i] = fid
-            if rec(i + 1):
+            if all(counts[f] % 3 == 0 for f in closed[i]) and rec(i + 1):
                 return True
             counts[fid] -= 1
         return False

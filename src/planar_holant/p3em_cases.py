@@ -250,10 +250,12 @@ def _remap(k: P3emKernel, s: Surgery, pool: Set[int],
             counts[fid] -= 1
     parent_face = {d: f.id for f in s.dead for d in f.boundary}
     moves: Dict[int, Set[int]] = {}
+    twin = k.twin
     for cf in s.created:
         on_face = set()
         for d in k.face[cf].boundary:
-            e = k.edge_of(d)
+            t = twin[d]
+            e = d if d < t else t   # k.edge_of(d)
             if sigma.get(e) == cf:
                 if d not in parent_face:
                     raise P3emError(f"dart {d} of new face {cf} has no parent face")

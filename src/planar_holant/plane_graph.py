@@ -12,13 +12,18 @@ Edges are identified by the smaller dart id of the pair; faces by the
 smallest dart id on their boundary.  Embeddings live on the sphere: no
 outer face is distinguished, and consumers that need one (matching
 reductions, the orientation sweep) pick a face themselves.
+
+Validation walks every face once, for Euler's formula, and the graph
+keeps what it walked: faces(), face_of and the bridges read it.  The
+subgraph on a union of components (induced) shares those faces and
+components instead of walking and checking them again.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 class GraphError(ValueError):
@@ -55,7 +60,8 @@ class PlaneGraph:
     """Immutable validated plane multigraph.
 
     twin: dict dart -> dart; vertex_of: dict dart -> vertex;
-    rotation: dict vertex -> tuple of darts in ccw order.
+    rotation: dict vertex -> tuple of darts in ccw order.  The faces and
+    components that validation finds are kept.
     """
 
     def __init__(self, twin: Dict[int, int], vertex_of: Dict[int, int],
@@ -63,37 +69,53 @@ class PlaneGraph:
         self.twin = dict(twin)
         self.vertex_of = dict(vertex_of)
         self.rotation = {v: tuple(r) for v, r in rotation.items()}
-        self._validate()
-        self._faces: Optional[List[Face]] = None
-        self._face_of_dart: Optional[Dict[int, int]] = None
         self._boundary_of: Optional[Dict[int, Tuple[int, ...]]] = None
+        self._validate()
 
     # -- validation ---------------------------------------------------
 
     def _validate(self) -> None:
-        darts = set(self.twin)
-        for d, t in self.twin.items():
-            if t == d or t not in self.twin or self.twin[t] != d:
+        twin, vertex_of = self.twin, self.vertex_of
+        for d, t in twin.items():
+            if t == d or t not in twin or twin[t] != d:
                 raise NonInvolutionTwin(f"dart {d}")
-        seen = {}
+        succ = {}           # dart -> ccw-next dart at its vertex
         for v, rot in self.rotation.items():
-            for d in rot:
-                if d in seen or d not in darts:
+            for i, d in enumerate(rot):
+                if d in succ or d not in twin:
                     raise DartMissingFromRotation(f"dart {d} at vertex {v}")
-                if self.vertex_of.get(d) != v:
+                if vertex_of.get(d) != v:
                     raise DartMissingFromRotation(
-                        f"dart {d} listed at {v} but owned by {self.vertex_of.get(d)}")
-                seen[d] = v
-        if set(seen) != darts:
-            missing = darts - set(seen)
+                        f"dart {d} listed at {v} but owned by {vertex_of.get(d)}")
+                succ[d] = rot[i + 1 - len(rot)]
+        if len(succ) != len(twin):
+            missing = set(twin) - set(succ)
             raise DartMissingFromRotation(f"darts {sorted(missing)[:5]} in no rotation")
-        # Euler per component, via face orbits; the components are kept
+        # the faces, as next_dart walks them: each orbit from its smallest
+        # dart, in order of that dart
+        self._faces: List[Face] = []
+        self._face_of_dart: Dict[int, int] = {}
+        face_of_dart = self._face_of_dart
+        for d0 in sorted(twin):
+            if d0 in face_of_dart:
+                continue
+            orbit = [d0]
+            face_of_dart[d0] = d0
+            d = succ[twin[d0]]
+            while d != d0:
+                orbit.append(d)
+                face_of_dart[d] = d0
+                d = succ[twin[d]]
+            self._faces.append(Face(d0, tuple(orbit)))
+        # Euler per component; the components are kept
         self._components = _find_components(self)
-        for comp in self._components:
+        comp_of = {v: i for i, comp in enumerate(self._components) for v in comp}
+        face_count = [0] * len(self._components)
+        for f in self._faces:
+            face_count[comp_of[vertex_of[f.id]]] += 1
+        for comp, fs in zip(self._components, face_count):
             vs = len(comp)
-            comp_darts = [d for v in comp for d in self.rotation[v]]
-            es = len(comp_darts) // 2
-            fs = _count_orbits(self, comp_darts)
+            es = sum(len(self.rotation[v]) for v in comp) // 2
             if vs - es + fs != 2:
                 raise NonPlanarEmbedding(
                     f"component {sorted(comp)[:4]}...: V-E+F = {vs}-{es}+{fs} != 2")
@@ -135,31 +157,15 @@ class PlaneGraph:
         return rot[(rot.index(t) + 1) % len(rot)]
 
     def faces(self) -> List[Face]:
-        if self._faces is None:
-            self._faces = []
-            self._face_of_dart = {}
-            for d0 in self.darts():
-                if d0 in self._face_of_dart:
-                    continue
-                orbit = [d0]
-                d = self.next_dart(d0)
-                while d != d0:
-                    orbit.append(d)
-                    d = self.next_dart(d)
-                fid = min(orbit)
-                for d in orbit:
-                    self._face_of_dart[d] = fid
-                self._faces.append(Face(fid, tuple(orbit)))
-            self._faces.sort(key=lambda f: f.id)
-            self._boundary_of = {f.id: f.boundary for f in self._faces}
+        """The faces in order of id, each boundary from its smallest dart."""
         return self._faces
 
     def face_of(self, dart: int) -> int:
-        self.faces()
         return self._face_of_dart[dart]
 
     def face_boundary(self, fid: int) -> Tuple[int, ...]:
-        self.faces()
+        if self._boundary_of is None:
+            self._boundary_of = {f.id: f.boundary for f in self._faces}
         try:
             return self._boundary_of[fid]
         except KeyError:
@@ -177,19 +183,31 @@ class PlaneGraph:
         return [list(c) for c in self._components]
 
     def induced(self, comp: Sequence[int]) -> "PlaneGraph":
-        """The subgraph on comp, a union of connected components.  Darts
-        keep this graph's dict order; building the dicts in rotation order
-        instead made the P3EM benchmarks measurably slower."""
+        """The subgraph on comp, a union of connected components.  It is
+        valid because this graph is, so it shares this graph's faces and
+        components instead of validating again; a comp that a twin leaves
+        raises as validation would.  Darts keep this graph's dict order;
+        building the dicts in rotation order instead made the P3EM
+        benchmarks measurably slower."""
         keep = set(comp)
-        return PlaneGraph(
-            {d: t for d, t in self.twin.items() if self.vertex_of[d] in keep},
-            {d: v for d, v in self.vertex_of.items() if v in keep},
-            {v: self.rotation[v] for v in comp})
+        vertex_of = self.vertex_of
+        sub = PlaneGraph.__new__(PlaneGraph)
+        sub.twin = {d: t for d, t in self.twin.items() if vertex_of[d] in keep}
+        for d, t in sub.twin.items():
+            if vertex_of[t] not in keep:
+                raise NonInvolutionTwin(f"dart {d}")
+        sub.vertex_of = {d: v for d, v in vertex_of.items() if v in keep}
+        sub.rotation = {v: self.rotation[v] for v in comp}
+        sub._components = [c for c in self._components if c[0] in keep]
+        sub._faces = [f for f in self._faces if vertex_of[f.id] in keep]
+        face_of_dart = self._face_of_dart
+        sub._face_of_dart = {d: face_of_dart[d] for d in sub.twin}
+        sub._boundary_of = None
+        return sub
 
     def bridges(self) -> set:
         """Edge ids whose removal disconnects their component: in a plane
         graph, the non-loop edges whose two darts lie on one face."""
-        self.faces()
         face, vertex_of = self._face_of_dart, self.vertex_of
         return {d for d, t in self.twin.items()
                 if d < t and face[d] == face[t] and vertex_of[d] != vertex_of[t]}
@@ -261,22 +279,6 @@ def _find_components(g: PlaneGraph) -> List[List[int]]:
     return comps
 
 
-def _count_orbits(g: PlaneGraph, darts: Iterable[int]) -> int:
-    seen = set()
-    n = 0
-    for d0 in darts:
-        if d0 in seen:
-            continue
-        n += 1
-        d = d0
-        while True:
-            seen.add(d)
-            d = g.next_dart(d)
-            if d == d0:
-                break
-    return n
-
-
 def _trace_code(twin, succ, start, bound=None) -> Optional[tuple]:
     """BFS over darts by (twin, rotation successor), relabelled in discovery
     order; the code lists (label of twin, label of successor) per dart in
@@ -303,11 +305,11 @@ def _trace_code(twin, succ, start, bound=None) -> Optional[tuple]:
 
 def build(spec: dict) -> PlaneGraph:
     """Build and validate a PlaneGraph from its JSON dict form."""
-    darts = _records(spec, "darts", lambda r: isinstance(r, dict) and _is_ints(
-        [r.get("id"), r.get("twin"), r.get("vertex")]),
+    darts = _records(spec, "darts", lambda r: isinstance(r, dict) and type(
+        r.get("id")) is type(r.get("twin")) is type(r.get("vertex")) is int,
         "an object with integer fields id, twin, vertex")
-    verts = _records(spec, "vertices", lambda r: isinstance(r, dict) and _is_ints(
-        [r.get("id")]) and _is_ints(r.get("rotation")),
+    verts = _records(spec, "vertices", lambda r: isinstance(r, dict) and type(
+        r.get("id")) is int and _is_ints(r.get("rotation")),
         "an object with an integer id and a list rotation of dart ids")
     return PlaneGraph({r["id"]: r["twin"] for r in darts},
                       {r["id"]: r["vertex"] for r in darts},
@@ -315,8 +317,9 @@ def build(spec: dict) -> PlaneGraph:
 
 
 def _is_ints(x, length: Optional[int] = None) -> bool:
+    """x is a list of ints (length of them, if given); bools are not ints."""
     return (isinstance(x, list) and length in (None, len(x))
-            and all(isinstance(v, int) and not isinstance(v, bool) for v in x))
+            and all([type(v) is int for v in x]))
 
 
 def _records(spec, key: str, ok, what: str, error=GraphError, noun: str = "graph",

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -120,6 +121,14 @@ def test_gadget_verbs():
     assert out["z"] == "3/2"
     out = run_cli("gadget", "nonlin", "--sig", "[1,2,3,5]", "--unary", "7")
     assert out["signature"] == ["70", "19"]
+
+
+@pytest.mark.parametrize("kind, sig", [
+    ("g1", "[1,2]"), ("g2", "[1,2]"), ("g3", "[1,2]"), ("nonlin", "[1,2]"),
+    ("g4", "[1,2]"), ("g1", "[1,2,3,4,5]")])
+def test_gadget_wants_a_ternary_signature(kind, sig):
+    err = cli_input_error("gadget", kind, "--sig", sig)
+    assert err == "error: ternary signature expected\n"
 
 
 def test_reduce_gadget_p():
@@ -345,6 +354,34 @@ BAD_GRAPHS = {
                                       {"id": 1, "twin": 0, "vertex": 0}],
                             "vertices": [{"id": 0, "rotation": 5}]},
 }
+LOOP_DARTS = [{"id": 0, "twin": 1, "vertex": 0}, {"id": 1, "twin": 0, "vertex": 0}]
+LOOP_VERTEX = [{"id": 0, "rotation": [0, 1]}]
+DART_MESSAGE = ("error: each record of 'darts' must be an object with integer "
+                "fields id, twin, vertex: ")
+VERTEX_MESSAGE = ("error: each record of 'vertices' must be an object with an "
+                  "integer id and a list rotation of dart ids: ")
+# shape -> (graph JSON, stderr); a boolean is not an integer
+BAD_GRAPH_RECORDS = {
+    "dart_id_a_boolean": (
+        {"darts": [{"id": True, "twin": 1, "vertex": 0}, LOOP_DARTS[1]],
+         "vertices": LOOP_VERTEX},
+        DART_MESSAGE + "{'id': True, 'twin': 1, 'vertex': 0}"),
+    "dart_twin_a_boolean": (
+        {"darts": [{"id": 0, "twin": True, "vertex": 0}, LOOP_DARTS[1]],
+         "vertices": LOOP_VERTEX},
+        DART_MESSAGE + "{'id': 0, 'twin': True, 'vertex': 0}"),
+    "dart_vertex_a_boolean": (
+        {"darts": [{"id": 0, "twin": 1, "vertex": False}, LOOP_DARTS[1]],
+         "vertices": LOOP_VERTEX},
+        DART_MESSAGE + "{'id': 0, 'twin': 1, 'vertex': False}"),
+    "float_in_rotation": (
+        {"darts": LOOP_DARTS, "vertices": [{"id": 0, "rotation": [0, 1.0]}]},
+        VERTEX_MESSAGE + "{'id': 0, 'rotation': [0, 1.0]}"),
+    "nested_list_in_rotation": (
+        {"darts": LOOP_DARTS, "vertices": [{"id": 0, "rotation": [0, [1]]}]},
+        VERTEX_MESSAGE + "{'id': 0, 'rotation': [0, [1]]}"),
+}
+BAD_GRAPHS.update({k: spec for k, (spec, _) in BAD_GRAPH_RECORDS.items()})
 
 
 @pytest.mark.parametrize("verb", ["graph validate", "p3em find", "p3em verify"])
@@ -358,6 +395,37 @@ def test_malformed_graph_json_is_an_input_error(tmp_path, capsys, verb, shape):
         argv.append(data_path("cover_example_graph.json"))
     assert cli.main(argv) == cli.EXIT_INPUT
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("verb", ["graph validate", "p3em find"])
+@pytest.mark.parametrize("shape", sorted(BAD_GRAPH_RECORDS))
+def test_malformed_graph_record_is_named(tmp_path, capsys, verb, shape):
+    from planar_holant import cli
+    spec, message = BAD_GRAPH_RECORDS[shape]
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(spec))
+    assert cli.main(verb.split() + [str(path)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == message + "\n"
+
+
+# sha256 of `p3em find` stdout on generate_cubic_plane(n, seed)
+P3EM_FIND_DIGESTS = {
+    (200, 0): "c8b99d8086a5917c9bf6eeb8e8d893fb7f9ad67eff7a781991e5518ecf69fb73",
+    (200, 1): "6e296f0e9f4f818317e64f49bf709f453fcb5e32b071bba55d077e198f738bb3",
+    (800, 0): "c9f9669e7593c6a3d9547775050d807858570bea2c65b0faaaaa0452bfe98c74",
+    (800, 1): "cd029bcfaaabaefd43f143dbef06416f998f2a7be1f0382bd55805c87a49eb79",
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(P3EM_FIND_DIGESTS))
+def test_p3em_find_output_pinned(tmp_path, capsys, n, seed):
+    from planar_holant import cli
+    from planar_holant.generators import generate_cubic_plane
+    path = tmp_path / "g.json"
+    path.write_text(generate_cubic_plane(n, seed).to_json())
+    assert cli.main(["p3em", "find", str(path)]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == P3EM_FIND_DIGESTS[n, seed]
 
 
 BAD_ASSIGNMENTS = {

@@ -526,6 +526,59 @@ def test_completion_search_matches_references(monkeypatch):
             assert verify(g, find_p3em(g)).ok
 
 
+def _place_pool_reference(options, counts):
+    """The leaf-only search: every face count is tested once all options
+    are chosen."""
+    touched = {fid for opts in options for fid in opts}
+    choice = [0] * len(options)
+
+    def rec(i):
+        if i == len(options):
+            return all(counts[f] % 3 == 0 for f in touched)
+        for fid in options[i]:
+            counts[fid] += 1
+            choice[i] = fid
+            if rec(i + 1):
+                return True
+            counts[fid] -= 1
+        return False
+
+    return choice if rec(0) else None
+
+
+def test_pruned_pool_search_matches_leaf_search(monkeypatch):
+    rng = random.Random(16)
+    found = {True: 0, False: 0}
+    for _ in range(3000):
+        faces = rng.randint(1, 7)
+        options = [tuple(rng.sample(range(faces), min(faces, rng.randint(1, 2))))
+                   for _ in range(rng.randint(0, 9))]
+        counts = {f: rng.randrange(6) for f in range(faces)}
+        want_counts = dict(counts)
+        want = _place_pool_reference(options, want_counts)
+        assert place_pool(options, counts) == want
+        assert counts == want_counts
+        found[want is not None] += 1
+    assert min(found.values()) > 300
+    # the pools of real lifts
+    lifts = []
+
+    def checked(options, counts):
+        want_counts = dict(counts)
+        want = _place_pool_reference(options, want_counts)
+        got = place_pool(options, counts)
+        assert got == want and counts == want_counts
+        lifts.append(len(options))
+        return got
+
+    monkeypatch.setattr(p3em_cases, "place_pool", checked)
+    for g in [g for g in move_closure(8) if len(g.edges()) <= 12] + [
+            fixtures.chord_fixture(), fixtures.coincident_pentagon_fixture()]:
+        if exceptional_kind(g) is None:
+            assert verify(g, find_p3em(g)).ok
+    assert len(lifts) > 100 and max(lifts) >= 5
+
+
 # -- the kernel, step by step, against full rebuilds ------------------------
 
 def _frozen_checked(k):

@@ -1,7 +1,7 @@
 import pytest
 
 from planar_holant import fixtures
-from planar_holant.plane_graph import (GraphError, NonPlanarEmbedding,
+from planar_holant.plane_graph import (Face, GraphError, NonPlanarEmbedding,
                                        PlaneGraph, build, from_json,
                                        incidence_grid, merge_degree2_left,
                                        two_coloring)
@@ -193,3 +193,108 @@ def test_canonical_form_matches_reference():
     graphs = move_closure(8) + [getattr(fixtures, n)() for n in names]
     for g in graphs:
         assert g.canonical_form() == _canonical_form_reference(g)
+
+
+# -- the faces validation keeps, and induced subgraphs ------------------------
+
+FIXTURE_NAMES = ["k4", "m23", "dumbbell", "cube", "prism", "base_b", "base_c",
+                 "base_d", "base_e", "base_g", "base_h", "pentagon_wheel",
+                 "dodecahedron", "bridge_fixture", "chord_fixture",
+                 "coincident_pentagon_fixture"]
+
+
+def _faces_reference(g):
+    """The lazy face walk: an orbit of next_dart from every dart not yet
+    on a face, in dart order, named by its smallest dart."""
+    faces, face_of = [], {}
+    for d0 in g.darts():
+        if d0 in face_of:
+            continue
+        orbit = [d0]
+        d = g.next_dart(d0)
+        while d != d0:
+            orbit.append(d)
+            d = g.next_dart(d)
+        fid = min(orbit)
+        face_of.update(dict.fromkeys(orbit, fid))
+        faces.append(Face(fid, tuple(orbit)))
+    return sorted(faces, key=lambda f: f.id), face_of
+
+
+def _union(*parts):
+    """The disjoint union of the parts, each part's ids shifted past the
+    ids before it."""
+    twin, vertex_of, rotation = {}, {}, {}
+    for g in parts:
+        dd = max(twin, default=-1) + 1
+        dv = max(rotation, default=-1) + 1
+        twin.update({d + dd: t + dd for d, t in g.twin.items()})
+        vertex_of.update({d + dd: v + dv for d, v in g.vertex_of.items()})
+        rotation.update({v + dv: tuple(d + dd for d in r)
+                         for v, r in g.rotation.items()})
+    return PlaneGraph(twin, vertex_of, rotation)
+
+
+def _graphs_with_components():
+    from planar_holant.generators import move_closure
+    fx = [getattr(fixtures, name)() for name in FIXTURE_NAMES]
+    gen = [generate_cubic_plane(n, s) for n in (30, 100, 300) for s in range(2)]
+    unions = [_union(fx[0], fx[3], fx[1]), _union(gen[0], fixtures.dumbbell()),
+              _union(fixtures.chord_fixture(), gen[1], fixtures.k4(), gen[2])]
+    return move_closure(8) + fx + gen + unions
+
+
+def test_kept_faces_match_the_lazy_walk():
+    for g in _graphs_with_components():
+        faces, face_of = _faces_reference(g)
+        assert g.faces() == faces
+        assert {d: g.face_of(d) for d in g.darts()} == face_of
+        for f in faces:
+            assert g.face_boundary(f.id) == f.boundary
+
+
+def test_induced_equals_a_validated_component():
+    unions = 0
+    for g in _graphs_with_components():
+        comps = g.connected_components()
+        unions += len(comps) > 1
+        for comp in comps + [sorted(v for c in comps[::2] for v in c)]:
+            sub = g.induced(comp)
+            keep = set(comp)
+            ref = PlaneGraph({d: t for d, t in g.twin.items() if g.vertex_of[d] in keep},
+                             {d: v for d, v in g.vertex_of.items() if v in keep},
+                             {v: g.rotation[v] for v in comp})
+            assert sub == ref
+            assert list(sub.twin) == list(ref.twin)
+            assert list(sub.vertex_of) == list(ref.vertex_of)
+            assert list(sub.rotation) == list(ref.rotation)
+            assert sub.faces() == ref.faces()
+            assert sub._face_of_dart == ref._face_of_dart
+            assert {d: sub.face_of(d) for d in sub.darts()} == _faces_reference(ref)[1]
+            assert sub.connected_components() == ref.connected_components()
+            assert sub.bridges() == ref.bridges()
+    assert unions >= 3
+
+
+def test_induced_refuses_a_part_of_a_component():
+    g = fixtures.cube()
+    with pytest.raises(GraphError):
+        g.induced(g.vertices()[:3])
+
+
+def test_non_planar_message_names_the_first_bad_component():
+    k4 = fixtures.k4()
+    rot = dict(k4.rotation)
+    v0 = min(rot)
+    rot[v0] = rot[v0][::-1]
+    with pytest.raises(NonPlanarEmbedding) as ex:
+        PlaneGraph(k4.twin, k4.vertex_of, rot)
+    assert str(ex.value) == "component [1, 2, 3, 4]...: V-E+F = 4-6+2 != 2"
+    cube = fixtures.cube()
+    shifted = {v + 100: tuple(d + 1000 for d in r) for v, r in rot.items()}
+    with pytest.raises(NonPlanarEmbedding) as ex:
+        PlaneGraph({**cube.twin, **{d + 1000: t + 1000 for d, t in k4.twin.items()}},
+                   {**cube.vertex_of,
+                    **{d + 1000: v + 100 for d, v in k4.vertex_of.items()}},
+                   {**cube.rotation, **shifted})
+    assert str(ex.value) == "component [101, 102, 103, 104]...: V-E+F = 4-6+2 != 2"
