@@ -4,7 +4,7 @@ for p3em-random, BENCH_p3em_fullerene.json for p3em-fullerene,
 BENCH_eval.json for holant-eval.
 
     python3 scripts/bench.py --parent P*.json --change C*.json [--out FILE]
-                             [--parent-scale S.json]
+                             [--parent-scale S.json] [--parent-src DIR]
     python3 scripts/bench.py --scale-only WORKLOAD --out S.json
 
 --parent and --change take the reports that perfbench/run.py writes to
@@ -44,12 +44,32 @@ is timed three times too:
 copy of this script placed in a checkout of the parent, it gives the
 parent's table, which --parent-scale then adds to the record under the
 table's key prefixed with "parent_".
+
+--parent-src DIR adds an A/B table for p3em-fullerene and p3em-random to
+the record (under "ab").  DIR holds the parent's planar_holant package (a
+checkout's src/), which is imported under the name parent_planar_holant
+next to this checkout's.  Each of AB_ROUNDS rounds runs the whole op,
+cli.main(["p3em", "find", file]), once per side on every input, parent
+first in even rounds and change first in odd ones, each run after a
+gc.collect(); the two stdouts and exit codes must be equal.  The inputs:
+
+* p3em-fullerene: C180, C540 and C1620 (leapfrogs of the dodecahedron),
+  each under the ids of relabel with seeds 1, 2 and 3;
+* p3em-random: generate_cubic_plane(n, s), n = 800 and 3200, s = 1, 2, 3.
+
+Per input the table keeps both sides' times and the ratio change/parent
+of every pair; per size, the median and quartiles of its pairs' ratios.
+Both sides share the process and its load, so the ratio holds on a busy
+host where the scale tables' absolute times do not.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
+import importlib
+import importlib.util
 import io
 import json
 import math
@@ -86,6 +106,10 @@ PM_SIZES = (1000, 5000, 10000)
 P3EM_SIZES = (500, 1000, 2000, 5000, 10000, 20000)
 FULLERENE_SIZES = (180, 540, 1620, 4860)
 EVAL_SIZES = (50, 100, 200, 400)
+AB_FULLERENE_SIZES = (180, 540, 1620)
+AB_P3EM_SIZES = (800, 3200)
+AB_SEEDS = (1, 2, 3)
+AB_ROUNDS = 10
 
 
 def timed3(fn):
@@ -181,6 +205,96 @@ def scale_eval():
     return "eval_grid_scale", fitted(rows, "eval_grid_s")
 
 
+def ab_inputs(workload):
+    """(n, recipe, graph) for the A/B inputs of workload."""
+    if workload == "p3em-random":
+        return [(n, f"generate_cubic_plane({n}, {s})", generate_cubic_plane(n, s))
+                for n in AB_P3EM_SIZES for s in AB_SEEDS]
+    out, g, steps = [], fixtures.dodecahedron(), 0
+    for n in AB_FULLERENE_SIZES:
+        while len(g.rotation) < n:
+            g, steps = leapfrog(g), steps + 1
+        out += [(n, f"relabel(leapfrog^{steps}(dodecahedron), Random({s}))",
+                 relabel(g, random.Random(s))) for s in AB_SEEDS]
+    return out
+
+
+def import_parent(src_dir):
+    """The planar_holant package in src_dir, imported as parent_planar_holant."""
+    name, pkg = "parent_planar_holant", Path(src_dir) / "planar_holant"
+    spec = importlib.util.spec_from_file_location(
+        name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[name] = mod
+    spec.loader.exec_module(mod)
+    return importlib.import_module(name + ".cli")
+
+
+def tree_sha256(src_dir):
+    """perfbench/run.py's src_sha256, of the package in src_dir."""
+    h = hashlib.sha256()
+    for path in sorted((Path(src_dir) / "planar_holant").rglob("*")):
+        if path.suffix in (".py", ".json"):
+            h.update(str(path.relative_to(src_dir)).encode() + b"\0")
+            h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def timed_op(main, argv):
+    """(exit code, stdout, seconds) of one CLI op, after a gc.collect()."""
+    buf = io.StringIO()
+    gc.collect()
+    with redirect_stdout(buf):
+        t0 = time.perf_counter()
+        code = main(argv)
+        dt = time.perf_counter() - t0
+    return code, buf.getvalue(), dt
+
+
+def ab_table(parent_src):
+    parent_cli = import_parent(parent_src)
+    sides = {"parent": parent_cli.main, "change": cli.main}
+    table = {"python": platform.python_version(), "src_sha256": src_sha256(),
+             "parent_src_sha256": tree_sha256(parent_src), "rounds": AB_ROUNDS,
+             "op": 'cli.main(["p3em", "find", file])',
+             "stdout_equal": True,    # else the table is not written
+             "workloads": {}}
+    with tempfile.TemporaryDirectory() as work:
+        for workload in ("p3em-fullerene", "p3em-random"):
+            rows = []
+            for i, (n, recipe, g) in enumerate(ab_inputs(workload)):
+                path = Path(work) / f"{workload}-{i}.json"
+                path.write_text(g.to_json())
+                rows.append({"n": n, "input": recipe, "path": str(path),
+                             "parent_s": [], "change_s": []})
+            for r in range(AB_ROUNDS):
+                order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
+                for row in rows:
+                    argv = ["p3em", "find", row["path"]]
+                    out = {k: timed_op(sides[k], argv) for k in order}
+                    if out["parent"][:2] != out["change"][:2]:
+                        raise SystemExit(f"{row['input']}: parent and change "
+                                         "differ in stdout or exit code")
+                    for k in order:
+                        row[k + "_s"].append(out[k][2])
+            by_size = {}
+            for row in rows:
+                del row["path"]
+                row["ratios"] = [c / p for p, c in zip(row["parent_s"], row["change_s"])]
+                row["ratio"] = quartiles(row["ratios"])
+                by_size.setdefault(row["n"], []).extend(row["ratios"])
+            table["workloads"][workload] = {
+                "inputs": rows,
+                "ratio_by_size": {str(n): {**quartiles(rs), "pairs": len(rs)}
+                                  for n, rs in by_size.items()}}
+            for n, rs in by_size.items():
+                q = quartiles(rs)
+                print(f"{workload} n={n}: change/parent {q['median']:.3f} "
+                      f"({q['q1']:.3f}-{q['q3']:.3f}), {len(rs)} pairs",
+                      file=sys.stderr)
+    return table
+
+
 def exponent(rows, key):
     """The least-squares exponent of the median time (rows' key) against n."""
     xs = [math.log(r["n"]) for r in rows]
@@ -261,6 +375,7 @@ def main(argv=None) -> int:
     ap.add_argument("--out")
     ap.add_argument("--parent-scale")
     ap.add_argument("--scale-only", choices=sorted(WORKLOADS))
+    ap.add_argument("--parent-src")
     args = ap.parse_args(argv)
     if args.scale_only:
         if not args.out:
@@ -298,6 +413,8 @@ def main(argv=None) -> int:
         if before_scale.get("workload") != workload:
             raise SystemExit(f"{args.parent_scale}: not a {workload} table")
         record["parent_" + key] = before_scale[key]
+    if args.parent_src:
+        record["ab"] = ab_table(args.parent_src)
     Path(args.out or ROOT / out).write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

@@ -1,8 +1,9 @@
 """A mutable rotation system that keeps its faces up to date locally.
 
 FaceKernel is the one graph-surgery kernel: a GraphBuilder whose steps
-re-walk only the faces they touch and can be undone exactly.  It keeps
-the face map and nothing else.  Two subclasses add what their users read:
+re-walk only the faces whose dart cycle they change and can be undone
+exactly.  It keeps the face map and nothing else.  Two subclasses add
+what their users read:
 
 * P3emKernel, here, keeps the candidate heaps from which the matching
   construction (see p3em_cases) picks its reduction steps;
@@ -41,10 +42,16 @@ class FaceKernel(GraphBuilder):
     Every mutation logs the old twin and vertex of each dart and the old
     rotation of each vertex it touches.  commit() ends a step: it checks
     twin involution and rotation membership on the logged darts, re-walks
-    only the faces through them and returns a Surgery; undo() restores the
-    graph and faces of before the step.  Faces carry the ids and boundaries
-    PlaneGraph.faces() gives them.  A step logs the whole rotation of each
-    vertex it touches, so commit re-walks every face through one.
+    the faces whose dart cycle changed and returns a Surgery; undo()
+    restores the graph and faces of before the step.  Faces carry the ids
+    and boundaries PlaneGraph.faces() gives them.
+
+    A dart's face successor is the ccw successor of its twin, so it
+    changes only when its twin changes or its twin's ccw successor does.
+    commit marks a logged dart whose twin changed, and the old twin of
+    each dart of a logged old rotation that is gone or has another ccw
+    successor now.  The old faces of the marked darts die; every other
+    face keeps its Face object and id, also through a logged vertex.
     """
 
     def __init__(self, g: PlaneGraph):
@@ -125,17 +132,21 @@ class FaceKernel(GraphBuilder):
         old_dart, old_rot = self._old_dart, self._old_rot
         self._old_dart, self._old_rot = {}, {}
         twin, vertex_of, rotation = self.twin, self.vertex_of, self.rotation
-        touched = set()     # darts of the old graph whose face may change
+        marked = set()      # darts of the old graph whose face successor changed
         for v, r in old_rot.items():
             now = rotation.get(v)
             if now is not None and (len(set(now)) != len(now)
                                     or any(vertex_of.get(d) != v for d in now)):
                 raise DartMissingFromRotation(f"rotation of vertex {v}")
-            for d in r or ():
-                touched.update((d, old_dart[d][0] if d in old_dart else twin[d]))
+            if not r or (now is not None and tuple(now) == r):
+                continue
+            for i, t in enumerate(r):   # t's old ccw successor is r[i + 1]
+                rot = rotation.get(vertex_of.get(t), ())
+                if t not in rot or rot[rot.index(t) + 1 - len(rot)] != r[i + 1 - len(r)]:
+                    marked.add(old_dart[t][0] if t in old_dart else twin[t])
         for d, (t, v) in old_dart.items():
-            if t is not None:
-                touched.update((d, t))
+            if t is not None and twin.get(d) != t:
+                marked.add(d)
             t = twin.get(d)
             if t is None:
                 if d in vertex_of:
@@ -145,7 +156,7 @@ class FaceKernel(GraphBuilder):
             elif d not in rotation.get(vertex_of.get(d), ()):
                 raise DartMissingFromRotation(f"dart {d} at vertex {vertex_of.get(d)}")
         dead = [self._drop_face(f)
-                for f in sorted({self.face_of_dart[d] for d in touched})]
+                for f in sorted({self.face_of_dart[d] for d in marked})]
         seeds = [d for f in dead for d in f.boundary if d in twin]
         seeds += [d for d, (t, _) in old_dart.items() if t is None and d in twin]
         created = []
@@ -205,8 +216,10 @@ class P3emKernel(FaceKernel):
     pushes the candidates at the touched vertices and faces; undo pushes
     faces only, since no pick is made on a kernel after an undo.  A face
     that a step keeps keeps its bridges (non-loop edges whose two darts it
-    holds) and its chords (edges off its boundary with both ends on it), so
-    the created faces hold every new candidate of both kinds.
+    holds), so the created faces hold every new bridge.  It can gain a
+    chord (an edge off its boundary with both ends on it), when a vertex
+    on it merges or a dart at one of its vertices is retwinned; so commit
+    also pushes, once each, the kept faces with a dart at a logged vertex.
     """
 
     def _start(self, faces: Iterable[Face]) -> None:
@@ -236,6 +249,10 @@ class P3emKernel(FaceKernel):
     def commit(self) -> Surgery:
         s = super().commit()
         self._push_bridges(s.created)
+        kept = {self.face_of_dart[d] for v in s.old_rot
+                for d in self.rotation.get(v, ())}
+        for fid in kept.difference(s.created):
+            heapq.heappush(self._chords, fid)
         self._scan({*s.old_rot,
                     *(self.vertex_of[d] for d in s.old_dart if d in self.vertex_of)})
         return s
@@ -280,11 +297,11 @@ class P3emKernel(FaceKernel):
         while self._chords:
             f = self.face.get(self._chords[0])
             if f is not None:
-                on_cycle = {self.vertex_of[d] for d in f.boundary}
-                cyc_edges = {self.edge_of(d) for d in f.boundary}
-                chords = [self.edge_of(d) for v in on_cycle for d in self.rotation[v]
-                          if self.edge_of(d) not in cyc_edges
-                          and self.vertex_of[self.twin[d]] in on_cycle]
+                twin, vertex_of = self.twin, self.vertex_of
+                on_cycle = {vertex_of[d] for d in f.boundary}
+                cyc = {*f.boundary, *(twin[d] for d in f.boundary)}
+                chords = [min(d, twin[d]) for v in on_cycle for d in self.rotation[v]
+                          if d not in cyc and vertex_of[twin[d]] in on_cycle]
                 if chords:
                     return f, min(chords)
             heapq.heappop(self._chords)

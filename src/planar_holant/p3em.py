@@ -224,8 +224,16 @@ def _canon_table():
     if not _CANON:
         _CANON["K4"] = fixtures.k4().canonical_form()
         _CANON["M23"] = fixtures.m23().canonical_form()
-        _CANON["bases"] = frozenset(b().canonical_form() for b in BASE_BUILDERS)
+        bases = [b() for b in BASE_BUILDERS]
+        _CANON["bases"] = frozenset(g.canonical_form() for g in bases)
+        _CANON["shapes"] = frozenset(_shape(g) for g in bases)
     return _CANON
+
+
+def _shape(g: PlaneGraph) -> tuple:
+    """The vertex count and sorted face lengths.  Equal canonical forms
+    have equal shapes, so a graph of no base's shape is no base."""
+    return len(g.rotation), tuple(sorted(len(f.boundary) for f in g.faces()))
 
 
 def exceptional_kind(g: PlaneGraph) -> Optional[str]:
@@ -303,7 +311,8 @@ def base_case(g: PlaneGraph) -> Optional[FaceAssignment]:
     if (len(g.vertices()) > BASE_MAX_VERTICES
             or len(g.connected_components()) != 1):
         return None
-    if g.canonical_form() not in _canon_table()["bases"]:
+    tab = _canon_table()
+    if _shape(g) not in tab["shapes"] or g.canonical_form() not in tab["bases"]:
         return None
     sigma = search_assignment(g)
     if sigma is None:

@@ -3,7 +3,7 @@
 All steps on one connected component run on one P3emKernel.  Each case does
 its surgery in place (contractions, deletions and retwins keep dart ids
 stable away from the fragment) and commits it, which re-walks only the
-faces through the touched darts; the kernel itself is then the child.  The
+faces whose dart cycle changed; the kernel itself is then the child.  The
 bridge, chord and pentagon-coincidence cases leave two components, and
 each is copied into a kernel of its own.  Every pick (loop, parallel pair,
 short face, bridge, chord) comes from the kernel's candidate heaps and is
@@ -157,14 +157,14 @@ class FaceLabels:
 def _face_labels(g, face) -> FaceLabels:
     """Labels of a face of a cubic graph whose boundary visits each corner
     once, in boundary order from the face's smallest dart."""
+    twin, vertex_of, rotation = g.twin, g.vertex_of, g.rotation
     darts = tuple(face.boundary)
-    a = tuple(g.vertex_of[d] for d in darts)
-    spokes = tuple(next(x for x in g.rotation[v]
-                        if x != d and x != g.twin[prev_d])
+    a = tuple(vertex_of[d] for d in darts)
+    spokes = tuple(next(x for x in rotation[v] if x != d and x != twin[prev_d])
                    for v, d, prev_d in zip(a, darts, darts[-1:] + darts[:-1]))
-    return FaceLabels(face.id, darts, a, tuple(g.edge_of(d) for d in darts),
-                      spokes, tuple(g.edge_of(s) for s in spokes),
-                      tuple(g.vertex_of[g.twin[s]] for s in spokes))
+    return FaceLabels(face.id, darts, a, tuple(min(d, twin[d]) for d in darts),
+                      spokes, tuple(min(s, twin[s]) for s in spokes),
+                      tuple(vertex_of[twin[s]] for s in spokes))
 
 
 def _rotate_labels(lab: FaceLabels, i: int) -> FaceLabels:
@@ -469,7 +469,8 @@ def _side_bit(child: P3emKernel, sub: FaceAssignment, edge: int,
               marker: int, positive: bool) -> int:
     """1 when edge is assigned to its side whose face does (positive) or
     does not (negative) contain a dart of the marker edge."""
-    has = any(child.edge_of(d) == marker for d in child.face_boundary(sub[edge]))
+    b = child.face[sub[edge]].boundary
+    has = marker in b or child.twin[marker] in b
     return int(has == positive)
 
 

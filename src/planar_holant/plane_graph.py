@@ -22,8 +22,7 @@ components instead of walking and checking them again.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 
 class GraphError(ValueError):
@@ -50,8 +49,7 @@ class UnknownEdge(GraphError):
     pass
 
 
-@dataclass(frozen=True)
-class Face:
+class Face(NamedTuple):
     id: int                    # smallest dart id on the boundary
     boundary: Tuple[int, ...]  # dart orbit, cyclic
 

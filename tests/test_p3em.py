@@ -14,7 +14,7 @@ from planar_holant.p3em import (ExceptionalGraph, base_case, check_sigma,
                                 search_assignment, solve_sigma, triples,
                                 verify)
 from planar_holant.p3em_cases import solve_kernel, step_reduce
-from planar_holant.face_kernel import P3emKernel
+from planar_holant.face_kernel import FaceKernel, P3emKernel
 from planar_holant.plane_graph import GraphBuilder, GraphError, PlaneGraph
 
 
@@ -744,3 +744,105 @@ def test_kernel_logs_subdivide():
                 assert _frozen_checked(k) == b.freeze() and s.euler == 0
                 k.undo(s)
                 assert _frozen_checked(k) == g
+
+
+def _orbit_faces(k):
+    """The faces of k's rotation system walked from scratch, as k.face
+    holds them: id -> boundary from its smallest dart.  No planarity is
+    asked, so a commit that a case then undoes is walked too."""
+    faces, seen = {}, set()
+    for d0 in sorted(k.twin):
+        if d0 in seen:
+            continue
+        orbit, d = [], d0
+        while d not in seen:
+            seen.add(d)
+            orbit.append(d)
+            t = k.twin[d]
+            rot = k.rotation[k.vertex_of[t]]
+            d = rot[(rot.index(t) + 1) % len(rot)]
+        faces[d0] = tuple(orbit)
+    return faces
+
+
+def _gaining_chord_steps():
+    """Hand-built steps that keep a face's dart cycle and give it a chord:
+    (graph, the face, the surgery on a P3emKernel of the graph).  An edge
+    switch joins the spokes at corners 0 and 1 of a dodecahedron pentagon
+    into an edge parallel to the face's edge a0-a1; a contraction merges
+    the spoke end that corners i and i + 2 of a pentagon of the
+    coincidence fixture share into corner i."""
+    from planar_holant.p3em_cases import _face_labels, _find_b_coincidence
+    out = []
+    g = fixtures.dodecahedron()
+    f = next(f for f in g.faces() if len(f.boundary) == 5)
+    lab = _face_labels(g, f)
+
+    def switch(k, s0=lab.spokes[0], s1=lab.spokes[1]):
+        t0, t1 = k.twin[s0], k.twin[s1]
+        k.retwin(s0, s1)
+        k.retwin(t0, t1)
+    out.append((g, f, switch))
+    g = fixtures.coincident_pentagon_fixture()
+    for f in g.faces():
+        lab = _face_labels(g, f) if len(f.boundary) == 5 else None
+        if lab and all(b not in lab.a for b in lab.b) and _find_b_coincidence(lab) is not None:
+            i = _find_b_coincidence(lab)
+            out.append((g, f, lambda k, s=lab.spokes[i], a=lab.a[i]:
+                        k.contract_edge(s, new_vertex=a)))
+    return out
+
+
+def test_commit_keeps_a_face_that_gains_a_chord():
+    steps = _gaining_chord_steps()
+    assert len(steps) >= 2
+
+    def has_chord(h, f):
+        on = {h.vertex_of[d] for d in f.boundary}
+        return any(u in on and w in on and not {e, h.twin[e]} & set(f.boundary)
+                   for e in h.edges() for u, w in [h.edge_ends(e)])
+
+    for g, f, surgery in steps:
+        k = P3emKernel(g)
+        assert not has_chord(g, f)
+        assert k.smallest_chord() == _find_chord_reference(g)
+        surgery(k)
+        s = k.commit()
+        assert f.id not in {x.id for x in s.dead} and f.id not in s.created
+        assert k.face[f.id] is f
+        h = k.freeze()
+        assert has_chord(h, f)
+        assert k.smallest_chord() == _find_chord_reference(h)
+
+
+def test_commit_change_sets_are_exact(monkeypatch):
+    # every commit of the P3EM steps and of the generators' moves: no face
+    # the step destroyed comes back unchanged, and the face map is the one
+    # a walk from scratch gives; most commits keep a face through a vertex
+    # they touched
+    commit = FaceKernel.commit
+    counts = {"commits": 0, "kept": 0}
+
+    def checked_commit(k):
+        s = commit(k)
+        assert not {k.face[f] for f in s.created} & set(s.dead)
+        want = _orbit_faces(k)
+        assert {fid: f.boundary for fid, f in k.face.items()} == want
+        assert k.face_of_dart == {d: fid for fid, b in want.items() for d in b}
+        counts["commits"] += 1
+        counts["kept"] += any(k.face_of_dart[d] not in s.created
+                              for v in s.old_rot for d in k.rotation.get(v, ()))
+        return s
+
+    monkeypatch.setattr(FaceKernel, "commit", checked_commit)
+    graphs = [getattr(fixtures, name)() for name in (
+        "k4", "m23", "dumbbell", "cube", "prism", "base_b", "base_c", "base_d",
+        "base_e", "base_g", "base_h", "pentagon_wheel", "dodecahedron",
+        "bridge_fixture", "chord_fixture", "coincident_pentagon_fixture")]
+    graphs += [generate_cubic_plane(n, s) for n in (4, 10, 20, 60, 200)
+               for s in range(3)]
+    graphs += move_closure(8)
+    for g in graphs:
+        res = find_p3em(g)
+        assert isinstance(res, ExceptionalGraph) or verify(g, res).ok
+    assert counts["commits"] > 1000 and counts["kept"] > counts["commits"] // 2
