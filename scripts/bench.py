@@ -45,17 +45,24 @@ copy of this script placed in a checkout of the parent, it gives the
 parent's table, which --parent-scale then adds to the record under the
 table's key prefixed with "parent_".
 
---parent-src DIR adds an A/B table for p3em-fullerene and p3em-random to
-the record (under "ab").  DIR holds the parent's planar_holant package (a
-checkout's src/), which is imported under the name parent_planar_holant
-next to this checkout's.  Each of AB_ROUNDS rounds runs the whole op,
-cli.main(["p3em", "find", file]), once per side on every input, parent
-first in even rounds and change first in odd ones, each run after a
-gc.collect(); the two stdouts and exit codes must be equal.  The inputs:
+--parent-src DIR adds an A/B table to the record (under "ab").  DIR holds
+the parent's planar_holant package (a checkout's src/), which is imported
+under the name parent_planar_holant next to this checkout's.  Each of
+AB_ROUNDS rounds runs every input once per side, parent first in even
+rounds and change first in odd ones, each run after a gc.collect(); the
+two sides' outputs must be equal, or no record is written.  Both sides
+read the same file or JSON text with their own code.  The inputs:
 
-* p3em-fullerene: C180, C540 and C1620 (leapfrogs of the dodecahedron),
-  each under the ids of relabel with seeds 1, 2 and 3;
-* p3em-random: generate_cubic_plane(n, s), n = 800 and 3200, s = 1, 2, 3.
+* fkt-solve: count_pm(g), whose value must be equal in repr and type, on
+  C180, C540 and C1620 (leapfrogs of the dodecahedron) under the ids of
+  relabel with seeds 1, 2 and 3, and on generate_cubic_bipartite_plane(n,
+  1), n = 1000, 4000 and 10^4; then the whole op, cli.main([verb, file]),
+  with equal stdout and exit code, on every fkt-solve entry of
+  perfbench/oracles.json, built as perfbench/workloads.py builds it;
+* p3em-fullerene and p3em-random (either record gets both):
+  cli.main(["p3em", "find", file]), with equal stdout and exit code, on
+  C180, C540 and C1620 under relabel seeds 1, 2 and 3, and on
+  generate_cubic_plane(n, s), n = 800 and 3200, s = 1, 2, 3.
 
 Per input the table keeps both sides' times and the ratio change/parent
 of every pair; per size, the median and quartiles of its pairs' ratios.
@@ -80,6 +87,7 @@ import sys
 import tempfile
 import time
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -87,7 +95,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from run import src_sha256  # noqa: E402  (perfbench/run.py)
-from planar_holant import cli, fixtures  # noqa: E402
+from planar_holant import cli, fixtures, plane_graph  # noqa: E402
 from planar_holant.generators import (  # noqa: E402
     generate_cubic_bipartite_plane, generate_cubic_plane, leapfrog, relabel)
 from planar_holant.holant_core import elimination_width, eval_grid  # noqa: E402
@@ -108,6 +116,7 @@ FULLERENE_SIZES = (180, 540, 1620, 4860)
 EVAL_SIZES = (50, 100, 200, 400)
 AB_FULLERENE_SIZES = (180, 540, 1620)
 AB_P3EM_SIZES = (800, 3200)
+AB_PM_SIZES = (1000, 4000, 10000)
 AB_SEEDS = (1, 2, 3)
 AB_ROUNDS = 10
 
@@ -216,18 +225,41 @@ def ab_inputs(workload):
             g, steps = leapfrog(g), steps + 1
         out += [(n, f"relabel(leapfrog^{steps}(dodecahedron), Random({s}))",
                  relabel(g, random.Random(s))) for s in AB_SEEDS]
+    if workload == "fkt-solve":
+        out += [(n, f"generate_cubic_bipartite_plane({n}, 1)",
+                 generate_cubic_bipartite_plane(n, 1)) for n in AB_PM_SIZES]
+    return out
+
+
+def fkt_solve_inputs():
+    """(Kasteleyn order, recipe, verb, input file text) for every fkt-solve
+    entry of perfbench/oracles.json, built as perfbench/workloads.py does."""
+    pool = json.loads((ROOT / "perfbench" / "oracles.json").read_text())
+    out = []
+    for e in pool["fkt-solve"]:
+        g = generate_cubic_bipartite_plane(e["n"], e["gen_seed"])
+        recipe = (f"{e['kind']} "
+                  f"generate_cubic_bipartite_plane({e['n']}, {e['gen_seed']})")
+        if e["verb"] == "pm":
+            out.append((e["size"], recipe, "pm", g.to_json()))
+        else:
+            sig = SymSignature([Fraction(v) for v in e["sig"]])
+            grid = grid_from_cubic_bipartite(g, sig)
+            out.append((e["size"], f"{recipe} {e['sig']}", e["verb"],
+                        grid.to_json()))
     return out
 
 
 def import_parent(src_dir):
-    """The planar_holant package in src_dir, imported as parent_planar_holant."""
+    """The planar_holant package in src_dir, imported as parent_planar_holant;
+    returns the function that imports one of its modules by name."""
     name, pkg = "parent_planar_holant", Path(src_dir) / "planar_holant"
     spec = importlib.util.spec_from_file_location(
         name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
     mod = importlib.util.module_from_spec(spec)
     sys.modules[name] = mod
     spec.loader.exec_module(mod)
-    return importlib.import_module(name + ".cli")
+    return lambda module: importlib.import_module(f"{name}.{module}")
 
 
 def tree_sha256(src_dir):
@@ -240,56 +272,96 @@ def tree_sha256(src_dir):
     return h.hexdigest()
 
 
-def timed_op(main, argv):
-    """(exit code, stdout, seconds) of one CLI op, after a gc.collect()."""
-    buf = io.StringIO()
-    gc.collect()
-    with redirect_stdout(buf):
+def cli_run(main, argv):
+    """A run of one CLI op: ((exit code, stdout), seconds), timed after a
+    gc.collect()."""
+    def run():
+        buf = io.StringIO()
+        gc.collect()
+        with redirect_stdout(buf):
+            t0 = time.perf_counter()
+            code = main(argv)
+            dt = time.perf_counter() - t0
+        return (code, buf.getvalue()), dt
+    return run
+
+
+def count_pm_run(count_pm_fn, g):
+    """A run of count_pm(g): ((repr, type name) of the value, seconds),
+    timed after a gc.collect()."""
+    def run():
+        gc.collect()
         t0 = time.perf_counter()
-        code = main(argv)
+        value = count_pm_fn(g)
         dt = time.perf_counter() - t0
-    return code, buf.getvalue(), dt
+        return (repr(value), type(value).__name__), dt
+    return run
 
 
-def ab_table(parent_src):
-    parent_cli = import_parent(parent_src)
-    sides = {"parent": parent_cli.main, "change": cli.main}
+def ab_groups(workload, parent, work):
+    """(group, op, rows) for the A/B table of workload's record; each row
+    holds its size, input recipe and one run per side.  Both sides read
+    the same input file under work, or the same JSON text, with their own
+    code."""
+    mains = {"parent": parent("cli").main, "change": cli.main}
+
+    def cli_row(n, recipe, argv, text, name):
+        path = Path(work) / f"{name}.json"
+        path.write_text(text)
+        return {"n": n, "input": recipe, "run": {
+            k: cli_run(mains[k], [*argv, str(path)]) for k in mains}}
+
+    if workload == "fkt-solve":
+        from_json = {"parent": parent("plane_graph").from_json,
+                     "change": plane_graph.from_json}
+        pm = {"parent": parent("solvers").count_pm, "change": count_pm}
+        pm_rows = [{"n": n, "input": recipe, "run": {
+            k: count_pm_run(pm[k], from_json[k](g.to_json())) for k in pm}}
+            for n, recipe, g in ab_inputs("fkt-solve")]
+        cli_rows = [cli_row(n, recipe, [verb], text, f"fkt-solve-{i}")
+                    for i, (n, recipe, verb, text) in enumerate(fkt_solve_inputs())]
+        return [("count_pm", "count_pm(g), value equal in repr and type", pm_rows),
+                ("fkt-solve", "cli.main([verb, file])", cli_rows)]
+    if workload not in ("p3em-fullerene", "p3em-random"):
+        raise SystemExit(f"no A/B table for workload {workload}")
+    return [(name, 'cli.main(["p3em", "find", file])',
+             [cli_row(n, recipe, ["p3em", "find"], g.to_json(), f"{name}-{i}")
+              for i, (n, recipe, g) in enumerate(ab_inputs(name))])
+            for name in ("p3em-fullerene", "p3em-random")]
+
+
+def ab_table(parent_src, workload):
+    parent = import_parent(parent_src)
     table = {"python": platform.python_version(), "src_sha256": src_sha256(),
              "parent_src_sha256": tree_sha256(parent_src), "rounds": AB_ROUNDS,
-             "op": 'cli.main(["p3em", "find", file])',
-             "stdout_equal": True,    # else the table is not written
+             "outputs_equal": True,    # else the table is not written
              "workloads": {}}
     with tempfile.TemporaryDirectory() as work:
-        for workload in ("p3em-fullerene", "p3em-random"):
-            rows = []
-            for i, (n, recipe, g) in enumerate(ab_inputs(workload)):
-                path = Path(work) / f"{workload}-{i}.json"
-                path.write_text(g.to_json())
-                rows.append({"n": n, "input": recipe, "path": str(path),
-                             "parent_s": [], "change_s": []})
+        for name, op, rows in ab_groups(workload, parent, work):
+            for row in rows:
+                row["parent_s"], row["change_s"] = [], []
             for r in range(AB_ROUNDS):
                 order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
                 for row in rows:
-                    argv = ["p3em", "find", row["path"]]
-                    out = {k: timed_op(sides[k], argv) for k in order}
-                    if out["parent"][:2] != out["change"][:2]:
+                    out = {k: row["run"][k]() for k in order}
+                    if out["parent"][0] != out["change"][0]:
                         raise SystemExit(f"{row['input']}: parent and change "
-                                         "differ in stdout or exit code")
+                                         "give different outputs")
                     for k in order:
-                        row[k + "_s"].append(out[k][2])
+                        row[k + "_s"].append(out[k][1])
             by_size = {}
             for row in rows:
-                del row["path"]
+                del row["run"]
                 row["ratios"] = [c / p for p, c in zip(row["parent_s"], row["change_s"])]
                 row["ratio"] = quartiles(row["ratios"])
                 by_size.setdefault(row["n"], []).extend(row["ratios"])
-            table["workloads"][workload] = {
-                "inputs": rows,
+            table["workloads"][name] = {
+                "op": op, "inputs": rows,
                 "ratio_by_size": {str(n): {**quartiles(rs), "pairs": len(rs)}
                                   for n, rs in by_size.items()}}
             for n, rs in by_size.items():
                 q = quartiles(rs)
-                print(f"{workload} n={n}: change/parent {q['median']:.3f} "
+                print(f"{name} n={n}: change/parent {q['median']:.3f} "
                       f"({q['q1']:.3f}-{q['q3']:.3f}), {len(rs)} pairs",
                       file=sys.stderr)
     return table
@@ -414,7 +486,7 @@ def main(argv=None) -> int:
             raise SystemExit(f"{args.parent_scale}: not a {workload} table")
         record["parent_" + key] = before_scale[key]
     if args.parent_src:
-        record["ab"] = ab_table(args.parent_src)
+        record["ab"] = ab_table(args.parent_src, workload)
     Path(args.out or ROOT / out).write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

@@ -1,11 +1,12 @@
 """Polynomial-time exact solvers for the tractable signature classes.
 
-count_pm implements the FKT pipeline in one pass over the whole graph:
-Kasteleyn orientation by a walk of each component's dual spanning tree,
-then the Pfaffian of one Kasteleyn matrix, kept as per-row dicts of
-nonzeros, by exact sparse skew elimination with greedy minimum-degree
-pivots.  Every perfect matching carries the same sign under
-a Pfaffian orientation; with all weights positive the weighted Pfaffian
+count_pm implements the FKT pipeline in one pass over the whole graph,
+copied only to drop loops or split parallel pairs: Kasteleyn orientation
+by a walk of each component's dual spanning tree, then the Pfaffian of
+one Kasteleyn matrix, kept as per-row dicts of nonzeros, by sparse skew
+elimination with greedy minimum-degree pivots, exact and in ints until a
+pivot is not +-1.  Every perfect matching carries the same sign under a
+Pfaffian orientation; with all weights positive the weighted Pfaffian
 shows it, otherwise a second, unit-weight Pfaffian reads it.  The five
 class solvers reduce to perfect-matching counts (cases 4 and 5), one GF(2)
 Gauss sum over each affine family's sign form (AFFINE_FORMS), or closed
@@ -111,15 +112,24 @@ def _pfaffian(rows: List[Dict[int, Scalar]]) -> Scalar:
     complement, which only touches the two pivot rows' neighbours.  With
     sigma the pivot sequence (i1, j1, i2, j2, ...), the Pfaffian is
     sgn(sigma) times the product of the pivots.
+
+    Integral entries stay Python ints until a pivot other than +-1 divides
+    a row, and an entry that turns integral again goes back to an int.  The
+    Schur complement is the rank-one update a[r][s] -= (a[i][r] / p) a[j][s]
+    over r in N(i), s in N(j), s != r, each written with its mirror a[s][r].
     """
     n = len(rows)
     if n % 2:
         return Fraction(0)
+    for row in rows:
+        for s, v in row.items():
+            if type(v) is Fraction and v.denominator == 1:
+                row[s] = v.numerator
     heap = [(len(row), r) for r, row in enumerate(rows)]
     heapq.heapify(heap)
     done = [False] * n
     order: List[int] = []
-    pf: Scalar = Fraction(1)
+    pf: Scalar = 1
     while heap:
         deg, i = heapq.heappop(heap)
         if done[i] or deg != len(rows[i]):
@@ -138,26 +148,28 @@ def _pfaffian(rows: List[Dict[int, Scalar]]) -> Scalar:
             del rows[r][i]
         for r in rj:
             del rows[r][j]
-        # a[r][s] -= (a[i][r] a[j][s] - a[i][s] a[j][r]) / p over N(i) | N(j)
-        x = {r: v / p for r, v in ri.items()}
-        nbrs = list(x.keys() | rj.keys())
-        for k, r in enumerate(nbrs):
-            xr, yr, row = x.get(r), rj.get(r), rows[r]
-            for s in nbrs[k + 1:]:
-                t = 0
-                if xr is not None and s in rj:
-                    t = xr * rj[s]
-                if yr is not None and s in x:
-                    t = t - x[s] * yr
-                if t == 0:
-                    continue
-                v = row.get(s, 0) - t
-                if v != 0:
-                    row[s] = v
-                    rows[s][r] = -v
-                elif s in row:
-                    del row[s], rows[s][r]
-        for r in nbrs:
+        if p == 1:
+            x = ri
+        elif p == -1:
+            x = {r: -v for r, v in ri.items()}
+        elif type(p) is int:
+            x = {r: Fraction(v, p) if type(v) is int else v / p
+                 for r, v in ri.items()}
+        else:
+            x = {r: v / p for r, v in ri.items()}
+        for r, xr in x.items():
+            row = rows[r]
+            for s, ys in rj.items():
+                if s != r:
+                    v = row.get(s, 0) - xr * ys
+                    if type(v) is Fraction and v.denominator == 1:
+                        v = v.numerator
+                    if v != 0:
+                        row[s] = v
+                        rows[s][r] = -v
+                    else:
+                        del row[s], rows[s][r]
+        for r in x.keys() | rj.keys():
             heapq.heappush(heap, (len(rows[r]), r))
     # sign of sigma from its cycles
     sign = 1
@@ -169,14 +181,16 @@ def _pfaffian(rows: List[Dict[int, Scalar]]) -> Scalar:
             k = order[k]
             if k != start:
                 sign = -sign
+    pf = Fraction(pf) if type(pf) is int else pf
     return pf if sign > 0 else -pf
 
 
 def count_pm(g: PlaneGraph, weights: Optional[Dict[int, Scalar]] = None) -> Scalar:
     """Weighted perfect-matching sum of a plane multigraph, exactly.
 
-    Self-loops never participate and are dropped; parallel edges are
-    separated by double subdivision so the Kasteleyn matrix stays simple.
+    A simple graph is oriented as it is.  Otherwise self-loops, which never
+    participate, are dropped and parallel edges are separated by double
+    subdivision (_simplify_for_pm), so the Kasteleyn matrix stays simple.
     One matrix covers every component: its Pfaffian is, up to one global
     sign, the product of the components' Pfaffians.
     """
@@ -184,14 +198,21 @@ def count_pm(g: PlaneGraph, weights: Optional[Dict[int, Scalar]] = None) -> Scal
     # loops, once dropped, leave no plane graph)
     if any(len(comp) % 2 for comp in g.connected_components()):
         return Fraction(0)
-    g2, wmap = _simplify_for_pm(g, weights or {})
+    weights = weights or {}
+    edges = g.edges()
+    pairs = {(min(u, v), max(u, v))
+             for u, v in map(g.edge_ends, edges) if u != v}
+    if len(pairs) == len(edges):
+        g2, wmap = g, {e: weights.get(e, 1) for e in edges}
+    else:
+        g2, wmap = _simplify_for_pm(g, weights)
     ko = kasteleyn_orient(g2)
     idx = {v: i for i, v in enumerate(g2.vertices())}
 
     def pfaff(weighted: bool) -> Scalar:
         rows: List[Dict[int, Scalar]] = [{} for _ in idx]
         for e in g2.edges():
-            w = wmap.get(e, Fraction(1)) if weighted else Fraction(1)
+            w = wmap.get(e, 1) if weighted else 1
             if w == 0:
                 continue
             u, v = g2.edge_ends(e)

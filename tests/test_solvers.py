@@ -1,14 +1,16 @@
+import heapq
 import random
 from fractions import Fraction
+from typing import Dict, List
 
 import pytest
 
-from planar_holant import fixtures
+from planar_holant import fixtures, solvers
 from planar_holant.generators import (generate_cubic_bipartite_plane,
-                                      generate_cubic_plane)
+                                      generate_cubic_plane, leapfrog)
 from planar_holant.holant_core import eval_grid
 from planar_holant.plane_graph import grid_from_cubic_bipartite
-from planar_holant.scalars import sqrt_exact
+from planar_holant.scalars import Scalar, sqrt_exact
 from planar_holant.signatures import SymSignature
 from planar_holant.plane_graph import PlaneGraph
 from planar_holant.solvers import (AFFINE_PATTERNS, WrongForm, _decorate,
@@ -183,6 +185,168 @@ def test_pfaffian_squares_to_determinant():
         assert pf * pf == determinant(mat)
         singular += pf == 0
     assert singular > len(cases) // 10
+
+
+def _pfaffian_reference(rows: List[Dict[int, Scalar]]) -> Scalar:
+    """Pfaffian of a skew-symmetric matrix given as one dict of nonzero
+    entries per row (rows[r][s] == -rows[s][r]); the rows are consumed.
+
+    Sparse exact elimination under greedy minimum degree: each step pivots
+    on the live row with the fewest nonzeros and its neighbour with the
+    fewest, multiplies the pivot into the result and takes the Schur
+    complement, which only touches the two pivot rows' neighbours.  With
+    sigma the pivot sequence (i1, j1, i2, j2, ...), the Pfaffian is
+    sgn(sigma) times the product of the pivots.
+    """
+    n = len(rows)
+    if n % 2:
+        return Fraction(0)
+    heap = [(len(row), r) for r, row in enumerate(rows)]
+    heapq.heapify(heap)
+    done = [False] * n
+    order: List[int] = []
+    pf: Scalar = Fraction(1)
+    while heap:
+        deg, i = heapq.heappop(heap)
+        if done[i] or deg != len(rows[i]):
+            continue  # stale heap entry
+        if deg == 0:
+            return Fraction(0)
+        ri = rows[i]
+        j = min(ri, key=lambda v: (len(rows[v]), v))
+        rj = rows[j]
+        p = ri.pop(j)
+        del rj[i]
+        pf = pf * p
+        done[i] = done[j] = True
+        order += (i, j)
+        for r in ri:
+            del rows[r][i]
+        for r in rj:
+            del rows[r][j]
+        # a[r][s] -= (a[i][r] a[j][s] - a[i][s] a[j][r]) / p over N(i) | N(j)
+        x = {r: v / p for r, v in ri.items()}
+        nbrs = list(x.keys() | rj.keys())
+        for k, r in enumerate(nbrs):
+            xr, yr, row = x.get(r), rj.get(r), rows[r]
+            for s in nbrs[k + 1:]:
+                t = 0
+                if xr is not None and s in rj:
+                    t = xr * rj[s]
+                if yr is not None and s in x:
+                    t = t - x[s] * yr
+                if t == 0:
+                    continue
+                v = row.get(s, 0) - t
+                if v != 0:
+                    row[s] = v
+                    rows[s][r] = -v
+                elif s in row:
+                    del row[s], rows[s][r]
+        for r in nbrs:
+            heapq.heappush(heap, (len(rows[r]), r))
+    # sign of sigma from its cycles
+    sign = 1
+    seen = [False] * n
+    for start in range(n):
+        k = start
+        while not seen[k]:
+            seen[k] = True
+            k = order[k]
+            if k != start:
+                sign = -sign
+    return pf if sign > 0 else -pf
+
+
+def kasteleyn_rows(monkeypatch, g):
+    """count_pm(g) and the rows of every Kasteleyn matrix it built."""
+    built = []
+    pfaffian = solvers._pfaffian
+
+    def record(rows):
+        built.append([dict(row) for row in rows])
+        return pfaffian(rows)
+
+    monkeypatch.setattr(solvers, "_pfaffian", record)
+    value = count_pm(g)
+    monkeypatch.undo()
+    return value, built
+
+
+def test_pfaffian_matches_reference(monkeypatch):
+    # the int-first routine against the Fraction-only one it replaced:
+    # equal value and type on rational, integral (non-unit pivots),
+    # Kasteleyn and Q(sqrt 2) matrices
+    rng = random.Random(3)
+    cases = []
+    for n in range(2, 13):
+        for density in (0.2, 0.5, 1.0):
+            cases += [random_skew(rng, n, density) for _ in range(2)]
+        cases.append(low_rank_skew(rng, n, 2 * ((n - 1) // 2)))
+        if n >= 4:
+            mat = random_skew(rng, n, 0.6)
+            mat[0][1] = mat[1][0] = Fraction(0)
+            cases.append(mat)
+    root2 = sqrt_exact(2)
+    entries = ([Fraction(k) for k in range(-4, 5)],
+               [Fraction(1), Fraction(-2, 3), root2, 1 - root2, Fraction(0)])
+    for n in range(2, 13):
+        for pick in entries * 3:
+            mat = [[Fraction(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    mat[i][j] = rng.choice(pick)
+                    mat[j][i] = -mat[i][j]
+            cases.append(mat)
+    rows_list = [sparse_rows(mat) for mat in cases]
+    c20 = fixtures.dodecahedron()
+    for g, want in ((c20, 36), (leapfrog(c20), 12500)):
+        value, built = kasteleyn_rows(monkeypatch, g)
+        assert len(built) == 1 and abs(value) == want
+        assert type(_pfaffian([dict(r) for r in built[0]])) is Fraction
+        rows_list += built
+    for n, seed in ((20, 0), (60, 1), (200, 2)):
+        g = generate_cubic_bipartite_plane(n, seed)
+        rows_list += kasteleyn_rows(monkeypatch, g)[1]
+    kinds = set()
+    for rows in rows_list:
+        got = _pfaffian([dict(r) for r in rows])
+        # count_pm's rows hold ints, which the reference would divide as floats
+        want = _pfaffian_reference([{s: Fraction(v) if type(v) is int else v
+                                     for s, v in r.items()} for r in rows])
+        assert got == want and type(got) is type(want)
+        kinds.add((type(got).__name__, got == 0))
+    assert kinds == {("Fraction", True), ("Fraction", False), ("QuadExt", False)}
+
+
+def test_count_pm_simplifies_only_multigraphs(monkeypatch):
+    # a Fisher decoration is simple, so count_pm orients it as it is
+    grid = grid_from_cubic_bipartite(generate_cubic_bipartite_plane(2, 0),
+                                     SymSignature([1, 0, 0, 1]))
+    dec, w = _decorate(grid, "even", "even", Fraction(5, 3))
+
+    def refuse(g, weights):
+        raise AssertionError("simple graph simplified")
+
+    want = brute_force_pm(dec, w)
+    monkeypatch.setattr(solvers, "_simplify_for_pm", refuse)
+    assert count_pm(dec, w) == want != 0
+    monkeypatch.undo()
+    # a parallel pair (theta graph) or a loop (dumbbell) still goes through it
+    calls = []
+    simplify = solvers._simplify_for_pm
+
+    def spy(g, weights):
+        calls.append(g)
+        return simplify(g, weights)
+
+    monkeypatch.setattr(solvers, "_simplify_for_pm", spy)
+    theta = fixtures.m23()
+    weights = dict(zip(theta.edges(), (Fraction(2), Fraction(3), Fraction(5))))
+    for g, wts in ((theta, weights), (theta, None), (fixtures.dumbbell(), None)):
+        calls.clear()
+        assert count_pm(g, wts) == brute_force_pm(g, wts)
+        assert calls == [g]
 
 
 def test_count_pm_random_weighted():
