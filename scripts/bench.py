@@ -4,8 +4,7 @@ for p3em-random, BENCH_p3em_fullerene.json for p3em-fullerene,
 BENCH_eval.json for holant-eval.
 
     python3 scripts/bench.py --parent P*.json --change C*.json [--out FILE]
-                             [--parent-scale S.json] [--parent-src DIR]
-    python3 scripts/bench.py --scale-only WORKLOAD --out S.json
+                             [--parent-src DIR]
 
 --parent and --change take the reports that perfbench/run.py writes to
 .perfbench_out/ for one workload, run from a checkout of the parent commit
@@ -39,11 +38,6 @@ is timed three times too:
 * holant-eval: eval_grid on the [2,1,1,2] grid of
   generate_cubic_bipartite_plane(n, 1), n = 50, 100, 200 and 400, with
   the elimination width of each grid and the same exponent.
-
---scale-only times only that table and writes it to --out.  Run from a
-copy of this script placed in a checkout of the parent, it gives the
-parent's table, which --parent-scale then adds to the record under the
-table's key prefixed with "parent_".
 
 --parent-src DIR adds an A/B table to the record (under "ab").  DIR holds
 the parent's planar_holant package (a checkout's src/), which is imported
@@ -445,17 +439,8 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", nargs="+")
     ap.add_argument("--change", nargs="+")
     ap.add_argument("--out")
-    ap.add_argument("--parent-scale")
-    ap.add_argument("--scale-only", choices=sorted(WORKLOADS))
     ap.add_argument("--parent-src")
     args = ap.parse_args(argv)
-    if args.scale_only:
-        if not args.out:
-            ap.error("--scale-only needs --out")
-        key, table = WORKLOADS[args.scale_only][2]()
-        record = {"workload": args.scale_only, key: table}
-        Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
-        return 0
     if not (args.parent and args.change):
         ap.error("--parent and --change are required")
     workload = json.loads(Path(args.parent[0]).read_text())["provenance"]["workload"]
@@ -480,11 +465,6 @@ def main(argv=None) -> int:
         "pair_wins": wins,
         key: table,
     }
-    if args.parent_scale:
-        before_scale = json.loads(Path(args.parent_scale).read_text())
-        if before_scale.get("workload") != workload:
-            raise SystemExit(f"{args.parent_scale}: not a {workload} table")
-        record["parent_" + key] = before_scale[key]
     if args.parent_src:
         record["ab"] = ab_table(args.parent_src, workload)
     Path(args.out or ROOT / out).write_text(json.dumps(record, indent=1) + "\n")

@@ -13,7 +13,7 @@ what their users read:
 So neither pays for the other's upkeep.  The kernel lives apart from
 plane_graph, whose GraphBuilder the one-off constructions (solver
 simplifications and decorations, materialize, the grid conversions) use
-with a single full freeze().
+with a single full freeze() of the graph they return.
 """
 
 from __future__ import annotations
@@ -121,10 +121,9 @@ class FaceKernel(GraphBuilder):
         self._save((d, self.twin.get(d)), (self.vertex_of[d],))
         super().drop_dart(d)
 
-    def contract_edge(self, e_dart: int, new_vertex: Optional[int] = None) -> int:
+    def contract_edge(self, e_dart: int, new_vertex: int) -> int:
         u, w = self.vertex_of[e_dart], self.vertex_of[self.twin[e_dart]]
-        self._save(self.rotation[u] + self.rotation[w],
-                   (u, w) if new_vertex is None else (u, w, new_vertex))
+        self._save(self.rotation[u] + self.rotation[w], (u, w, new_vertex))
         return super().contract_edge(e_dart, new_vertex)
 
     def commit(self) -> Surgery:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from .plane_graph import GraphBuilder, GraphError, PlaneGraph
+from .plane_graph import GraphBuilder, PlaneGraph
 
 
 def from_adjacency(rotations: Dict[int, Sequence[Tuple[int, int]]]) -> PlaneGraph:
@@ -226,32 +226,21 @@ def bridge_fixture() -> PlaneGraph:
 
 def chord_fixture() -> PlaneGraph:
     """Chord {A,B} whose removal sides are dodecahedron fragments: simple,
-    bridgeless, girth five, and the chord is the first reducible feature."""
-    from .face_kernel import P3emKernel
-    from .p3em_cases import step_reduce
-    for rotA in ((0, 1, 2), (0, 2, 1)):
-        for rotB in ((0, 1, 2), (0, 2, 1)):
-            b, e1, e2 = _two_dodecahedra()
-            t1, t2 = b.twin[e1], b.twin[e2]
-            nd = b.fresh_dart()
-            a_c, a_B, a_e = nd, nd + 1, nd + 2
-            b_d, b_A, b_f = nd + 3, nd + 4, nd + 5
-            b.retwin(e1, a_c)
-            b.retwin(t1, b_d)
-            b.retwin(e2, a_e)
-            b.retwin(t2, b_f)
-            b.retwin(a_B, b_A)
-            b.add_vertex(600, [[a_c, a_B, a_e][i] for i in rotA])
-            b.add_vertex(601, [[b_d, b_A, b_f][i] for i in rotB])
-            try:
-                g = b.freeze()
-            except GraphError:
-                continue
-            if len(g.connected_components()) != 1:
-                continue
-            if step_reduce(P3emKernel(g)).label == "chord":
-                return g
-    raise RuntimeError("chord fixture construction failed")
+    bridgeless, girth five, and the chord is the first reducible feature;
+    of the four rotation pairs at A = 600 and B = 601, the first that is."""
+    b, e1, e2 = _two_dodecahedra()
+    t1, t2 = b.twin[e1], b.twin[e2]
+    nd = b.fresh_dart()
+    a_c, a_B, a_e = nd, nd + 1, nd + 2
+    b_d, b_A, b_f = nd + 3, nd + 4, nd + 5
+    b.retwin(e1, a_c)
+    b.retwin(t1, b_d)
+    b.retwin(e2, a_e)
+    b.retwin(t2, b_f)
+    b.retwin(a_B, b_A)
+    b.add_vertex(600, [a_c, a_B, a_e])
+    b.add_vertex(601, [b_d, b_f, b_A])
+    return b.freeze()
 
 
 # searched orientation bits for the coincident-spokes pentagon fixture;

@@ -192,15 +192,14 @@ def _reachable(g, start: int, banned: Set[int]) -> Set[int]:
 
 # -- commits, splits and lifts -----------------------------------------------
 
-def _commit(k: P3emKernel, label: str, parts: Optional[int] = 1) -> Surgery:
+def _commit(k: P3emKernel, label: str, parts: int = 1) -> Surgery:
     """Commit k's surgery; it must leave `parts` planar components of the
-    connected parent, so V - E + F must change by 2 * (parts - 1).  With
-    parts None the caller checks the change itself."""
+    connected parent, so V - E + F must change by 2 * (parts - 1)."""
     try:
         s = k.commit()
     except GraphError as ex:
         raise P3emError(f"{label}: {type(ex).__name__}: {ex}") from None
-    if parts is not None and s.euler != 2 * (parts - 1):
+    if s.euler != 2 * (parts - 1):
         raise P3emError(f"{label}: NonPlanarEmbedding: V-E+F changed by {s.euler}")
     return s
 
@@ -392,48 +391,37 @@ def _case_square(k: P3emKernel, face) -> ReductionStep:
 
 
 def _case_chord(k: P3emKernel, outer, chord: int) -> ReductionStep:
+    """Cut along the chord AB: region 2, on the side of qB's face, is closed
+    by an E-F shortcut, and the rest keeps A and B, joined to fresh E' and
+    F' in triangles A E' F' and B E' F'.  No loop, parallel pair or bridge
+    is left, so faces are cycles: qB's face leaves A by qA's ccw successor
+    dAE and enters B by the twin of qB's ccw predecessor dBF.  The picture
+    is the same at every chord step, and so is its one planar arrangement
+    at E' and F'."""
     qA, qB = chord, k.twin[chord]
     A, B = k.vertex_of[qA], k.vertex_of[qB]
-    boundary2 = set(k.face_boundary(k.face_of(qB)))
-
-    def cyc_split(v, q):
-        d1, d2 = _other_darts(k, v, (q,))
-        if d1 in boundary2 or k.twin[d1] in boundary2:
-            return d2, d1   # (region-1 side dart, region-2 side dart)
-        return d1, d2
-
-    dAC, dAE = cyc_split(A, qA)
-    dBD, dBF = cyc_split(B, qB)
+    rA, rB = k.rotation[A], k.rotation[B]
+    i, j = rA.index(qA), rB.index(qB)
+    dAC, dAE = rA[i - 1], rA[(i + 1) % 3]
+    dBF = rB[j - 1]
     xE, xF = k.twin[dAE], k.twin[dBF]
     Ev = k.vertex_of[xE]
-    into_ab = {k.twin[d] for d in k.rotation[A] + k.rotation[B]}
+    into_ab = {k.twin[d] for d in rA + rB}
     region2 = _reachable(k, Ev, into_ab)
     if k.vertex_of[xF] not in region2 or k.vertex_of[k.twin[dAC]] in region2:
         raise P3emError("chord region identification failed")
     pool = {chord, k.edge_of(dAE), k.edge_of(dBF)}
 
-    # in place, both children at once: region 2 closed by an E-F shortcut,
-    # and the rest with A, B joined to fresh vertices E', F'; of the four
-    # cyclic arrangements at E', F' only the one matching the parent
-    # orientation is planar with two new triangle faces
+    # in place, both children at once
     nd = k.fresh_dart()
     eA, eB, eF = nd, nd + 1, nd + 2
     fA, fB, fE = nd + 3, nd + 4, nd + 5
     Ep = max(k.rotation) + 1
-    Fp = Ep + 1
-    for e_rot in ([eA, eB, eF], [eA, eF, eB]):
-        for f_rot in ([fA, fB, fE], [fA, fE, fB]):
-            for d1, d2 in ((qA, eA), (qB, eB), (dAE, fA), (dBF, fB),
-                           (eF, fE), (xE, xF)):
-                k.retwin(d1, d2)
-            k.add_vertex(Ep, e_rot)
-            k.add_vertex(Fp, f_rot)
-            s = _commit(k, "chord", parts=None)
-            if (s.euler == 2 and len(k.face_boundary(k.face_of(eF))) == 3
-                    and len(k.face_boundary(k.face_of(fE))) == 3):
-                return _split(k, "chord", pool, s, (A, Ev))
-            k.undo(s)
-    raise P3emError("no planar completion for the chord fragment")
+    for d1, d2 in ((qA, eA), (qB, eB), (dAE, fA), (dBF, fB), (eF, fE), (xE, xF)):
+        k.retwin(d1, d2)
+    k.add_vertex(Ep, [eA, eB, eF])
+    k.add_vertex(Ep + 1, [fA, fE, fB])
+    return _split(k, "chord", pool, _commit(k, "chord", parts=2), (A, Ev))
 
 
 # -- pentagon ---------------------------------------------------------------

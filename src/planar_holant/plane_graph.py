@@ -138,9 +138,6 @@ class PlaneGraph:
             raise UnknownEdge(str(e))
         return self.vertex_of[e], self.vertex_of[self.twin[e]]
 
-    def degree(self, v: int) -> int:
-        return len(self.rotation[v])
-
     def is_cubic(self) -> bool:
         return all(len(r) == 3 for r in self.rotation.values())
 
@@ -395,8 +392,8 @@ class GraphBuilder:
         self.drop_dart(e_dart)
         self.drop_dart(t)
 
-    def contract_edge(self, e_dart: int, new_vertex: Optional[int] = None) -> int:
-        """Contract non-loop edge; merged vertex keeps the spliced rotation."""
+    def contract_edge(self, e_dart: int, new_vertex: int) -> int:
+        """Contract a non-loop edge into new_vertex, with the spliced rotation."""
         d, t = e_dart, self.twin[e_dart]
         u, w = self.vertex_of[d], self.vertex_of[t]
         if u == w:
@@ -404,16 +401,15 @@ class GraphBuilder:
         ru, rw = self.rotation[u], self.rotation[w]
         iu, iw = ru.index(d), rw.index(t)
         spliced = ru[iu + 1:] + ru[:iu] + rw[iw + 1:] + rw[:iw]
-        nv = u if new_vertex is None else new_vertex
         del self.rotation[u]
         del self.rotation[w]
-        self.rotation[nv] = spliced
+        self.rotation[new_vertex] = spliced
         for x in spliced:
-            self.vertex_of[x] = nv
+            self.vertex_of[x] = new_vertex
         del self.twin[d], self.twin[t]
         self.vertex_of.pop(d, None)
         self.vertex_of.pop(t, None)
-        return nv
+        return new_vertex
 
     def freeze(self) -> PlaneGraph:
         return PlaneGraph(self.twin, self.vertex_of,
@@ -470,21 +466,14 @@ def incidence_grid(g: PlaneGraph, left_sig, right_sig):
     return SignatureGrid(nodes, edges, [], emb)
 
 
-def merge_degree2_left(grid) -> PlaneGraph:
-    """Inverse of incidence_grid: contract every binary left node back to an
-    edge.  Requires an embedding and all left nodes of arity 2."""
-    g, _ = merge_degree2_left_map(grid)
-    return g
-
-
 def merge_degree2_left_map(grid) -> Tuple[PlaneGraph, Dict[int, int]]:
-    """merge_degree2_left plus the map from left node id to edge id.  On
-    the grid's plane graph each left node, in id order, joins its two far
-    darts into one edge, named by the smaller dart, and is removed."""
+    """Inverse of incidence_grid, and the map from left node id to edge id.
+    On grid_builder's graph each left node (all binary), in id order,
+    joins its two far darts into one edge named by the smaller dart."""
     lefts = sorted(n.id for n in grid.nodes.values() if n.side != "right")
     if any(grid.nodes[lid].arity != 2 for lid in lefts):
         raise GraphError("all left nodes must be binary")
-    b = GraphBuilder(plane_graph_of_grid(grid))
+    b = grid_builder(grid)
     edge_map: Dict[int, int] = {}
     for lid in lefts:
         d1, d2 = (b.twin[d] for d in b.rotation[lid])
@@ -528,27 +517,26 @@ def grid_from_cubic_bipartite(g: PlaneGraph, f, right_sig=None,
     return SignatureGrid(nodes, edges, [], emb)
 
 
-def plane_graph_of_grid(grid) -> PlaneGraph:
-    """Underlying plane multigraph of an embedded grid (nodes -> vertices)."""
+def grid_builder(grid) -> GraphBuilder:
+    """An embedded grid's plane multigraph, unvalidated: node nid is vertex
+    nid, its darts numbered in node-id order and, at a node, in the
+    embedding's ccw slot order (the one dart numbering of a grid)."""
     if grid.embedding is None:
         raise GraphError("grid carries no embedding")
-    dart_ids: Dict[Tuple[int, int], int] = {}
-    vertex_of: Dict[int, int] = {}
-    rotation: Dict[int, Tuple[int, ...]] = {}
-    nxt = 0
-    for nid in sorted(grid.nodes):
-        rot = []
-        for s in grid.embedding[nid]:
-            dart_ids[(nid, s)] = nxt
-            vertex_of[nxt] = nid
-            rot.append(nxt)
-            nxt += 1
-        rotation[nid] = tuple(rot)
-    twin = {}
-    for (na, sa, nb, sb) in grid.edges:
-        d1, d2 = dart_ids[(na, sa)], dart_ids[(nb, sb)]
-        twin[d1] = d2
-        twin[d2] = d1
     if grid.dangling:
         raise GraphError("dangling slots have no graph image")
-    return PlaneGraph(twin, vertex_of, rotation)
+    b = GraphBuilder()
+    dart_of: Dict[Tuple[int, int], int] = {}
+    for nid in sorted(grid.nodes):
+        d0 = len(dart_of)
+        for i, s in enumerate(grid.embedding[nid]):
+            dart_of[nid, s] = d0 + i
+        b.add_vertex(nid, range(d0, len(dart_of)))
+    for (na, sa, nb, sb) in grid.edges:
+        b.retwin(dart_of[na, sa], dart_of[nb, sb])
+    return b
+
+
+def plane_graph_of_grid(grid) -> PlaneGraph:
+    """grid_builder's graph, validated."""
+    return grid_builder(grid).freeze()

@@ -22,7 +22,8 @@ from itertools import combinations
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .plane_graph import (GraphBuilder, PlaneGraph, plane_graph_of_grid)
+from .plane_graph import (GraphBuilder, PlaneGraph, grid_builder,
+                          plane_graph_of_grid)
 from .holant_core import SignatureGrid
 from .scalars import Scalar
 from .signatures import SymSignature, hadamard3
@@ -506,8 +507,9 @@ def _decorate(grid: SignatureGrid, left_kind: str, right_kind: str,
               left_weight: Scalar):
     """Replace every grid node by its fragment from _FRAGMENTS: left_kind's
     with left_weight on the weighted edges for left nodes, right_kind's
-    with weight 1 for right nodes.  Returns (plane graph, edge weights)."""
-    b = GraphBuilder(plane_graph_of_grid(grid))
+    with weight 1 for right nodes, in grid_builder's graph, which is then
+    validated once.  Returns (plane graph, edge weights)."""
+    b = grid_builder(grid)
     weights: Dict[int, Scalar] = {}
     next_v = max(b.rotation) + 1
     d0 = b.fresh_dart()

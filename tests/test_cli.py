@@ -218,6 +218,53 @@ def test_bad_embedding_is_an_input_error(tmp_path, command, order):
     assert "embedding" in err
 
 
+def test_non_planar_embedding_is_an_input_error(tmp_path):
+    # an embedding of the right shape whose rotation system is not plane:
+    # the cube with node 0's slot order reversed
+    from planar_holant.fixtures import cube
+    from planar_holant.plane_graph import (grid_from_cubic_bipartite,
+                                           incidence_grid)
+    from planar_holant.signatures import (EQ3, StraddledMatrix, SymSignature,
+                                          connect_unary, eigen2)
+    from planar_holant.scalars import format_scalar
+    grid = grid_from_cubic_bipartite(cube(), SymSignature([1, 2, 2, 1]))
+    grid.embedding[0] = (0, 2, 1)
+    path = tmp_path / "grid.json"
+    path.write_text(grid.to_json())
+    for args in (["solve"], ["solve", "--force-case", "4"]):
+        assert "V-E+F" in cli_input_error(args[0], str(path), *args[1:])
+    f = SymSignature([1, 1, 2, 1])
+    e = eigen2(StraddledMatrix([[1, 2], [1, 1]]))
+    grid = incidence_grid(cube(), connect_unary(f, SymSignature([1, e.x])), EQ3)
+    grid.embedding[0] = (0, 2, 1)
+    path.write_text(grid.to_json())
+
+    def arg(v):
+        enc = format_scalar(v)
+        return enc if isinstance(enc, str) else json.dumps(enc)
+
+    assert "V-E+F" in cli_input_error("reduce", "absorb", str(path), "--sig",
+                                      "[1,1,2,1]", "--x", arg(e.x),
+                                      "--y", arg(e.y))
+
+
+def test_running_example_demo_prints_nine():
+    # the demo reaches eval_collapsed, solve_case5 and count_pm from a
+    # script, outside the package
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.join(root, "src")
+    path = os.environ.get("PYTHONPATH")
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", "running_example_demo.py")],
+        capture_output=True, text=True,
+        env={**os.environ,
+             "PYTHONPATH": src if not path else src + os.pathsep + path})
+    assert proc.returncode == 0, proc.stderr
+    values = [line.split(":", 1)[1].strip()
+              for line in proc.stdout.splitlines()[1:]]
+    assert values == ["9"] * 4
+
+
 def test_eval_rejects_slot_facing_the_wrong_side(tmp_path):
     # two right =2 nodes chained through an L-facing slot: evaluated
     # anyway, the eq-eq edge would drop one equality (6 instead of 3)

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import itertools
 import random
@@ -487,6 +488,90 @@ def test_bridges_match_reference():
         assert g.bridges() == _bridges_reference(g)
         found += len(g.bridges())
     assert found > 100
+
+
+def _case_chord_reference(k, outer, chord):
+    """The chord step as a search: commit the four cyclic arrangements at
+    E' and F' in turn, and keep the first that changes V - E + F by 2 and
+    puts eF and fE on triangles."""
+    other = p3em_cases._other_darts
+    qA, qB = chord, k.twin[chord]
+    A, B = k.vertex_of[qA], k.vertex_of[qB]
+    boundary2 = set(k.face_boundary(k.face_of(qB)))
+
+    def cyc_split(v, q):
+        d1, d2 = other(k, v, (q,))
+        if d1 in boundary2 or k.twin[d1] in boundary2:
+            return d2, d1
+        return d1, d2
+
+    dAC, dAE = cyc_split(A, qA)
+    dBD, dBF = cyc_split(B, qB)
+    xE, xF = k.twin[dAE], k.twin[dBF]
+    Ev = k.vertex_of[xE]
+    pool = {chord, k.edge_of(dAE), k.edge_of(dBF)}
+    nd = k.fresh_dart()
+    eA, eB, eF = nd, nd + 1, nd + 2
+    fA, fB, fE = nd + 3, nd + 4, nd + 5
+    Ep = max(k.rotation) + 1
+    for e_rot in ([eA, eB, eF], [eA, eF, eB]):
+        for f_rot in ([fA, fB, fE], [fA, fE, fB]):
+            for d1, d2 in ((qA, eA), (qB, eB), (dAE, fA), (dBF, fB),
+                           (eF, fE), (xE, xF)):
+                k.retwin(d1, d2)
+            k.add_vertex(Ep, e_rot)
+            k.add_vertex(Ep + 1, f_rot)
+            s = k.commit()
+            if (s.euler == 2 and len(k.face_boundary(k.face_of(eF))) == 3
+                    and len(k.face_boundary(k.face_of(fE))) == 3):
+                return p3em_cases._split(k, "chord", pool, s, (A, Ev))
+            k.undo(s)
+    raise AssertionError("no planar completion for the chord fragment")
+
+
+def _mirrored(g):
+    """g with every rotation reversed: the mirror-image embedding."""
+    return PlaneGraph(g.twin, g.vertex_of,
+                      {v: r[::-1] for v, r in g.rotation.items()})
+
+
+def test_chord_fixture_is_pinned():
+    # the fixture writes down the rotations at A and B that a search over
+    # their four pairs, keeping the first graph whose first step is the
+    # chord, used to pick
+    text = fixtures.chord_fixture().to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "9e01a9b1ca78be5eba404e74e525cc7a6840fc4ef0c1494eca1055fa9d322984")
+
+
+def test_chord_rule_matches_search():
+    # the chord step builds one arrangement at E' and F', read off the
+    # rotations at A and B; on every chord step of these reduction trees it
+    # must build what the search built, under both orientations of the
+    # embedding (the mirror images reverse every rotation)
+    rng = random.Random(20)
+    roots = [fixtures.chord_fixture()]
+    roots += [relabel(roots[0], rng) for _ in range(40)]
+    roots += [_mirrored(g) for g in roots]
+    steps = 0
+    for g in roots:
+        for h in _reduction_tree(g):
+            k = P3emKernel(h)
+            step = step_reduce(k)
+            if step.label != "chord":
+                continue
+            steps += 1
+            ref_k = P3emKernel(h)
+            ref = _case_chord_reference(ref_k, *ref_k.smallest_chord())
+            assert ([c.freeze() for c in step.children]
+                    == [c.freeze() for c in ref.children])
+            Ep = max(h.rotation) + 1
+            assert k.rotation[Ep] == ref_k.rotation[Ep]
+            assert k.rotation[Ep + 1] == ref_k.rotation[Ep + 1]
+            got = step.lift([solve_kernel(c) for c in step.children])
+            want = ref.lift([solve_kernel(c) for c in ref.children])
+            assert got.sigma == want.sigma
+    assert steps > 80
 
 
 def test_completion_search_matches_references(monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 from planar_holant import fixtures
 from planar_holant.plane_graph import (Face, GraphError, NonPlanarEmbedding,
                                        PlaneGraph, build, from_json,
-                                       incidence_grid, merge_degree2_left,
+                                       incidence_grid, merge_degree2_left_map,
                                        two_coloring)
 from planar_holant.generators import generate_cubic_plane
 from planar_holant.signatures import EQ3, SymSignature
@@ -120,7 +120,7 @@ def test_incidence_roundtrip_random():
     for seed in range(50):
         g = generate_cubic_plane(6 if seed % 2 else 8, seed)
         grid = incidence_grid(g, left, EQ3)
-        back = merge_degree2_left(grid)
+        back, _ = merge_degree2_left_map(grid)
         assert back.canonical_form() == g.canonical_form()
 
 
