@@ -294,6 +294,11 @@ def main(argv=None) -> int:
         print("error: --seed is required for randomized commands",
               file=sys.stderr)
         return EXIT_INPUT
+    # exact values of any length are printed and read back, so the CLI
+    # lifts Python's int <-> str digit cap (3.10.7+) while a verb runs
+    old_cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if old_cap is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
     except (CliError, FileNotFoundError, json.JSONDecodeError, ValueError) as ex:
@@ -303,6 +308,9 @@ def main(argv=None) -> int:
         # WrongForm and InvalidAssignment are ValueErrors and exit above
         print(f"internal error: {ex}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if old_cap is not None:
+            sys.set_int_max_str_digits(old_cap)
 
 
 if __name__ == "__main__":

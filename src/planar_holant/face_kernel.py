@@ -11,9 +11,9 @@ what their users read:
   which the expansion moves draw.
 
 So neither pays for the other's upkeep.  The kernel lives apart from
-plane_graph, whose GraphBuilder the one-off constructions (solver
-simplifications and decorations, materialize, the grid conversions) use
-with a single full freeze() of the graph they return.
+plane_graph, whose GraphBuilder the one-off constructions (matchgate
+decorations, materialize, the grid conversions) use with a single full
+freeze() of the graph they return.
 """
 
 from __future__ import annotations

@@ -130,7 +130,7 @@ def step_reduce(k: P3emKernel) -> ReductionStep:
         return _case_square(k, sq)
     ch = k.smallest_chord()
     if ch is not None:
-        return _case_chord(k, *ch)
+        return _case_chord(k, ch[1])
     pent = k.smallest_face(5)
     if pent is None:
         raise P3emError("NoApplicableCase: no pentagon face (unreachable)")
@@ -390,7 +390,7 @@ def _case_square(k: P3emKernel, face) -> ReductionStep:
     return _in_place(k, "square", pool)
 
 
-def _case_chord(k: P3emKernel, outer, chord: int) -> ReductionStep:
+def _case_chord(k: P3emKernel, chord: int) -> ReductionStep:
     """Cut along the chord AB: region 2, on the side of qB's face, is closed
     by an E-F shortcut, and the rest keeps A and B, joined to fresh E' and
     F' in triangles A E' F' and B E' F'.  No loop, parallel pair or bridge

@@ -483,8 +483,7 @@ def merge_degree2_left_map(grid) -> Tuple[PlaneGraph, Dict[int, int]]:
     return b.freeze(), edge_map
 
 
-def grid_from_cubic_bipartite(g: PlaneGraph, f, right_sig=None,
-                              coloring: Optional[Dict[int, int]] = None):
+def grid_from_cubic_bipartite(g: PlaneGraph, f, right_sig=None):
     """Holant instance over a cubic bipartite plane graph: color-0 vertices
     get the ternary f (left), color-1 get right_sig (default =3)."""
     from .holant_core import GridNode, SignatureGrid
@@ -492,10 +491,9 @@ def grid_from_cubic_bipartite(g: PlaneGraph, f, right_sig=None,
     g.require_cubic()
     if right_sig is None:
         right_sig = EQ3
+    coloring = two_coloring(g)
     if coloring is None:
-        coloring = two_coloring(g)
-        if coloring is None:
-            raise GraphError("graph is not bipartite")
+        raise GraphError("graph is not bipartite")
     nodes = {}
     emb = {}
     slot_of_dart = {}
@@ -510,10 +508,8 @@ def grid_from_cubic_bipartite(g: PlaneGraph, f, right_sig=None,
     edges = []
     for e in g.edges():
         d, t = e, g.twin[e]
-        u, w = g.vertex_of[d], g.vertex_of[t]
-        if coloring[u] == coloring[w]:
-            raise GraphError("graph is not properly 2-colored")
-        edges.append((u, slot_of_dart[d], w, slot_of_dart[t]))
+        edges.append((g.vertex_of[d], slot_of_dart[d],
+                      g.vertex_of[t], slot_of_dart[t]))
     return SignatureGrid(nodes, edges, [], emb)
 
 

@@ -1,17 +1,18 @@
 """Polynomial-time exact solvers for the tractable signature classes.
 
-count_pm implements the FKT pipeline in one pass over the whole graph,
-copied only to drop loops or split parallel pairs: Kasteleyn orientation
-by a walk of each component's dual spanning tree, then the Pfaffian of
-one Kasteleyn matrix, kept as per-row dicts of nonzeros, by sparse skew
-elimination with greedy minimum-degree pivots, exact and in ints until a
-pivot is not +-1.  Every perfect matching carries the same sign under a
-Pfaffian orientation; with all weights positive the weighted Pfaffian
-shows it, otherwise a second, unit-weight Pfaffian reads it.  The five
-class solvers reduce to perfect-matching counts (cases 4 and 5), one GF(2)
-Gauss sum over each affine family's sign form (AFFINE_FORMS), or closed
-products (degenerate, generalized equality), and every one is
-oracle-tested against exact evaluation of the grid (holant_core).
+count_pm implements the FKT pipeline in one pass over the whole plane
+multigraph, as given: Kasteleyn orientation by a walk of each component's
+dual spanning tree, then the Pfaffian of one Kasteleyn matrix (no entry
+for a loop, one summed entry per parallel pair), kept as per-row dicts of
+nonzeros, by sparse skew elimination with greedy minimum-degree pivots,
+exact and in ints until a pivot is not +-1.  Every perfect matching
+carries the same sign under a Pfaffian orientation; with all weights
+positive the weighted Pfaffian shows it, otherwise a second, unit-weight
+Pfaffian reads it.  The five class solvers reduce to perfect-matching
+counts (cases 4 and 5), one GF(2) Gauss sum over each affine family's
+sign form (AFFINE_FORMS), or closed products (degenerate, generalized
+equality), and every one is oracle-tested against exact evaluation of the
+grid (holant_core).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from itertools import combinations
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .plane_graph import (GraphBuilder, PlaneGraph, grid_builder,
+from .plane_graph import (NonPlanarEmbedding, PlaneGraph, grid_builder,
                           plane_graph_of_grid)
 from .holant_core import SignatureGrid
 from .scalars import Scalar
@@ -59,7 +60,7 @@ class KasteleynOrientation:
 
 
 def kasteleyn_orient(g: PlaneGraph) -> KasteleynOrientation:
-    """Pfaffian orientation of a simple plane graph, one component at a
+    """Pfaffian orientation of a plane multigraph, one component at a
     time: a DFS spanning tree oriented out of its smaller darts, then the
     co-tree edges, which span the component's dual, oriented in reverse
     order of a breadth-first walk of the faces from the root face (the face
@@ -189,76 +190,46 @@ def _pfaffian(rows: List[Dict[int, Scalar]]) -> Scalar:
 def count_pm(g: PlaneGraph, weights: Optional[Dict[int, Scalar]] = None) -> Scalar:
     """Weighted perfect-matching sum of a plane multigraph, exactly.
 
-    A simple graph is oriented as it is.  Otherwise self-loops, which never
-    participate, are dropped and parallel edges are separated by double
-    subdivision (_simplify_for_pm), so the Kasteleyn matrix stays simple.
-    One matrix covers every component: its Pfaffian is, up to one global
-    sign, the product of the components' Pfaffians.
+    The Kasteleyn matrix is built on g as given: a self-loop never matches
+    and has no entry, and parallel edges add into one entry (the Pfaffian is
+    linear in each entry).  One matrix covers every component: its Pfaffian
+    is, up to one global sign, the product of the components' Pfaffians.
     """
-    # an odd component has no matching (and may be a lone vertex whose
-    # loops, once dropped, leave no plane graph)
     if any(len(comp) % 2 for comp in g.connected_components()):
         return Fraction(0)
     weights = weights or {}
-    edges = g.edges()
-    pairs = {(min(u, v), max(u, v))
-             for u, v in map(g.edge_ends, edges) if u != v}
-    if len(pairs) == len(edges):
-        g2, wmap = g, {e: weights.get(e, 1) for e in edges}
-    else:
-        g2, wmap = _simplify_for_pm(g, weights)
-    ko = kasteleyn_orient(g2)
-    idx = {v: i for i, v in enumerate(g2.vertices())}
+    ko = kasteleyn_orient(g)
+    idx = {v: i for i, v in enumerate(g.vertices())}
+    ends = [(e, *g.edge_ends(e)) for e in g.edges()]
+    # a self-loop never matches: it gets no entry and no say in the sign
+    edges = [(e, idx[u], idx[v]) for e, u, v in ends if u != v]
 
     def pfaff(weighted: bool) -> Scalar:
         rows: List[Dict[int, Scalar]] = [{} for _ in idx]
-        for e in g2.edges():
-            w = wmap.get(e, 1) if weighted else 1
+        for e, i, j in edges:
+            w = weights.get(e, 1) if weighted else 1
             if w == 0:
                 continue
-            u, v = g2.edge_ends(e)
             if not ko.oriented_out[e]:
                 w = -w
-            rows[idx[u]][idx[v]] = w
-            rows[idx[v]][idx[u]] = -w
+            if j in rows[i]:
+                w += rows[i][j]   # a parallel edge
+            if w != 0:
+                rows[i][j], rows[j][i] = w, -w
+            else:
+                del rows[i][j], rows[j][i]
         return _pfaffian(rows)
 
     # all matchings carry one global sign under a Pfaffian orientation; with
     # every weight positive the weighted Pfaffian shows it, otherwise the
     # unit-weight Pfaffian does (zero means no matchings at all)
     pf = pfaff(True)
-    if all(w > 0 for w in wmap.values()):
+    if all(weights.get(e, 1) > 0 for e, _, _ in edges):
         return pf if pf > 0 else -pf
     unit = pfaff(False)
     if unit == 0:
         return Fraction(0)
     return pf if unit > 0 else -pf
-
-
-def _simplify_for_pm(g: PlaneGraph, weights: Dict[int, Scalar]):
-    """Drop self-loops; doubly subdivide one edge of every parallel pair
-    (PM-count preserving; the weight rides on the first segment, which
-    keeps the edge id)."""
-    b = GraphBuilder(g)
-    ends = {e: tuple(sorted(g.edge_ends(e))) for e in g.edges()}
-    for e, (u, v) in ends.items():
-        if u == v:
-            b.delete_edge(e)
-    wmap: Dict[int, Scalar] = {}
-    pair_seen = set()
-    nv = max(b.rotation, default=-1) + 1
-    d = b.fresh_dart()
-    for e, pair in ends.items():
-        if pair[0] == pair[1]:
-            continue
-        wmap[e] = weights.get(e, Fraction(1))
-        if pair in pair_seen:
-            b.subdivide(e, nv, d)
-            b.subdivide(d + 1, nv + 1, d + 2)
-            nv += 2
-            d += 4
-        pair_seen.add(pair)
-    return b.freeze(), wmap
 
 
 def brute_force_pm(g: PlaneGraph, weights: Optional[Dict[int, Scalar]] = None) -> Scalar:
@@ -508,7 +479,9 @@ def _decorate(grid: SignatureGrid, left_kind: str, right_kind: str,
     """Replace every grid node by its fragment from _FRAGMENTS: left_kind's
     with left_weight on the weighted edges for left nodes, right_kind's
     with weight 1 for right nodes, in grid_builder's graph, which is then
-    validated once.  Returns (plane graph, edge weights)."""
+    validated once; only if that fails is the grid's own graph validated,
+    so that the error names grid nodes.  Returns (plane graph, edge
+    weights)."""
     b = grid_builder(grid)
     weights: Dict[int, Scalar] = {}
     next_v = max(b.rotation) + 1
@@ -531,7 +504,11 @@ def _decorate(grid: SignatureGrid, left_kind: str, right_kind: str,
                                       else d0 + x for x in rot])
         next_v += len(rots)
         d0 += 2 * len(edges)
-    return b.freeze(), weights
+    try:
+        return b.freeze(), weights
+    except NonPlanarEmbedding:
+        plane_graph_of_grid(grid)
+        raise
 
 
 def pm_fragment_signature(kind: str, w: Scalar = Fraction(1)) -> SymSignature:

@@ -232,7 +232,9 @@ def test_non_planar_embedding_is_an_input_error(tmp_path):
     path = tmp_path / "grid.json"
     path.write_text(grid.to_json())
     for args in (["solve"], ["solve", "--force-case", "4"]):
-        assert "V-E+F" in cli_input_error(args[0], str(path), *args[1:])
+        # named by grid nodes, not by vertices of the decorated graph
+        err = cli_input_error(args[0], str(path), *args[1:])
+        assert "component [0, 1, 2, 3]...: V-E+F = 8-12+4 != 2" in err
     f = SymSignature([1, 1, 2, 1])
     e = eigen2(StraddledMatrix([[1, 2], [1, 1]]))
     grid = incidence_grid(cube(), connect_unary(f, SymSignature([1, e.x])), EQ3)
@@ -246,6 +248,32 @@ def test_non_planar_embedding_is_an_input_error(tmp_path):
     assert "V-E+F" in cli_input_error("reduce", "absorb", str(path), "--sig",
                                       "[1,1,2,1]", "--x", arg(e.x),
                                       "--y", arg(e.y))
+
+
+def test_values_over_the_digit_cap_print_and_parse(tmp_path, capsys):
+    # the degenerate grid [1,t]^(x)3 with t = 10^20 on 100 right nodes has
+    # value (1 + 10^60)^100, 6,001 digits: past Python's default int <-> str
+    # cap of 4,300, which the CLI lifts while a verb runs
+    from math import comb
+    from planar_holant import cli
+    from planar_holant.generators import generate_cubic_bipartite_plane
+    from planar_holant.plane_graph import grid_from_cubic_bipartite
+    from planar_holant.signatures import SymSignature
+    t = 10 ** 20
+    grid = grid_from_cubic_bipartite(generate_cubic_bipartite_plane(200, 1),
+                                     SymSignature([1, t, t ** 2, t ** 3]))
+    path = tmp_path / "grid.json"
+    path.write_text(grid.to_json())
+    # C(100, k) < 10^60, so the binomial terms' digits do not overlap
+    want = "1" + "".join(str(comb(100, k)).zfill(60) for k in range(99, -1, -1))
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    for verb in ("solve", "eval"):
+        assert cli.main([verb, str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == want
+    assert cli.main(["classify", "--sig", json.dumps([want, 0, 0, 1])]) == 0
+    params = json.loads(capsys.readouterr().out)["cases"][0]["params"]
+    assert params["a"] == want
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
 
 
 def test_running_example_demo_prints_nine():

@@ -7,12 +7,13 @@ import pytest
 
 from planar_holant import fixtures, solvers
 from planar_holant.generators import (generate_cubic_bipartite_plane,
-                                      generate_cubic_plane, leapfrog)
+                                      generate_cubic_plane, leapfrog,
+                                      move_closure)
 from planar_holant.holant_core import eval_grid
 from planar_holant.plane_graph import grid_from_cubic_bipartite
 from planar_holant.scalars import Scalar, sqrt_exact
 from planar_holant.signatures import SymSignature
-from planar_holant.plane_graph import PlaneGraph
+from planar_holant.plane_graph import GraphBuilder, PlaneGraph
 from planar_holant.solvers import (AFFINE_PATTERNS, WrongForm, _decorate,
                                    _pfaffian, brute_force_pm, count_pm,
                                    gauss_sum_gf2, kasteleyn_orient,
@@ -81,7 +82,7 @@ def test_count_pm_of_disjoint_unions(parts):
 
 def test_count_pm_of_empty_and_loop_only_graphs():
     assert count_pm(PlaneGraph({}, {}, {})) == 1
-    # dropping the loop would leave a lone vertex, which is no plane graph
+    # a lone vertex with a loop is an odd component
     assert count_pm(loop_only()) == 0
     assert count_pm(disjoint_union(loop_only(), fixtures.cube())) == 0
     assert count_pm(disjoint_union(fixtures.cube(), loop_only())) == 0
@@ -258,8 +259,9 @@ def _pfaffian_reference(rows: List[Dict[int, Scalar]]) -> Scalar:
     return pf if sign > 0 else -pf
 
 
-def kasteleyn_rows(monkeypatch, g):
-    """count_pm(g) and the rows of every Kasteleyn matrix it built."""
+def kasteleyn_rows(monkeypatch, g, weights=None):
+    """count_pm(g, weights) and the rows of every Kasteleyn matrix it
+    built."""
     built = []
     pfaffian = solvers._pfaffian
 
@@ -268,7 +270,7 @@ def kasteleyn_rows(monkeypatch, g):
         return pfaffian(rows)
 
     monkeypatch.setattr(solvers, "_pfaffian", record)
-    value = count_pm(g)
+    value = count_pm(g, weights)
     monkeypatch.undo()
     return value, built
 
@@ -319,34 +321,107 @@ def test_pfaffian_matches_reference(monkeypatch):
     assert kinds == {("Fraction", True), ("Fraction", False), ("QuadExt", False)}
 
 
-def test_count_pm_simplifies_only_multigraphs(monkeypatch):
-    # a Fisher decoration is simple, so count_pm orients it as it is
+def test_count_pm_builds_no_graph(monkeypatch):
+    # count_pm orients the multigraph it is given and builds no copy of it
+    theta = fixtures.m23()
+    weights = dict(zip(theta.edges(), (Fraction(2), Fraction(3), Fraction(5))))
     grid = grid_from_cubic_bipartite(generate_cubic_bipartite_plane(2, 0),
                                      SymSignature([1, 0, 0, 1]))
     dec, w = _decorate(grid, "even", "even", Fraction(5, 3))
+    cases = [(theta, weights, 10), (theta, None, 3),
+             (fixtures.dumbbell(), None, 1), (dec, w, brute_force_pm(dec, w))]
+    built = []
+    init, freeze = PlaneGraph.__init__, GraphBuilder.freeze
 
-    def refuse(g, weights):
-        raise AssertionError("simple graph simplified")
+    def spy_init(self, *args):
+        built.append("PlaneGraph")
+        init(self, *args)
 
-    want = brute_force_pm(dec, w)
-    monkeypatch.setattr(solvers, "_simplify_for_pm", refuse)
-    assert count_pm(dec, w) == want != 0
-    monkeypatch.undo()
-    # a parallel pair (theta graph) or a loop (dumbbell) still goes through it
-    calls = []
-    simplify = solvers._simplify_for_pm
+    def spy_freeze(self):
+        built.append("freeze")
+        return freeze(self)
 
-    def spy(g, weights):
-        calls.append(g)
-        return simplify(g, weights)
+    monkeypatch.setattr(PlaneGraph, "__init__", spy_init)
+    monkeypatch.setattr(GraphBuilder, "freeze", spy_freeze)
+    for g, wts, want in cases:
+        assert count_pm(g, wts) == want != 0
+    assert built == []
 
-    monkeypatch.setattr(solvers, "_simplify_for_pm", spy)
-    theta = fixtures.m23()
-    weights = dict(zip(theta.edges(), (Fraction(2), Fraction(3), Fraction(5))))
-    for g, wts in ((theta, weights), (theta, None), (fixtures.dumbbell(), None)):
-        calls.clear()
-        assert count_pm(g, wts) == brute_force_pm(g, wts)
-        assert calls == [g]
+
+def is_loop(g, e):
+    u, v = g.edge_ends(e)
+    return u == v
+
+
+def contracted(rng, n):
+    """A random cubic plane graph of n vertices with two or four random
+    non-loop edges contracted: any degree, with parallel pairs and loops."""
+    b = GraphBuilder(generate_cubic_plane(n, rng.randrange(1000)))
+    for _ in range(rng.choice((2, 4))):
+        e = rng.choice(sorted(d for d, t in b.twin.items()
+                              if b.vertex_of[d] != b.vertex_of[t]))
+        b.contract_edge(e, max(b.rotation) + 1)
+    return b.freeze()
+
+
+def multigraph_family(kind):
+    rng = random.Random(kind)
+    if kind == "closure":
+        return move_closure(8)
+    if kind == "contracted":
+        return [contracted(rng, n) for n in (6, 8, 10, 12) for _ in range(10)]
+    closure = move_closure(6)
+    return [disjoint_union(rng.choice(closure), contracted(rng, n))
+            for n in (6, 8) for _ in range(10)]
+
+
+def oracle_weightings(g, rng):
+    """Signed weights with zeros; positive weights on every edge that can
+    match but negative ones on loops; and weights summing to zero over
+    some parallel pair."""
+    signed = {e: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+              for e in g.edges()}
+    positive = {e: Fraction(-1) if is_loop(g, e)
+                else Fraction(rng.randint(1, 4), rng.randint(1, 3))
+                for e in g.edges()}
+    cancel = dict(signed)
+    first: Dict[tuple, int] = {}
+    for e in g.edges():
+        pair = tuple(sorted(g.edge_ends(e)))
+        if pair[0] != pair[1] and pair in first:
+            cancel[e] = -cancel[first[pair]]
+        first.setdefault(pair, e)
+    return None, signed, positive, cancel
+
+
+@pytest.mark.parametrize("kind", ["closure", "contracted", "unions"])
+def test_count_pm_matches_enumeration_on_multigraphs(kind):
+    graphs = multigraph_family(kind)
+    rng = random.Random(len(graphs))
+    loops = parallels = unions = 0
+    for g in graphs:
+        assert kasteleyn_orient(g).verify()
+        for weights in oracle_weightings(g, rng):
+            assert count_pm(g, weights) == brute_force_pm(g, weights)
+        pairs = [tuple(sorted(g.edge_ends(e))) for e in g.edges()]
+        loops += any(u == v for u, v in pairs)
+        parallels += len(set(pairs)) < len(pairs)
+        unions += len(g.connected_components()) > 1
+    assert loops and parallels and len(graphs) >= 20
+    assert (unions == len(graphs)) == (kind == "unions")
+
+
+def test_loop_weights_do_not_pick_the_sign_run(monkeypatch):
+    # the sign test reads the edges that can match: with those positive,
+    # one weighted Pfaffian gives the value, whatever the loops weigh
+    g = fixtures.dumbbell()
+    w = {e: Fraction(-2) if is_loop(g, e) else Fraction(3) for e in g.edges()}
+    value, built = kasteleyn_rows(monkeypatch, g, w)
+    assert value == 3 and len(built) == 1
+    assert [len(row) for row in built[0]] == [1, 1]   # no loop entries
+    w = {e: -v for e, v in w.items()}
+    value, built = kasteleyn_rows(monkeypatch, g, w)
+    assert value == -3 and len(built) == 2
 
 
 def test_count_pm_random_weighted():
@@ -439,7 +514,7 @@ def test_geneq_examples():
     grid = grid_from_cubic_bipartite(fixtures.cube(), SymSignature([1, 0, 0, 1]))
     assert solve_geneq(grid, Fraction(1), Fraction(1)) == 2
     # two components with one left node each
-    from planar_holant.plane_graph import PlaneGraph
+    from planar_holant.plane_graph import GraphBuilder, PlaneGraph
     g1 = fixtures.m23()
     g2 = fixtures.relabeled(fixtures.m23(), 10, 100)
     g = PlaneGraph({**g1.twin, **g2.twin}, {**g1.vertex_of, **g2.vertex_of},
