@@ -15,7 +15,7 @@ from typing import Optional
 
 from .classifier import classify, classify_binary, dispatch_solve, solve_case
 from .generators import generate_cubic_bipartite_plane, generate_cubic_plane
-from .holant_core import SignatureGrid, eval_collapsed, eval_gadget, eval_grid
+from .holant_core import SignatureGrid, eval_gadget, eval_grid
 from .p3em import (ExceptionalGraph, P3emError, find_p3em, group_triples,
                    materialize, verify)
 from .plane_graph import PlaneGraph, from_json
@@ -162,8 +162,7 @@ def cmd_eval(args) -> int:
         table = eval_gadget(grid)
         _emit({"table": [format_scalar(v) for v in table]})
         return EXIT_OK
-    value = eval_collapsed(grid) if args.collapsed else eval_grid(grid)
-    _emit({"value": format_scalar(value)})
+    _emit({"value": format_scalar(eval_grid(grid))})
     return EXIT_OK
 
 
@@ -259,7 +258,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("eval")
     e.add_argument("file")
-    e.add_argument("--collapsed", action="store_true")
     e.add_argument("--gadget", action="store_true")
     e.set_defaults(fn=cmd_eval)
 

@@ -186,11 +186,11 @@ class FaceKernel(GraphBuilder):
 
     def undo(self, s: Surgery) -> None:
         """Put back the graph and faces of before the committed step s; the
-        kernel must hold what s left."""
+        kernel must hold what s left.  A subclass's _add_face is not run."""
         for fid in s.created:
             self._drop_face(fid)
         for f in s.dead:
-            self._add_face(f)
+            FaceKernel._add_face(self, f)
         for d, (t, v) in s.old_dart.items():
             if t is None:
                 self.twin.pop(d, None)
@@ -213,7 +213,7 @@ class P3emKernel(FaceKernel):
     with a chord are kept as heaps of candidates that are checked when
     picked, so each pick is the smallest a full scan would find.  commit
     pushes the candidates at the touched vertices and faces; undo pushes
-    faces only, since no pick is made on a kernel after an undo.  A face
+    nothing, since no pick is made on a kernel after an undo.  A face
     that a step keeps keeps its bridges (non-loop edges whose two darts it
     holds), so the created faces hold every new bridge.  It can gain a
     chord (an edge off its boundary with both ends on it), when a vertex

@@ -62,6 +62,9 @@ class GridNode:
     def __post_init__(self):
         if self.sym is None and self.table is None:
             raise GridError(f"node {self.id} has no signature")
+        if self.sym is not None and not isinstance(self.sym, SymSignature):
+            raise GridError(f"node {self.id}: signature must be a SymSignature, "
+                            f"not {type(self.sym).__name__}")
         if self.sym is not None and self.sym.arity != self.arity:
             raise GridError(f"node {self.id}: signature arity mismatch")
         if self.table is not None:

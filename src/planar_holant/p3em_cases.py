@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .face_kernel import P3emKernel, Surgery
-from .plane_graph import GraphError, PlaneGraph
+from .plane_graph import GraphError, PlaneGraph, reach
 from .p3em import (BASE_MAX_VERTICES, FaceAssignment, P3emError, base_case,
                    exceptional_kind, place_pool, solve_sigma, verify)
 
@@ -174,22 +174,6 @@ def _rotate_labels(lab: FaceLabels, i: int) -> FaceLabels:
                       r(lab.spokes), r(lab.se), r(lab.b))
 
 
-def _reachable(g, start: int, banned: Set[int]) -> Set[int]:
-    """Vertices reachable from start without leaving along a banned dart."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for d in g.rotation[v]:
-            if d in banned:
-                continue
-            w = g.vertex_of[g.twin[d]]
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
-
-
 # -- commits, splits and lifts -----------------------------------------------
 
 def _commit(k: P3emKernel, label: str, parts: int = 1) -> Surgery:
@@ -212,8 +196,8 @@ def _in_place(k: P3emKernel, label: str, pool: Set[int]) -> ReductionStep:
 def _split(k: P3emKernel, label: str, pool: Set[int], s: Surgery,
            seeds: Sequence[int]) -> ReductionStep:
     """Children for the two components of k that contain the seeds."""
-    parts = [_reachable(k, v, set()) for v in seeds]
-    if parts[0] & parts[1] or len(parts[0]) + len(parts[1]) != len(k.rotation):
+    parts = [reach(k, v) for v in seeds]
+    if seeds[0] in parts[1] or len(parts[0]) + len(parts[1]) != len(k.rotation):
         raise P3emError(f"{label}: surgery did not split the graph in two")
     return ReductionStep(label, [k.split_off(p) for p in parts],
                          lambda certs: _lift(k, s, pool, _merge(certs)))
@@ -407,7 +391,7 @@ def _case_chord(k: P3emKernel, chord: int) -> ReductionStep:
     xE, xF = k.twin[dAE], k.twin[dBF]
     Ev = k.vertex_of[xE]
     into_ab = {k.twin[d] for d in rA + rB}
-    region2 = _reachable(k, Ev, into_ab)
+    region2 = reach(k, Ev, into_ab)
     if k.vertex_of[xF] not in region2 or k.vertex_of[k.twin[dAC]] in region2:
         raise P3emError("chord region identification failed")
     pool = {chord, k.edge_of(dAE), k.edge_of(dBF)}
@@ -444,7 +428,7 @@ def _case_b_coincidence(k: P3emKernel, lab: FaceLabels) -> ReductionStep:
     t1, t2 = k.twin[s1], k.twin[dbb]
 
     # a0's side once edges e1 and e2 are cut
-    inner = _reachable(k, lab.a[0], {s1, t1, dbb, t2})
+    inner = reach(k, lab.a[0], {s1, t1, dbb, t2})
     if lab.b[1] in inner or k.vertex_of[t2] in inner:
         raise P3emError("coincidence cut did not separate the graph")
     k.retwin(s1, dbb)

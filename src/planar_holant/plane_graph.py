@@ -254,23 +254,32 @@ class PlaneGraph:
                 f"e={len(self.twin) // 2})")
 
 
+def reach(g, start: int, banned=()) -> Dict[int, Optional[int]]:
+    """The vertices a depth-first search reaches from start without leaving
+    along a banned dart, in the order it first sees them, each mapped to
+    the dart it was entered along (a dart at the vertex it came from; None
+    for start).  The one graph search of the package; g is anything with
+    rotation, twin and vertex_of, a FaceKernel too."""
+    rotation, twin, vertex_of = g.rotation, g.twin, g.vertex_of
+    entry: Dict[int, Optional[int]] = {start: None}
+    stack = [start]
+    while stack:
+        for d in rotation[stack.pop()]:
+            w = vertex_of[twin[d]]
+            if w not in entry and d not in banned:
+                entry[w] = d
+                stack.append(w)
+    return entry
+
+
 def _find_components(g: PlaneGraph) -> List[List[int]]:
     seen = set()
     comps = []
-    for v0 in g.vertices():
-        if v0 in seen:
-            continue
-        comp, stack = [], [v0]
-        seen.add(v0)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for d in g.rotation[v]:
-                w = g.vertex_of[g.twin[d]]
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
+    for v in g.vertices():
+        if v not in seen:
+            comp = reach(g, v)
+            seen.update(comp)
+            comps.append(sorted(comp))
     return comps
 
 
@@ -419,22 +428,16 @@ class GraphBuilder:
 # -- grid conversions ---------------------------------------------------
 
 def two_coloring(g: PlaneGraph) -> Optional[Dict[int, int]]:
-    """Proper 2-coloring of vertices, or None if an odd cycle exists."""
+    """Proper 2-coloring of vertices, or None if an odd cycle exists: each
+    search tree alternates colors, and then every edge must."""
     color: Dict[int, int] = {}
+    vertex_of = g.vertex_of
     for v0 in g.vertices():
-        if v0 in color:
-            continue
-        color[v0] = 0
-        stack = [v0]
-        while stack:
-            v = stack.pop()
-            for d in g.rotation[v]:
-                w = g.vertex_of[g.twin[d]]
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    stack.append(w)
-                elif color[w] == color[v]:
-                    return None
+        if v0 not in color:
+            for v, d in reach(g, v0).items():
+                color[v] = 0 if d is None else 1 - color[vertex_of[d]]
+    if any(color[vertex_of[d]] == color[vertex_of[t]] for d, t in g.twin.items()):
+        return None
     return color
 
 

@@ -1,11 +1,11 @@
 """Polynomial-time exact solvers for the tractable signature classes.
 
 count_pm implements the FKT pipeline in one pass over the whole plane
-multigraph, as given: Kasteleyn orientation by a walk of each component's
-dual spanning tree, then the Pfaffian of one Kasteleyn matrix (no entry
-for a loop, one summed entry per parallel pair), kept as per-row dicts of
-nonzeros, by sparse skew elimination with greedy minimum-degree pivots,
-exact and in ints until a pivot is not +-1.  Every perfect matching
+multigraph, as given: Kasteleyn orientation from one breadth-first walk
+of each component's faces, then the Pfaffian of one Kasteleyn matrix (no
+entry for a loop, one summed entry per parallel pair), kept as per-row
+dicts of nonzeros, by sparse skew elimination with greedy minimum-degree
+pivots, exact and in ints until a pivot is not +-1.  Every perfect matching
 carries the same sign under a Pfaffian orientation; with all weights
 positive the weighted Pfaffian shows it, otherwise a second, unit-weight
 Pfaffian reads it.  The five class solvers reduce to perfect-matching
@@ -61,43 +61,34 @@ class KasteleynOrientation:
 
 def kasteleyn_orient(g: PlaneGraph) -> KasteleynOrientation:
     """Pfaffian orientation of a plane multigraph, one component at a
-    time: a DFS spanning tree oriented out of its smaller darts, then the
-    co-tree edges, which span the component's dual, oriented in reverse
-    order of a breadth-first walk of the faces from the root face (the face
-    of the component's smallest dart).  In reverse walk order a face's only
-    undecided edge is the one it was reached by, which is set to make the
-    face odd."""
-    oriented_out: Dict[int, bool] = {}
+    time: a breadth-first walk of the faces from the root face (the face
+    of the component's smallest dart) crosses each dart into a face not
+    yet reached, so the crossed edges span the dual and the others span the
+    component.  Every edge is first oriented out of its smaller dart; then
+    the crossed edges are set in reverse walk order, where a face's only
+    undecided edge is the one it was reached by, to make the face odd."""
+    twin, face_of, boundary = g.twin, g.face_of, g.face_boundary
+    oriented_out = {d: d < t for d, t in twin.items()}
     root_faces: List[int] = []
-    for comp in g.connected_components():
-        seen = {comp[0]}
-        stack = [comp[0]]
-        while stack:
-            v = stack.pop()
-            for d in g.rotation[v]:
-                w = g.vertex_of[g.twin[d]]
-                if w not in seen:
-                    seen.add(w)
-                    e = g.edge_of(d)
-                    oriented_out[e], oriented_out[g.twin[e]] = True, False
-                    stack.append(w)
-        root = min(d for v in comp for d in g.rotation[v])
-        walk = [root]
-        reached = {root}
-        reached_by: List[int] = []   # per reached face, its co-tree dart
+    reached = set()
+    for root in g.faces():       # in id order, so each root comes first
+        if root.id in reached:
+            continue
+        root_faces.append(root.id)
+        reached.add(root.id)
+        walk = [root.id]
+        reached_by: List[int] = []   # per reached face, the dart on it crossed
         for fid in walk:             # walk grows while it is read
-            for d in g.face_boundary(fid):
-                far = g.face_of(g.twin[d])
-                if d not in oriented_out and far not in reached:
+            for d in boundary(fid):
+                far = face_of(twin[d])
+                if far not in reached:
                     reached.add(far)
                     walk.append(far)
-                    reached_by.append(g.twin[d])
+                    reached_by.append(twin[d])
         for d in reversed(reached_by):
-            aligned = sum(oriented_out[x] for x in g.face_boundary(g.face_of(d))
-                          if x != d)
+            aligned = sum(oriented_out[x] for x in boundary(face_of(d)) if x != d)
             oriented_out[d] = aligned % 2 == 0
-            oriented_out[g.twin[d]] = aligned % 2 == 1
-        root_faces.append(root)
+            oriented_out[twin[d]] = aligned % 2 == 1
     ko = KasteleynOrientation(g, oriented_out, root_faces)
     if not ko.verify():
         raise SolverError("Kasteleyn verification failed")

@@ -54,8 +54,6 @@ def test_classify_hard_exit_code():
 def test_eval_running_example():
     out = run_cli("eval", data_path("cover_example_grid.json"))
     assert out["value"] == "9"
-    out = run_cli("eval", "--collapsed", data_path("cover_example_grid.json"))
-    assert out["value"] == "9"
 
 
 def test_solve_running_example():
@@ -303,7 +301,6 @@ def test_eval_rejects_slot_facing_the_wrong_side(tmp_path):
                        (3, "left", "R", ["1", "2"])],
                       [[0, 0, 1, 0], [1, 1, 2, 0], [2, 1, 3, 0]])
     assert "right node 1 has a L-facing slot" in cli_input_error("eval", path)
-    assert "right node 1" in cli_input_error("eval", "--collapsed", path)
 
 
 def test_eval_rejects_edge_to_unknown_node(tmp_path):

@@ -194,6 +194,14 @@ def test_gadget_composition_is_matrix_product():
         [list(mm.m[0]), list(mm.m[1])]
 
 
+def test_a_list_is_not_a_signature():
+    with pytest.raises(GridError, match=r"node 0: .*SymSignature, not list"):
+        GridNode(0, "left", ("L",) * 3, [2, 1, 1, 2])
+    g = generate_cubic_bipartite_plane(10, 1)
+    with pytest.raises(GridError, match=r"node \d+: .*SymSignature, not list"):
+        grid_from_cubic_bipartite(g, [2, 1, 1, 2])
+
+
 def test_eval_guards():
     grid = SignatureGrid({0: GridNode(0, "left", ("L",), sym=SymSignature([1, 1]))},
                          [], [(0, 0)])

@@ -666,16 +666,17 @@ def test_pruned_pool_search_matches_leaf_search(monkeypatch):
 
 # -- the kernel, step by step, against full rebuilds ------------------------
 
-def _frozen_checked(k):
-    """k frozen with full validation; its face map and short-face heaps
+def _frozen_checked(k, heaps=True):
+    """k frozen with full validation; its face map and (unless heaps is
+    False, as after an undo, which pushes nothing) its short-face heaps
     must equal what the frozen graph computes from scratch."""
     g = k.freeze()
     assert {fid: f.boundary for fid, f in k.face.items()} == {
         f.id: f.boundary for f in g.faces()}
     assert k.face_of_dart == {d: g.face_of(d) for d in g.darts()}
     for n, heap in k._short.items():
-        assert {f for f in heap if f in k.face
-                and len(k.face[f].boundary) == n} == {
+        assert not heaps or {f for f in heap if f in k.face
+                             and len(k.face[f].boundary) == n} == {
             f.id for f in g.faces() if len(f.boundary) == n}
     return g
 
@@ -705,6 +706,11 @@ def _dart_map_reference(parent, children, assignments, pool):
     return sigma, pool
 
 
+def _heap_lengths(k):
+    return ([len(h) for h in k._short.values()],
+            [len(h) for h in (k._loops, k._pairs, k._bridges, k._chords)])
+
+
 def _checked_step(reduce, k, labels, ambiguous, fragments):
     """One step with every pick compared to the global scans of the frozen
     graph, every child and every lift checked against full rebuilds and
@@ -727,9 +733,11 @@ def _checked_step(reduce, k, labels, ambiguous, fragments):
     def checked_lift(certs):
         subs = [dict(c.sigma) for c in certs]
         seen = len(fragments)
+        heaps = _heap_lengths(k)
         cert = lift(certs)
+        assert _heap_lengths(k) == heaps     # no pick follows an undo
         (fragment,) = fragments[seen:]
-        parent = _frozen_checked(k)
+        parent = _frozen_checked(k, heaps=False)
         assert parent == g
         assert verify(parent, cert.sigma).ok
         assert cert.counts == verify(parent, cert.sigma).face_counts
@@ -778,8 +786,11 @@ def test_kernel_steps_match_full_rebuilds(monkeypatch):
         k, step = _coincidence_step(g)
         for child in step.children:
             _frozen_checked(child)
-        cert = step.lift([solve_kernel(c) for c in step.children])
-        assert _frozen_checked(k) == g and verify(g, cert.sigma).ok
+        certs = [solve_kernel(c) for c in step.children]
+        heaps = _heap_lengths(k)
+        cert = step.lift(certs)
+        assert _heap_lengths(k) == heaps
+        assert _frozen_checked(k, heaps=False) == g and verify(g, cert.sigma).ok
     assert set(labels) == {"self_loop", "double_edge", "triangle",
                            "triangle_shared", "bridge", "square", "chord",
                            "pentagon"}

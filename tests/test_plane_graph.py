@@ -1,11 +1,14 @@
+import random
+
 import pytest
 
 from planar_holant import fixtures
 from planar_holant.plane_graph import (Face, GraphError, NonPlanarEmbedding,
                                        PlaneGraph, build, from_json,
                                        incidence_grid, merge_degree2_left_map,
-                                       two_coloring)
-from planar_holant.generators import generate_cubic_plane
+                                       reach, two_coloring)
+from planar_holant.generators import (generate_cubic_bipartite_plane,
+                                      generate_cubic_plane)
 from planar_holant.signatures import EQ3, SymSignature
 
 
@@ -127,6 +130,61 @@ def test_incidence_roundtrip_random():
 def test_two_coloring():
     assert two_coloring(fixtures.cube()) is not None
     assert two_coloring(fixtures.k4()) is None
+
+
+def components_by_union_find(g, edges):
+    """Independent reference: the vertex classes that the edges join."""
+    parent = {v: v for v in g.vertices()}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for e in edges:
+        u, w = g.edge_ends(e)
+        parent[find(u)] = find(w)
+    comps = {}
+    for v in g.vertices():
+        comps.setdefault(find(v), []).append(v)
+    return sorted(comps.values())
+
+
+@pytest.mark.parametrize("kind", ["closure", "contracted", "unions"])
+def test_search_matches_union_find_and_face_parity(kind):
+    from test_solvers import disjoint_union, multigraph_family
+    rng = random.Random(kind)
+    # and bipartite ones, some with parallel pairs, alone and in a union
+    evens = [generate_cubic_bipartite_plane(n, s) for n in (8, 20) for s in (0, 1)]
+    graphs = multigraph_family(kind) + evens + [disjoint_union(*evens[:2])]
+    bipartite = 0
+    for g in graphs:
+        comps = components_by_union_find(g, g.edges())
+        assert g.connected_components() == comps
+        # each search enters a vertex along a dart from one seen before it
+        for comp in comps:
+            entry = reach(g, comp[0])
+            assert sorted(entry) == comp
+            order = {v: i for i, v in enumerate(entry)}
+            assert entry[comp[0]] is None
+            assert all(order[g.vertex_of[d]] < order[v]
+                       and g.vertex_of[g.twin[d]] == v
+                       for v, d in entry.items() if d is not None)
+        # banning both darts of some edges leaves the components of the rest
+        kept = [e for e in g.edges() if rng.random() < 0.6]
+        banned = {d for e in set(g.edges()) - set(kept) for d in (e, g.twin[e])}
+        for comp in components_by_union_find(g, kept):
+            assert sorted(reach(g, comp[-1], banned)) == comp
+        # a plane graph is bipartite exactly when every face walk is even
+        coloring = two_coloring(g)
+        assert (coloring is None) == any(len(f.boundary) % 2 for f in g.faces())
+        if coloring is not None:
+            bipartite += 1
+            assert sorted(coloring) == g.vertices()
+            assert all(coloring[g.vertex_of[d]] != coloring[g.vertex_of[t]]
+                       for d, t in g.twin.items())
+    assert bipartite and bipartite < len(graphs)
 
 
 def test_json_roundtrip():
