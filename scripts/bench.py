@@ -56,7 +56,12 @@ read the same file or JSON text with their own code.  The inputs:
 * p3em-fullerene and p3em-random (either record gets both):
   cli.main(["p3em", "find", file]), with equal stdout and exit code, on
   C180, C540 and C1620 under relabel seeds 1, 2 and 3, and on
-  generate_cubic_plane(n, s), n = 800 and 3200, s = 1, 2, 3.
+  generate_cubic_plane(n, s), n = 800 and 3200, s = 1, 2, 3;
+* holant-eval: the whole op, cli.main(["eval", file]) or
+  cli.main(["reduce", "interpolate", file, "--sig", sig]) on the
+  planarized grid, with equal stdout and exit code, on every holant-eval
+  entry of perfbench/oracles.json, built as perfbench/workloads.py builds
+  it.
 
 Per input the table keeps both sides' times and the ratio change/parent
 of every pair; per size, the median and quartiles of its pairs' ratios.
@@ -94,6 +99,7 @@ from planar_holant.generators import (  # noqa: E402
     generate_cubic_bipartite_plane, generate_cubic_plane, leapfrog, relabel)
 from planar_holant.holant_core import elimination_width, eval_grid  # noqa: E402
 from planar_holant.plane_graph import grid_from_cubic_bipartite  # noqa: E402
+from planar_holant.reductions import Crossing, planarize  # noqa: E402
 from planar_holant.signatures import SymSignature  # noqa: E402
 from planar_holant.p3em import find_p3em  # noqa: E402
 from planar_holant.solvers import count_pm  # noqa: E402
@@ -225,22 +231,28 @@ def ab_inputs(workload):
     return out
 
 
-def fkt_solve_inputs():
-    """(Kasteleyn order, recipe, verb, input file text) for every fkt-solve
-    entry of perfbench/oracles.json, built as perfbench/workloads.py does."""
+def pool_inputs(workload):
+    """(size, recipe, argv before the input file, argv after it, input
+    file text) for every entry of workload (fkt-solve or holant-eval) in
+    perfbench/oracles.json, built as perfbench/workloads.py does."""
     pool = json.loads((ROOT / "perfbench" / "oracles.json").read_text())
     out = []
-    for e in pool["fkt-solve"]:
+    for e in pool[workload]:
         g = generate_cubic_bipartite_plane(e["n"], e["gen_seed"])
         recipe = (f"{e['kind']} "
                   f"generate_cubic_bipartite_plane({e['n']}, {e['gen_seed']})")
         if e["verb"] == "pm":
-            out.append((e["size"], recipe, "pm", g.to_json()))
-        else:
-            sig = SymSignature([Fraction(v) for v in e["sig"]])
-            grid = grid_from_cubic_bipartite(g, sig)
-            out.append((e["size"], f"{recipe} {e['sig']}", e["verb"],
-                        grid.to_json()))
+            out.append((e["size"], recipe, ["pm"], [], g.to_json()))
+            continue
+        sig = SymSignature([Fraction(v) for v in e["sig"]])
+        grid = grid_from_cubic_bipartite(g, sig)
+        recipe += f" {e['sig']}"
+        argv, opts = [e["verb"]], []
+        if e["verb"] == "interpolate":
+            grid = planarize(grid, [Crossing(a, b) for a, b in e["crossings"]])
+            recipe += f" planarize {e['crossings']}"
+            argv, opts = ["reduce", "interpolate"], ["--sig", json.dumps(e["sig"])]
+        out.append((e["size"], recipe, argv, opts, grid.to_json()))
     return out
 
 
@@ -299,12 +311,16 @@ def ab_groups(workload, parent, work):
     code."""
     mains = {"parent": parent("cli").main, "change": cli.main}
 
-    def cli_row(n, recipe, argv, text, name):
+    def cli_row(n, recipe, argv, text, name, opts=()):
         path = Path(work) / f"{name}.json"
         path.write_text(text)
         return {"n": n, "input": recipe, "run": {
-            k: cli_run(mains[k], [*argv, str(path)]) for k in mains}}
+            k: cli_run(mains[k], [*argv, str(path), *opts]) for k in mains}}
 
+    if workload in ("fkt-solve", "holant-eval"):
+        pool_rows = [cli_row(n, recipe, argv, text, f"{workload}-{i}", opts)
+                     for i, (n, recipe, argv, opts, text)
+                     in enumerate(pool_inputs(workload))]
     if workload == "fkt-solve":
         from_json = {"parent": parent("plane_graph").from_json,
                      "change": plane_graph.from_json}
@@ -312,10 +328,10 @@ def ab_groups(workload, parent, work):
         pm_rows = [{"n": n, "input": recipe, "run": {
             k: count_pm_run(pm[k], from_json[k](g.to_json())) for k in pm}}
             for n, recipe, g in ab_inputs("fkt-solve")]
-        cli_rows = [cli_row(n, recipe, [verb], text, f"fkt-solve-{i}")
-                    for i, (n, recipe, verb, text) in enumerate(fkt_solve_inputs())]
         return [("count_pm", "count_pm(g), value equal in repr and type", pm_rows),
-                ("fkt-solve", "cli.main([verb, file])", cli_rows)]
+                ("fkt-solve", "cli.main([verb, file])", pool_rows)]
+    if workload == "holant-eval":
+        return [("holant-eval", "cli.main([*argv, file, *opts])", pool_rows)]
     if workload not in ("p3em-fullerene", "p3em-random"):
         raise SystemExit(f"no A/B table for workload {workload}")
     return [(name, 'cli.main(["p3em", "find", file])',

@@ -229,7 +229,7 @@ def criterion_6(rep: Report) -> None:
             ok = False
     for a in (Fraction(-2), Fraction(-3)):
         f = SymSignature([1, a, 1, a])
-        xs = [gadgets.gamma_chain(f, s)[1] for s in range(11)]
+        xs = list(itertools.islice(gadgets.gamma_params(f), 11))
         if not all(xs[i + 1] > xs[i] for i in range(10)) or not all(v < -3 for v in xs):
             ok = False
     rep.record(6, "gadget closed forms, chain recurrence and monotonicity", ok)

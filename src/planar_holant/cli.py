@@ -18,7 +18,7 @@ from .generators import generate_cubic_bipartite_plane, generate_cubic_plane
 from .holant_core import SignatureGrid, eval_gadget, eval_grid
 from .p3em import (ExceptionalGraph, P3emError, find_p3em, group_triples,
                    materialize, verify)
-from .plane_graph import PlaneGraph, from_json
+from .plane_graph import PlaneGraph, _is_ints, _records, from_json
 from .scalars import format_scalar, parse_scalar
 from .signatures import SymSignature
 from .solvers import SolverError, count_pm
@@ -64,6 +64,19 @@ def _load_assignment(path: Optional[str]) -> dict:
 def _load_grid(path: str) -> SignatureGrid:
     with open(path) as fh:
         return SignatureGrid.from_json(fh.read())
+
+
+def _load_crossings(path: str) -> list:
+    with open(path) as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, list):
+        raise CliError("the crossings file must hold a JSON list of records")
+    return [reductions.Crossing(**rec) for rec in _records(
+        {"crossings": raw}, "crossings", lambda r: isinstance(r, dict)
+        and _is_ints(list(r.values())) and {"edge_a", "edge_b"} <= r.keys()
+        <= {"edge_a", "edge_b", "pos_a", "pos_b"},
+        "an object with integer edge_a and edge_b, optional integer pos_a "
+        "and pos_b and no other key", CliError, "crossings")]
 
 
 def _parse_sig(text: str) -> SymSignature:
@@ -189,6 +202,11 @@ def cmd_pm(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    needs = {"planarize": "file crossings", "interpolate": "file sig",
+             "absorb": "file sig x y"}.get(args.action, "")
+    missing = [k for k in needs.split() if getattr(args, k) is None]
+    if missing:
+        raise CliError(f"reduce {args.action} needs: {', '.join(missing)}")
     if args.action == "gadget-p":
         rep = reductions.verify_P()
         _emit({"support_ok": rep.support_ok, "uniqueness_ok": rep.uniqueness_ok,
@@ -197,9 +215,7 @@ def cmd_reduce(args) -> int:
         return EXIT_OK if rep.passed() else EXIT_INTERNAL
     if args.action == "planarize":
         grid = _load_grid(args.file)
-        with open(args.crossings) as fh:
-            cr = [reductions.Crossing(**rec) for rec in json.load(fh)]
-        out = reductions.planarize(grid, cr)
+        out = reductions.planarize(grid, _load_crossings(args.crossings))
         _emit({"grid": out.to_json_dict()})
         return EXIT_OK
     if args.action == "interpolate":

@@ -10,7 +10,8 @@ unary stand-ins for halves of the degenerate straddled signature.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .holant_core import GridNode, SignatureGrid, eval_gadget, eval_grid
 from .scalars import Scalar
@@ -126,11 +127,9 @@ def _component_A(f: SymSignature) -> List[List[Scalar]]:
     ci = b.node("right", EQ3)
     b.wire((sq, 1), (ci, 1))
     b.dangle((sq, 0), (ci, 0), (sq, 2), (ci, 2))
-    # dangling order: tl, bl, tr, br -> value(tl,bl,tr,br)
+    # dangling order tl, bl, tr, br: row (tl, bl), column (tr, br)
     t = eval_gadget(b.grid())
-    return [[t[(tl << 3) | (bl << 2) | (tr << 1) | br]
-             for tr in (0, 1) for br in (0, 1)]
-            for tl in (0, 1) for bl in (0, 1)]
+    return [list(t[i:i + 4]) for i in range(0, 16, 4)]
 
 
 def _flip_ud(m: List[List[Scalar]]) -> List[List[Scalar]]:
@@ -176,18 +175,21 @@ def crossover_pattern(x: Scalar) -> List[List[Scalar]]:
     return m
 
 
-def gamma_chain(f: SymSignature, s: int) -> Tuple[List[List[Scalar]], Scalar]:
-    """Normalized signature matrix of the (2s+1)-fold chain of cross-over
-    gadgets, with its pattern parameter x_s.
-
-    x_0 = z and x_{s+1} = (6 + 6z + 3x_s + z^2 x_s) /
-    (7 + 4z + z^2 + 2x_s + 2z x_s); the matrix power satisfies the same
-    normal form, which the oracle tests confirm.
-    """
+def gamma_params(f: SymSignature) -> Iterator[Scalar]:
+    """The pattern parameters x_0, x_1, ... of the (2s+1)-fold chains of
+    cross-over gadgets, from one evaluation of G4: x_0 = z and x_{s+1} =
+    (6 + 6z + 3x_s + z^2 x_s) / (7 + 4z + z^2 + 2x_s + 2z x_s)."""
     _, z = gadget_G4(f)
     x = z
-    for _ in range(s):
+    while True:
+        yield x
         x = (6 + 6 * z + 3 * x + z * z * x) / (7 + 4 * z + z * z + 2 * x + 2 * z * x)
+
+
+def gamma_chain(f: SymSignature, s: int) -> Tuple[List[List[Scalar]], Scalar]:
+    """Normalized signature matrix of the (2s+1)-fold chain of cross-over
+    gadgets, crossover_pattern(x_s), and x_s (oracle: gamma_chain_by_power)."""
+    x = next(islice(gamma_params(f), s, None))
     return crossover_pattern(x), x
 
 

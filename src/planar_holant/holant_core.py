@@ -6,11 +6,13 @@ nodes carry an explicit row-major table and may mix slot sides (straddled
 signatures, cross-over).  Symmetric nodes carry a SymSignature.
 
 One contraction, _contract, serves every entry point.  Its variables are
-one boolean per right-hand equality node, whose slots all copy it, and one
-per remaining internal edge; dangling slots are pinned.  Every other node
-is a sparse factor, and the variables are summed out in a greedy
-min-degree order (bucket elimination).  HOLANT_MAX_EDGES (default 24) caps
-the order's width, the most variables in one table, before any is built.
+one boolean per right-hand equality node without a dangling slot, whose
+slots all copy it, one per remaining internal edge and one per dangling
+slot.  Every other node is a sparse factor, and all but the dangling
+slots' variables are summed out in a greedy min-degree order (bucket
+elimination); a gadget's whole table is read off the last bucket.
+HOLANT_MAX_EDGES (default 24) caps the order's width, the most variables
+in one table, kept ones included, before any is built.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .plane_graph import _is_ints, _records
 from .scalars import Scalar, format_scalar, parse_scalar
@@ -217,78 +219,63 @@ def _is_node_record(rec) -> bool:
             and isinstance(rec.get("symmetric", rec.get("table")), list))
 
 
-def _compile(grid: SignatureGrid, pin: Dict[Tuple[int, int], int]):
-    """The variable count and, per node that is not a right equality, the
-    node, its slots' columns and its scope; None if pins conflict.
-
-    Dangling slots read their bit from pin.  A right equality with a pinned
-    slot is fixed to that bit.  Every slot compiles to a column: a variable,
-    or -2 / -1 for a constant 0 / 1.  SignatureGrid guarantees that an edge
-    has at most one right endpoint, so no edge joins two equalities."""
-    col: Dict[int, Optional[int]] = {
-        n.id: None for n in grid.nodes.values()
-        if n.side == "right" and n.is_equality()}
-    for (nid, _), b in pin.items():
-        if nid in col:
-            if col[nid] is not None and col[nid] != b - 2:
-                return None
-            col[nid] = b - 2
-    nbits = 0
-    for nid, c in col.items():
-        if c is None:
-            col[nid] = nbits
-            nbits += 1
-    at = {key: b - 2 for key, b in pin.items()}
+def _compile(grid: SignatureGrid):
+    """The variable count, the number k of kept variables and the factors.
+    A right equality without a dangling slot is one variable, which all its
+    slots copy; every other internal edge is one; the last k are kept, one
+    per dangling slot in grid.dangling order.  Every other node is a factor
+    (node, its slots' variables, scope).  SignatureGrid guarantees that no
+    edge joins two equalities."""
+    open_nodes = {nid for nid, _ in grid.dangling}
+    col = {nid: i for i, nid in enumerate(
+        n.id for n in grid.nodes.values() if n.side == "right"
+        and n.is_equality() and n.id not in open_nodes)}
+    nbits = len(col)
+    at: Dict[Tuple[int, int], int] = {}
     for (na, sa, nb, sb) in grid.edges:
         c = col[na] if na in col else col.get(nb)
         if c is None:
             c = nbits
             nbits += 1
         at[(na, sa)] = at[(nb, sb)] = c
+    for key in grid.dangling:
+        at[key] = nbits
+        nbits += 1
     factors = []
     for n in grid.nodes.values():
         if n.id not in col:
             cols = [at[(n.id, s)] for s in range(n.arity)]
-            factors.append((n, cols, tuple(sorted({c for c in cols if c >= 0}))))
-    return nbits, factors
+            factors.append((n, cols, tuple(sorted(set(cols)))))
+    return nbits, len(grid.dangling), factors
 
 
-def _contract(grid: SignatureGrid, pin: Dict[Tuple[int, int], int],
-              support: bool = False) -> Scalar:
-    """Sum over every internal state of the product of node values or, with
-    support, the number of states whose product is nonzero (0 if pins
-    conflict).  Each node of _compile is a sparse factor {assignment of its
-    scope: nonzero value} in the bucket of its first variable in
-    elimination order; a bucket's product, that variable summed out, moves
-    on the same way, and the last bucket holds the constants."""
+def _contract(grid: SignatureGrid, support: bool = False) -> List[Scalar]:
+    """Per assignment of the kept variables, row-major (one entry if there
+    are none), the sum over the others of the product of node values or,
+    with support, the number of nonzero products.  Each node of _compile is
+    a sparse factor {assignment of its scope: nonzero value} in the bucket
+    of its first variable in elimination order; a bucket's product, that
+    variable summed out, moves on the same way, and the last bucket is
+    joined over the kept variables."""
     zero, one = (0, 1) if support else (Fraction(0), Fraction(1))
-    compiled = _compile(grid, pin)
-    if compiled is None:
-        return zero
-    nbits, factors = compiled
-    order, width = _elimination_order(nbits, [f[2] for f in factors])
+    nbits, kept, factors = _compile(grid)
+    order, width = _elimination_order(nbits, [f[2] for f in factors], kept)
     cap = max_edges_cap()
     if width > cap:
         raise TooManyEdges(f"elimination width {width} exceeds cap {cap} "
                            "(HOLANT_MAX_EDGES)")
     pos = {v: i for i, v in enumerate(order)}
-    buckets: List[list] = [[] for _ in range(nbits + 1)]
+    pos.update(dict.fromkeys(range(nbits - kept, nbits), len(order)))
+    buckets: List[list] = [[] for _ in range(len(order) + 1)]
 
     def place(scope, table):
-        buckets[min((pos[v] for v in scope), default=nbits)].append((scope, table))
+        buckets[min((pos[v] for v in scope), default=len(order))].append(
+            (scope, table))
 
-    for n, cols, scope in factors:
-        table = {}
-        for key in product((0, 1), repeat=len(scope)):
-            value = n.value([key[scope.index(c)] if c >= 0 else c + 2
-                             for c in cols])
-            if value != 0:
-                table[key] = 1 if support else value
-        place(scope, table)
-    for v, bucket in zip(order, buckets):
-        scope = (v,) + tuple(sorted({u for f, _ in bucket for u in f} - {v}))
+    def join(scope, bucket, cut):
+        """The bucket's product, the first cut variables of scope summed."""
         picks = [([scope.index(u) for u in f], table) for f, table in bucket]
-        summed: Dict[tuple, Scalar] = {}
+        out: Dict[tuple, Scalar] = {}
         for key in product((0, 1), repeat=len(scope)):
             value = one
             for idx, table in picks:
@@ -297,47 +284,54 @@ def _contract(grid: SignatureGrid, pin: Dict[Tuple[int, int], int],
                     break
                 value = value * w
             else:
-                rest = key[1:]
-                summed[rest] = summed[rest] + value if rest in summed else value
+                rest = key[cut:]
+                out[rest] = out[rest] + value if rest in out else value
+        return out
+
+    for n, cols, scope in factors:
+        table = {}
+        for key in product((0, 1), repeat=len(scope)):
+            value = n.value([key[scope.index(c)] for c in cols])
+            if value != 0:
+                table[key] = 1 if support else value
+        place(scope, table)
+    for v, bucket in zip(order, buckets):
+        scope = (v,) + tuple(sorted({u for f, _ in bucket for u in f} - {v}))
+        summed = join(scope, bucket, 1)
         place(scope[1:], {k: x for k, x in summed.items() if x != 0})
-    result = one
-    for _, table in buckets[nbits]:
-        result = result * table.get((), zero)
-    return result
+    table = join(tuple(range(nbits - kept, nbits)), buckets[-1], 0)
+    return [table.get(key, zero) for key in product((0, 1), repeat=kept)]
 
 
-def _elimination_order(nbits: int, scopes: List[Tuple[int, ...]]):
-    """Greedy min-degree order of the variables (ties to the lower index)
-    and its width: the most variables in one bucket's table, the one summed
-    out included."""
-    adj: Dict[int, set] = {v: set() for v in range(nbits)}
+def _elimination_order(nbits: int, scopes: List[Tuple[int, ...]], kept: int):
+    """Greedy min-degree order of all but the last kept variables (ties to
+    the lower index) and its width: the most variables in one table, the
+    kept ones' last table included."""
+    nsum = nbits - kept
+    adj: Dict[int, set] = {v: set() for v in range(nsum)}
     for scope in scopes:
         for v in scope:
-            adj[v].update(scope)
-            adj[v].discard(v)
-    order, width = [], 0
+            if v < nsum:
+                adj[v].update(scope)
+                adj[v].discard(v)
+    order, width = [], kept
     while adj:
         v = min(adj, key=lambda u: (len(adj[u]), u))
         near = adj.pop(v)
         order.append(v)
         width = max(width, len(near) + 1)
         for u in near:
-            adj[u] |= near - {u}
-            adj[u].discard(v)
+            if u < nsum:
+                adj[u] |= near - {u}
+                adj[u].discard(v)
     return order, width
 
 
 def elimination_width(grid: SignatureGrid) -> int:
-    """Width of the elimination order eval_grid uses on grid, the number
-    HOLANT_MAX_EDGES caps (dangling slots count as pinned)."""
-    nbits, factors = _compile(grid, dict.fromkeys(grid.dangling, 0))
-    return _elimination_order(nbits, [f[2] for f in factors])[1]
-
-
-def _pins(grid: SignatureGrid) -> Iterator[Dict[Tuple[int, int], int]]:
-    """Every assignment of the dangling slots, row-major in grid.dangling."""
-    for ext in product((0, 1), repeat=len(grid.dangling)):
-        yield dict(zip(grid.dangling, ext))
+    """Width of the elimination order _contract uses on grid, the number
+    HOLANT_MAX_EDGES caps; a dangling slot's kept variable counts."""
+    nbits, kept, factors = _compile(grid)
+    return _elimination_order(nbits, [f[2] for f in factors], kept)[1]
 
 
 def eval_grid(grid: SignatureGrid) -> Scalar:
@@ -345,7 +339,7 @@ def eval_grid(grid: SignatureGrid) -> Scalar:
     node values."""
     if grid.dangling:
         raise DanglingPresent("grid has dangling slots")
-    return _contract(grid, {})
+    return _contract(grid)[0]
 
 
 def eval_collapsed(grid: SignatureGrid) -> Scalar:
@@ -363,11 +357,11 @@ def eval_gadget(grid: SignatureGrid) -> List[Scalar]:
     slots, row-major in the order of grid.dangling."""
     if not grid.dangling:
         raise GridError("eval_gadget expects dangling slots")
-    return [_contract(grid, pin) for pin in _pins(grid)]
+    return _contract(grid)
 
 
 def gadget_assignment_counts(grid: SignatureGrid) -> List[int]:
     """Number of internal edge assignments with a nonzero product, per
     external assignment (same order as eval_gadget).  Edges that disagree
     at an equality give product 0, so these are the nonzero states."""
-    return [_contract(grid, pin, support=True) for pin in _pins(grid)]
+    return _contract(grid, support=True)

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .gadgets import (GridBuilder, absorb_g1, absorb_g2, gamma_chain,
+from .gadgets import (GridBuilder, absorb_g1, absorb_g2, gamma_params,
                       wire_absorber)
 from .holant_core import (GridNode, SignatureGrid, eval_grid, eval_gadget,
                           gadget_assignment_counts)
@@ -57,25 +58,18 @@ def chain_table(on: Scalar, off: Scalar) -> Tuple[Scalar, ...]:
     both strands are preserved and `off` elsewhere.  The normalized odd
     gadget chain has exactly this shape with on = x_s, off = 1 (the same
     support as the cross-over, which makes the stratification work)."""
-    vals = []
-    for idx in range(16):
-        bits = [(idx >> (3 - i)) & 1 for i in range(4)]
-        vals.append(on if (bits[0] == bits[2] and bits[1] == bits[3]) else off)
-    return tuple(vals)
+    return tuple(on if idx >> 2 == idx & 3 else off for idx in range(16))
 
 
 @dataclass
 class Crossing:
-    """One listed crossing between edge indices a and b of the input grid.
-
-    orientation +1 means b's entering strand sits counterclockwise-next to
-    a's entering strand at the crossing point; -1 the mirror.
-    """
+    """One listed crossing between edge indices a and b of the input grid;
+    pos_a and pos_b order the crossings along one edge.  Both orientations
+    of a crossing share one table, so none is recorded."""
     edge_a: int
     edge_b: int
     pos_a: int = 0
     pos_b: int = 0
-    orientation: int = 1
 
 
 def planarize(grid: SignatureGrid, crossings: Sequence[Crossing]) -> SignatureGrid:
@@ -87,12 +81,15 @@ def planarize(grid: SignatureGrid, crossings: Sequence[Crossing]) -> SignatureGr
     for ci, c in enumerate(crossings):
         if c.edge_a == c.edge_b:
             raise TripleCrossing("an edge cannot cross itself at one point")
+        if not all(0 <= e < len(grid.edges) for e in (c.edge_a, c.edge_b)):
+            raise ReductionError(
+                f"{c}: the grid has edges 0..{len(grid.edges) - 1}")
         per_edge.setdefault(c.edge_a, []).append((c.pos_a, ci, 0))
         per_edge.setdefault(c.edge_b, []).append((c.pos_b, ci, 1))
     b = GridBuilder(grid)
     # slot order of the cross node: (a_in, b_in, a_out, b_out); value 1 iff
-    # a_in == a_out and b_in == b_out; both orientations share this table
-    # because opposite slots pair up either way
+    # a_in == a_out and b_in == b_out; opposite slots pair up in either
+    # orientation
     table = crossover_table()
     cross_nodes = [b.node("table", table, slots=("R", "R", "L", "L"))
                    for _ in crossings]
@@ -155,13 +152,17 @@ def interpolate_recover(grid: SignatureGrid, cross_ids: Sequence[int],
                         f: SymSignature, oracle=eval_grid) -> InterpolationRun:
     """Recover the Holant value of a grid containing cross-over tables by
     evaluating it with odd gadget chains in their place and solving the
-    resulting Vandermonde system exactly."""
+    resulting Vandermonde system exactly.  Every node of cross_ids must be
+    a table node holding crossover_table()."""
+    cross = crossover_table()
+    for nid in cross_ids:
+        node = grid.nodes.get(nid)
+        if node is None or node.side != "table" or node.table != cross:
+            raise ReductionError(f"node {nid} is not a cross-over table")
     n = len(cross_ids)
-    xs: List[Scalar] = []
+    xs = list(islice(gamma_params(f), n + 1))
     vals: List[Scalar] = []
-    for s in range(n + 1):
-        _, x_s = gamma_chain(f, s)
-        xs.append(x_s)
+    for x_s in xs:
         sub = grid.copy()
         table = chain_table(x_s, Fraction(1))
         for nid in cross_ids:
@@ -278,72 +279,37 @@ class ExceptionalGraphError(ReductionError):
 
 # -- the pinned-0 cross-over gadget ---------------------------------------
 
+# the drawing's circles c1..c9 are nodes 0..8 (=3), its squares s1..s9
+# nodes 10..18 (exact-one); every node numbers its slots in wire order
+_P_WIRES = (
+    (0, 13), (13, 6), (0, 10), (10, 1),  # c1-s4-c7 (long bottom run), c1-s1-c2
+    (11, 2), (12, 2), (2, 14), (4, 15),  # s2-c3, s3-c3, c3-s5, c5-s6
+    (10, 5), (13, 5), (5, 15), (16, 7),  # s1-c6, s4-c6, c6-s6, s7-c8
+    (7, 17), (7, 18), (17, 8),           # c8-s8, c8-s9, s8-c9
+    (1, 11), (1, 11), (14, 4), (14, 4),  # doubled: c2-s2, s5-c5
+    (6, 16), (6, 16), (18, 8), (18, 8),  # doubled: c7-s7, s9-c9
+    (12, 3), (12, 3))                    # doubled: s3-c4
+_P_DANGLING = (0, 3, 15, 17)   # red left c1, blue left c4, red right s6,
+                               # blue right s8
+
+
 def build_gadget_P() -> SignatureGrid:
     """The 18-vertex pinned-0 cross-over gadget with exact-one on squares
     and =3 on circles; dangling order (red_left, blue_left, red_right,
     blue_right)."""
-    b_nodes: Dict[int, GridNode] = {}
-    edges: List[Tuple[int, int, int, int]] = []
+    nodes = {i: GridNode(i, "right", ("R",) * 3, sym=EQ3) for i in range(9)}
+    nodes.update({i: GridNode(i, "left", ("L",) * 3, sym=EXACT_ONE_3)
+                  for i in range(10, 19)})
+    used = dict.fromkeys(nodes, 0)
 
-    def circle(nid):
-        b_nodes[nid] = GridNode(nid, "right", ("R", "R", "R"), sym=EQ3)
-
-    def square(nid):
-        b_nodes[nid] = GridNode(nid, "left", ("L", "L", "L"), sym=EXACT_ONE_3)
-
-    # circles 0..8, squares 10..18 laid out as in the drawing
-    for i in range(9):
-        circle(i)
-    for i in range(10, 19):
-        square(i)
-    slot_use: Dict[int, int] = {}
-
-    def wire(a, bnode):
-        sa = slot_use.get(a, 0)
-        sb = slot_use.get(bnode, 0)
-        slot_use[a] = sa + 1
-        slot_use[bnode] = sb + 1
-        if b_nodes[a].side == "left":
-            edges.append((a, sa, bnode, sb))
-        else:
-            edges.append((bnode, sb, a, sa))
-
-    # chains and doubled pairs, following the drawing layout
-    wire(0, 13)   # c1 - s4 (long bottom run)
-    wire(13, 6)   # s4 - c7
-    wire(0, 10)   # c1 - s1
-    wire(10, 1)   # s1 - c2
-    wire(11, 2)   # s2 - c3
-    wire(12, 2)   # s3 - c3
-    wire(2, 14)   # c3 - s5
-    wire(4, 15)   # c5 - s6
-    wire(10, 5)   # s1 - c6
-    wire(13, 5)   # s4 - c6
-    wire(5, 15)   # c6 - s6
-    wire(16, 7)   # s7 - c8
-    wire(7, 17)   # c8 - s8
-    wire(7, 18)   # c8 - s9
-    wire(17, 8)   # s8 - c9
-    wire(1, 11)   # c2 - s2 (doubled)
-    wire(1, 11)
-    wire(14, 4)   # s5 - c5 (doubled)
-    wire(14, 4)
-    wire(6, 16)   # c7 - s7 (doubled)
-    wire(6, 16)
-    wire(18, 8)   # s9 - c9 (doubled)
-    wire(18, 8)
-    wire(12, 3)   # s3 - c4 (doubled)
-    wire(12, 3)
-    dangling = [(0, slot_use.setdefault(0, 0)),      # red left at c1
-                (3, slot_use[3]),                     # blue left at c4
-                (15, slot_use[15]),                   # red right at s6
-                (17, slot_use[17])]                   # blue right at s8
-    for nid, _ in dangling:
-        slot_use[nid] += 1
-    for nid, n in b_nodes.items():
-        if slot_use.get(nid, 0) != 3:
-            raise ReductionError(f"node {nid} has degree {slot_use.get(nid)}")
-    return SignatureGrid(b_nodes, edges, [(n, s) for n, s in dangling])
+    def end(nid):
+        used[nid] += 1
+        return (nid, used[nid] - 1)
+    edges = []
+    for u, v in _P_WIRES:
+        a, b = end(u), end(v)
+        edges.append(a + b if nodes[u].side == "left" else b + a)
+    return SignatureGrid(nodes, edges, [end(nid) for nid in _P_DANGLING])
 
 
 @dataclass
@@ -365,18 +331,9 @@ def verify_P(grid: Optional[SignatureGrid] = None) -> GadgetPReport:
         grid = build_gadget_P()
     table = eval_gadget(grid)
     counts = gadget_assignment_counts(grid)
-    support_ok = True
-    uniqueness_ok = True
-    for idx in range(16):
-        red_l = (idx >> 3) & 1
-        blue_l = (idx >> 2) & 1
-        red_r = (idx >> 1) & 1
-        blue_r = idx & 1
-        expect = int(blue_l == 0 and blue_r == 0 and red_l == red_r)
-        if (table[idx] != 0) != bool(expect):
-            support_ok = False
-        if expect and counts[idx] != 1:
-            uniqueness_ok = False
-        if expect and table[idx] != 1:
-            support_ok = False
+    # row (red_l, blue_l, red_r, blue_r) lives iff the blues are 0 and the
+    # reds agree: rows 0b0000 and 0b1010, each with value 1
+    live = [idx in (0b0000, 0b1010) for idx in range(16)]
+    support_ok = all(v == 1 if e else v == 0 for v, e in zip(table, live))
+    uniqueness_ok = all(c == 1 for c, e in zip(counts, live) if e)
     return GadgetPReport(table, counts, support_ok, uniqueness_ok)

@@ -580,3 +580,73 @@ def test_malformed_grid_json_is_an_input_error(tmp_path, capsys, verb, shape):
     assert err.startswith("error: grid JSON needs") or \
         err.startswith("error: each record of 'nodes'")
     assert err.count("\n") == 1
+
+
+BAD_CROSSINGS = {
+    "unknown_key": ([{"edge_a": 1, "edge_b": 2, "foo": 3}],
+                    "{'edge_a': 1, 'edge_b': 2, 'foo': 3}"),
+    "no_edge_b": ([{"edge_a": 1}], "{'edge_a': 1}"),
+    "a_list": ([[1, 2]], "[1, 2]"),
+    "orientation": ([{"edge_a": 1, "edge_b": 2, "orientation": 1}],
+                    "{'edge_a': 1, 'edge_b': 2, 'orientation': 1}"),
+    "boolean_pos": ([{"edge_a": 1, "edge_b": 2, "pos_a": True}],
+                    "{'edge_a': 1, 'edge_b': 2, 'pos_a': True}"),
+    "no_such_edge": ([{"edge_a": 1, "edge_b": 9}],
+                     "Crossing(edge_a=1, edge_b=9, pos_a=0, pos_b=0)"),
+    "not_a_list": ({"edge_a": 1, "edge_b": 2}, "a JSON list of records"),
+}
+
+
+def k33_grid_file(tmp_path):
+    from planar_holant.holant_core import GridNode, SignatureGrid
+    from planar_holant.signatures import EQ3, SymSignature
+    f = SymSignature([1, 2, 1, 2])
+    nodes = {}
+    for i in range(3):
+        nodes[i] = GridNode(i, "left", ("L",) * 3, sym=f)
+        nodes[3 + i] = GridNode(3 + i, "right", ("R",) * 3, sym=EQ3)
+    edges = [(i, j, 3 + j, i) for i in range(3) for j in range(3)]
+    path = tmp_path / "grid.json"
+    path.write_text(SignatureGrid(nodes, edges, []).to_json())
+    return str(path)
+
+
+@pytest.mark.parametrize("shape", sorted(BAD_CROSSINGS))
+def test_malformed_crossing_record_is_named(tmp_path, capsys, shape):
+    from planar_holant import cli
+    records, named = BAD_CROSSINGS[shape]
+    cpath = tmp_path / "cross.json"
+    cpath.write_text(json.dumps(records))
+    argv = ["reduce", "planarize", k33_grid_file(tmp_path),
+            "--crossings", str(cpath)]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["reduce", "planarize"], "file, crossings"),
+    (["reduce", "planarize", "g.json"], "crossings"),
+    (["reduce", "interpolate", "g.json"], "sig"),
+    (["reduce", "absorb", "--sig", "[1,2,1,2]"], "file, x, y")])
+def test_reduce_without_its_inputs_is_an_input_error(argv, missing):
+    err = cli_input_error(*argv)
+    assert err == f"error: reduce {argv[1]} needs: {missing}\n"
+
+
+def test_interpolate_refuses_a_table_that_is_not_a_crossover(tmp_path):
+    from planar_holant.generators import generate_cubic_bipartite_plane
+    from planar_holant.plane_graph import grid_from_cubic_bipartite
+    from planar_holant.reductions import Crossing, planarize
+    from planar_holant.signatures import SymSignature
+    pl = planarize(grid_from_cubic_bipartite(
+        generate_cubic_bipartite_plane(8, 562436), SymSignature([1, 2, 1, 2])),
+        [Crossing(11, 3)])
+    spec = pl.to_json_dict()
+    (node,) = [n for n in spec["nodes"] if n["side"] == "table"]
+    node["table"][5] = "7"
+    path = tmp_path / "pl.json"
+    path.write_text(json.dumps(spec))
+    assert run_cli("eval", str(path))["value"] == "306"
+    err = cli_input_error("reduce", "interpolate", str(path), "--sig", "[1,2,1,2]")
+    assert err == f"error: node {node['id']} is not a cross-over table\n"

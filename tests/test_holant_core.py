@@ -75,12 +75,14 @@ def cut_edges(grid, rng, k):
 
 
 def crossed(grid, rng):
-    """planarize with one random crossing; edges run L-end to R-end."""
+    """planarize with one random crossing, its two edges in random order;
+    edges run L-end to R-end."""
     edges = [e if grid.nodes[e[0]].side == "left" else e[2:] + e[:2]
              for e in grid.edges]
     a, b = rng.sample(range(len(edges)), 2)
-    return planarize(SignatureGrid(grid.nodes, edges, []),
-                     [Crossing(a, b, orientation=rng.choice([1, -1]))])
+    if rng.choice([1, -1]) < 0:
+        a, b = b, a
+    return planarize(SignatureGrid(grid.nodes, edges, []), [Crossing(a, b)])
 
 
 def test_collapsed_matches_raw_random():
@@ -404,3 +406,94 @@ def test_cap_on_wide_leapfrog_grids(monkeypatch):
     with pytest.raises(TooManyEdges,
                        match=r"width 30 exceeds cap 24 \(HOLANT_MAX_EDGES\)"):
         eval_grid(wide)
+
+
+def component_a_grid():
+    """G4's component A: a square and a circle sharing one edge, four
+    dangling slots (two of them at the circle)."""
+    from planar_holant.gadgets import GridBuilder
+    b = GridBuilder()
+    sq = b.node("left", SymSignature([1, 2, 1, 2]))
+    ci = b.node("right", EQ3)
+    b.wire((sq, 1), (ci, 1))
+    b.dangle((sq, 0), (ci, 0), (sq, 2), (ci, 2))
+    return b.grid()
+
+
+def six_slot_cut():
+    """A 24-vertex grid of width 4 with three internal edges cut."""
+    grid = grid_from_cubic_bipartite(generate_cubic_bipartite_plane(24, 5),
+                                     SymSignature([1, 2, -1, 3]))
+    return grid, cut_edges(grid, random.Random(5), 3)
+
+
+def test_dangling_slots_count_in_the_width(monkeypatch):
+    """Every dangling slot is a variable the contraction keeps to the end,
+    so it counts in the width, and HOLANT_MAX_EDGES caps the gadget's
+    one contraction: gadget P has width 6, G4's component A width 5 (its
+    single summed edge meets all four kept slots) and a 6-slot cut of a
+    width-4 grid width 8."""
+    from planar_holant.reductions import build_gadget_P
+    monkeypatch.delenv("HOLANT_MAX_EDGES", raising=False)
+    closed, cut = six_slot_cut()
+    assert elimination_width(closed) == 4
+    assert elimination_width(cut) == 8
+    assert elimination_width(component_a_grid()) == 5
+    gad = build_gadget_P()
+    assert elimination_width(gad) == 6
+    table, counts = eval_gadget(gad), gadget_assignment_counts(gad)
+    monkeypatch.setenv("HOLANT_MAX_EDGES", "6")
+    assert eval_gadget(gad) == table
+    assert gadget_assignment_counts(gad) == counts
+    monkeypatch.setenv("HOLANT_MAX_EDGES", "5")
+    for fn in (eval_gadget, gadget_assignment_counts):
+        with pytest.raises(TooManyEdges, match="width 6 exceeds cap 5"):
+            fn(gad)
+
+
+def test_wide_gadget_is_refused_before_any_table(monkeypatch):
+    """A gadget of k unary nodes has no variable to sum and a table of 2^k
+    entries, the outer product of the nodes; at k = 26 its width passes the
+    default cap and it is refused before any node table is built."""
+    monkeypatch.delenv("HOLANT_MAX_EDGES", raising=False)
+
+    def unaries(k):
+        nodes = {i: GridNode(i, "left", ("L",), sym=SymSignature([1, i + 2]))
+                 for i in range(k)}
+        return SignatureGrid(nodes, [], [(i, 0) for i in range(k)])
+    assert eval_gadget(unaries(3)) == [
+        x * y * z for x in (1, 2) for y in (1, 3) for z in (1, 4)]
+    assert gadget_assignment_counts(unaries(3)) == [1] * 8
+    wide = unaries(26)
+    assert elimination_width(wide) == 26
+
+    def no_table(node, bits):
+        raise AssertionError("a node table was built")
+
+    monkeypatch.setattr(GridNode, "value", no_table)
+    with pytest.raises(TooManyEdges, match="width 26 exceeds cap 24"):
+        eval_gadget(wide)
+
+
+def test_one_contraction_per_call(monkeypatch):
+    """eval_grid, eval_gadget and gadget_assignment_counts each compile the
+    grid once and order its variables once, whatever the number of
+    dangling slots."""
+    from planar_holant import holant_core
+    from planar_holant.reductions import build_gadget_P
+    calls = []
+    for name in ("_compile", "_elimination_order"):
+        real = getattr(holant_core, name)
+
+        def spy(*args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(holant_core, name, spy)
+    _, cut = six_slot_cut()
+    for fn, grid in ((eval_grid, running_example()),
+                     (eval_gadget, build_gadget_P()),
+                     (gadget_assignment_counts, build_gadget_P()),
+                     (eval_gadget, cut), (eval_gadget, component_a_grid())):
+        calls.clear()
+        fn(grid)
+        assert sorted(calls) == ["_compile", "_elimination_order"]

@@ -43,7 +43,7 @@ def test_planarize_preserves_value():
         want = eval_grid(grid)
         for crossings in ([Crossing(2, 3)],
                           [Crossing(2, 3), Crossing(5, 6)],
-                          [Crossing(2, 3, orientation=-1)],
+                          [Crossing(3, 2)],
                           [Crossing(2, 3, pos_a=0), Crossing(2, 6, pos_a=1)]):
             assert eval_grid(planarize(grid, crossings)) == want
 
@@ -203,3 +203,62 @@ def test_gadget_p_properties():
     assert all(rep.counts[i] == 1 for i in live)
     grid = build_gadget_P()
     assert len(grid.nodes) == 18 and len(grid.edges) == 25
+
+
+def test_interpolation_evaluates_g4_once(monkeypatch):
+    """The chain parameters x_0..x_n all come from one G4 evaluation."""
+    from planar_holant import gadgets
+    calls = []
+    real = gadgets.gadget_G4
+
+    def spy(f):
+        calls.append(f)
+        return real(f)
+    monkeypatch.setattr(gadgets, "gadget_G4", spy)
+    f = SymSignature([1, 3, 1, 3])
+    grid = k33_grid(f)
+    pl = planarize(grid, [Crossing(2, 3), Crossing(5, 7)])
+    cross = [nid for nid, n in pl.nodes.items() if n.side == "table"]
+    run = interpolate_recover(pl, cross, f)
+    assert len(calls) == 1 and len(run.nodes_x) == 3
+    assert run.recovered == eval_grid(grid)
+
+
+def test_interpolation_refuses_a_table_that_is_not_a_crossover():
+    """A listed node must hold the cross-over table: one entry changed
+    would give a wrong value (eval 306, recovered 90), so it is refused."""
+    from planar_holant.generators import generate_cubic_bipartite_plane
+    from planar_holant.plane_graph import grid_from_cubic_bipartite
+    from planar_holant.reductions import ReductionError
+    f = SymSignature([1, 2, 1, 2])
+    pl = planarize(grid_from_cubic_bipartite(
+        generate_cubic_bipartite_plane(8, 562436), f), [Crossing(11, 3)])
+    (nid,) = [n for n, node in pl.nodes.items() if node.side == "table"]
+    assert interpolate_recover(pl, [nid], f).recovered == eval_grid(pl)
+    table = list(pl.nodes[nid].table)
+    table[5] = Fraction(7)
+    pl.nodes[nid] = GridNode(nid, "table", pl.nodes[nid].slots, table=table)
+    assert eval_grid(pl) == 306
+    left = pl.left_nodes()[0].id
+    for bad in (nid, left, max(pl.nodes) + 1):
+        with pytest.raises(ReductionError,
+                           match=f"node {bad} is not a cross-over table"):
+            interpolate_recover(pl, [bad], f)
+
+
+def test_planarize_rejects_a_missing_edge():
+    from planar_holant.reductions import ReductionError
+    grid = k33_grid(SymSignature([1, 2, 1, 2]))
+    for c in (Crossing(2, 9), Crossing(-1, 3)):
+        with pytest.raises(ReductionError, match="the grid has edges 0..8"):
+            planarize(grid, [c])
+
+
+def test_gadget_p_wiring():
+    """Slots are numbered in wire order, so every dangling end is its
+    node's third slot; every edge runs from its square to its circle."""
+    grid = build_gadget_P()
+    assert grid.dangling == [(0, 2), (3, 2), (15, 2), (17, 2)]
+    assert sorted(grid.nodes) == list(range(9)) + list(range(10, 19))
+    assert all(grid.nodes[e[0]].side == "left" for e in grid.edges)
+    assert grid.edges[:3] == [(13, 0, 0, 0), (13, 1, 6, 0), (10, 0, 0, 1)]
