@@ -52,7 +52,10 @@ read the same file or JSON text with their own code.  The inputs:
   relabel with seeds 1, 2 and 3, and on generate_cubic_bipartite_plane(n,
   1), n = 1000, 4000 and 10^4; then the whole op, cli.main([verb, file]),
   with equal stdout and exit code, on every fkt-solve entry of
-  perfbench/oracles.json, built as perfbench/workloads.py builds it;
+  perfbench/oracles.json, built as perfbench/workloads.py builds it, and
+  cli.main(["solve", file]) on the [2,1,1,2] and [2,1,-1,-2] grids of
+  generate_cubic_bipartite_plane(n, 1), n = 1000 and 4000, one group per
+  signature;
 * p3em-fullerene and p3em-random (either record gets both):
   cli.main(["p3em", "find", file]), with equal stdout and exit code, on
   C180, C540 and C1620 under relabel seeds 1, 2 and 3, and on
@@ -117,6 +120,8 @@ EVAL_SIZES = (50, 100, 200, 400)
 AB_FULLERENE_SIZES = (180, 540, 1620)
 AB_P3EM_SIZES = (800, 3200)
 AB_PM_SIZES = (1000, 4000, 10000)
+AB_SOLVE_SIZES = (1000, 4000)
+AB_SOLVE_SIGS = ((2, 1, 1, 2), (2, 1, -1, -2))
 AB_SEEDS = (1, 2, 3)
 AB_ROUNDS = 10
 
@@ -328,8 +333,16 @@ def ab_groups(workload, parent, work):
         pm_rows = [{"n": n, "input": recipe, "run": {
             k: count_pm_run(pm[k], from_json[k](g.to_json())) for k in pm}}
             for n, recipe, g in ab_inputs("fkt-solve")]
+        solve_groups = [
+            (f"solve {list(sig)}", 'cli.main(["solve", file])',
+             [cli_row(n, f"generate_cubic_bipartite_plane({n}, 1)", ["solve"],
+                      grid_from_cubic_bipartite(
+                          generate_cubic_bipartite_plane(n, 1),
+                          SymSignature(sig)).to_json(), f"solve-{i}-{n}")
+              for n in AB_SOLVE_SIZES])
+            for i, sig in enumerate(AB_SOLVE_SIGS)]
         return [("count_pm", "count_pm(g), value equal in repr and type", pm_rows),
-                ("fkt-solve", "cli.main([verb, file])", pool_rows)]
+                ("fkt-solve", "cli.main([verb, file])", pool_rows), *solve_groups]
     if workload == "holant-eval":
         return [("holant-eval", "cli.main([*argv, file, *opts])", pool_rows)]
     if workload not in ("p3em-fullerene", "p3em-random"):

@@ -176,15 +176,27 @@ class SignatureGrid:
 
     @staticmethod
     def from_json_dict(spec: dict) -> "SignatureGrid":
+        """A node id may appear once.  Each distinct all-string symmetric
+        record is parsed once; a record with a non-string entry is parsed
+        every time, so that no key conflates true with 1."""
         nodes = {}
+        parsed: Dict[tuple, SymSignature] = {}
         for rec in _records(spec, "nodes", _is_node_record,
                             "an object with an integer id, a side, a list of "
                             "L/R slots and a list symmetric or table",
                             GridError, "grid"):
+            if rec["id"] in nodes:
+                raise GridError(f"node {rec['id']} appears twice in the grid")
             slots = tuple(s["side"] for s in rec["slots"])
             sym = table = None
             if "symmetric" in rec:
-                sym = SymSignature.from_json(rec["symmetric"])
+                key = tuple(rec["symmetric"])
+                if all(type(v) is str for v in key):
+                    if key not in parsed:
+                        parsed[key] = SymSignature.from_json(key)
+                    sym = parsed[key]
+                else:
+                    sym = SymSignature.from_json(key)
             else:
                 table = tuple(parse_scalar(v) for v in rec["table"])
             nodes[rec["id"]] = GridNode(rec["id"], rec["side"], slots, sym, table)

@@ -12,7 +12,10 @@ Pfaffian reads it.  The five class solvers reduce to perfect-matching
 counts (cases 4 and 5), one GF(2) Gauss sum over each affine family's
 sign form (AFFINE_FORMS), or closed products (degenerate, generalized
 equality), and every one is oracle-tested against exact evaluation of the
-grid (holant_core).
+grid (holant_core).  Case 4 counts the matchings of a Fisher-style
+decoration whose degree-2 port vertices are reduced away while it is
+spliced, so its Kasteleyn order is 3 per grid node for [a,b,b,a] (the
+truncation) and 1.5 for [a,b,-b,-a] (the medial graph).
 """
 
 from __future__ import annotations
@@ -437,12 +440,14 @@ def solve_case5(grid: SignatureGrid, a: Scalar, b: Scalar) -> Scalar:
 # -- matchgate case: Fisher-style decorations ----------------------------
 
 # One matchgate fragment per kind, as the ccw rotation of each fragment
-# vertex.  A rotation lists ports 'a', 'b', 'c' (the node's external darts,
+# vertex.  A rotation lists slots 'a', 'b', 'c' (the node's external darts,
 # in its ccw order) and ends of internal edges: edge j has end 2j at one
 # vertex and end 2j + 1 at the other.  The listed edges carry the left
-# weight.  A fragment of one vertex is the node itself.
+# weight.  A fragment of one vertex is the node itself.  A port is a vertex
+# of one slot and one unweighted internal edge, whose other end is the
+# port's inner end.
 _FRAGMENTS: Dict[str, Tuple[Tuple[tuple, ...], Tuple[int, ...]]] = {
-    # triangle 0-1-2 with pendant legs 3, 4, 5: external degree 0 or 2
+    # triangle 0-1-2 with pendant legs to ports 3, 4, 5: external degree 0 or 2
     "even": (((6, 0, 5), (8, 2, 1), (10, 4, 3),
               ("a", 7), ("b", 9), ("c", 11)), (0, 1, 2)),
     # plain triangle: external degree 1 or 3
@@ -455,46 +460,80 @@ _FRAGMENTS: Dict[str, Tuple[Tuple[tuple, ...], Tuple[int, ...]]] = {
 
 
 def _fragment(kind: str):
-    """(rotations, weighted edges, internal edges as vertex pairs)."""
+    """(rotations with slot i written ~i, weighted edges, internal edges as
+    vertex pairs, ports as slot i -> the end of the port's edge at its inner
+    end)."""
     if kind not in _FRAGMENTS:
         raise SolverError(f"unknown decoration {kind}")
     rots, weighted = _FRAGMENTS[kind]
-    end_at = {x: v for v, rot in enumerate(rots) for x in rot
-              if isinstance(x, int)}
+    rots = [[~"abc".index(x) if isinstance(x, str) else x for x in rot]
+            for rot in rots]
+    end_at = {x: v for v, rot in enumerate(rots) for x in rot if x >= 0}
     edges = [(end_at[j], end_at[j + 1]) for j in range(0, len(end_at), 2)]
-    return rots, weighted, edges
+    ports = {~min(rot): max(rot) ^ 1 for rot in rots
+             if len(rot) == 2 and min(rot) < 0 <= max(rot)
+             and max(rot) // 2 not in weighted}
+    return rots, weighted, edges, ports
 
 
 def _decorate(grid: SignatureGrid, left_kind: str, right_kind: str,
               left_weight: Scalar):
-    """Replace every grid node by its fragment from _FRAGMENTS: left_kind's
-    with left_weight on the weighted edges for left nodes, right_kind's
-    with weight 1 for right nodes, in grid_builder's graph, which is then
-    validated once; only if that fails is the grid's own graph validated,
-    so that the error names grid nodes.  Returns (plane graph, edge
-    weights)."""
+    """Replace every grid node by its fragment from _FRAGMENTS, left_kind's
+    for left nodes and right_kind's for right nodes, in grid_builder's
+    graph, but make no port vertex.  A port has degree 2, weight 1 on both
+    its edges and two distinct neighbours, so perfect matchings allow the
+    classical reductions: across a grid edge between two ports their inner
+    ends are joined by one edge, and across a grid edge between a port and
+    a fragment vertex that vertex and the port's inner end become one
+    (contract_edge).  Every kind pair solve_matchgate uses has "even" on
+    the right, whose inner ends carry one port and no slot each, so no
+    contraction meets a vertex that an earlier one made from both its ends.
+    The graph is validated once; only if that fails is the grid's own
+    graph validated, so that the error names grid nodes.  Returns (plane
+    graph, weights): left_weight on the weighted edges of left fragments,
+    every other edge weighs 1 and has no entry."""
     b = grid_builder(grid)
     weights: Dict[int, Scalar] = {}
     next_v = max(b.rotation) + 1
     d0 = b.fresh_dart()
-    left_fragment, right_fragment = _fragment(left_kind), _fragment(right_kind)
+    inner: Dict[int, int] = {}   # grid dart at a port -> dart at its inner end
+    plans = {}
+    for side, kind in (("left", left_kind), ("right", right_kind)):
+        rots, weighted, edges, ports = _fragment(kind)
+        port_edges = {end // 2 for end in ports.values()}
+        plans[side] = (
+            len(rots), 2 * len(edges), weighted if side == "left" else (),
+            [(v, rot) for v, rot in enumerate(rots)   # all but the ports
+             if ~min(rot) not in ports],
+            [j for j in range(len(edges)) if j not in port_edges], ports)
     for nid in sorted(grid.nodes):
-        left = grid.nodes[nid].side == "left"
-        rots, weighted, edges = left_fragment if left else right_fragment
-        if len(rots) == 1:
+        size, ends, weighted, kept, joined, ports = plans[grid.nodes[nid].side]
+        if size == 1:
             continue  # the node itself
         # the fragment takes over all of nid's darts, which remove_vertex
         # would delete, so only the rotation goes
         ext = b.rotation.pop(nid)
-        for j in range(len(edges)):
+        for i, end in ports.items():
+            inner[ext[i]] = d0 + end
+        for j in joined:
             b.retwin(d0 + 2 * j, d0 + 2 * j + 1)
         for j in weighted:
-            weights[d0 + 2 * j] = left_weight if left else Fraction(1)
-        for v, rot in enumerate(rots):
-            b.add_vertex(next_v + v, [ext["abc".index(x)] if isinstance(x, str)
-                                      else d0 + x for x in rot])
-        next_v += len(rots)
-        d0 += 2 * len(edges)
+            weights[d0 + 2 * j] = left_weight
+        for v, rot in kept:
+            b.add_vertex(next_v + v, [ext[~x] if x < 0 else d0 + x for x in rot])
+        next_v += size
+        d0 += ends
+    for g, d in inner.items():
+        t = b.twin[g]
+        if t in inner:       # two ports: their inner ends are joined
+            if g < t:
+                b.retwin(d, inner[t])
+        else:                # one port: its inner end joins t's vertex
+            b.retwin(d, t)
+            b.contract_edge(d, next_v)
+            next_v += 1
+    for g in inner:
+        del b.twin[g], b.vertex_of[g]
     try:
         return b.freeze(), weights
     except NonPlanarEmbedding:
@@ -502,26 +541,21 @@ def _decorate(grid: SignatureGrid, left_kind: str, right_kind: str,
         raise
 
 
-def pm_fragment_signature(kind: str, w: Scalar = Fraction(1)) -> SymSignature:
-    """Local matching signature of a fragment of _FRAGMENTS: value per
-    external degree, by direct enumeration of internal matchings."""
-    rots, weighted, edges = _fragment(kind)
+def _pattern_values(kind: str, w: Scalar) -> Dict[Tuple[int, ...], Scalar]:
+    """Local matching value of a fragment of _FRAGMENTS, ports included,
+    per external pattern (the tuple of slot indices, 0 to 2, matched
+    outside it), by direct enumeration of internal matchings."""
+    rots, weighted, edges, _ = _fragment(kind)
     wedges = [(u, v, w if j in weighted else Fraction(1))
               for j, (u, v) in enumerate(edges)]
-    port = {"abc".index(x): v for v, rot in enumerate(rots) for x in rot
-            if isinstance(x, str)}
-    vals = []
+    at = {~x: v for v, rot in enumerate(rots) for x in rot if x < 0}
+    out = {}
     for wgt in range(4):
-        out: Scalar = Fraction(0)
         for ext in combinations(range(3), wgt):
-            used = [port[i] for i in ext]
-            if len(set(used)) != len(used):
-                continue  # a vertex matched twice: no completion
-            out = out + _match_sum([v for v in range(len(rots))
-                                    if v not in used], wedges)
-        # symmetric by construction: divide by the number of patterns summed
-        vals.append(out / comb(3, wgt))
-    return SymSignature(vals)
+            used = [at[i] for i in ext]
+            out[ext] = Fraction(0) if len(set(used)) != len(used) else \
+                _match_sum([v for v in range(len(rots)) if v not in used], wedges)
+    return out
 
 
 def _match_sum(need: List[int], edges) -> Scalar:
@@ -538,9 +572,11 @@ def _match_sum(need: List[int], edges) -> Scalar:
 
 
 def _preflight(kind: str, w: Scalar, want) -> None:
-    got = pm_fragment_signature(kind, w).values
-    if got != want:
-        raise SolverError(f"decoration {kind} realizes {got}, wanted {want}")
+    """Every external pattern of the fragment must give want at its weight."""
+    for ext, got in _pattern_values(kind, w).items():
+        if got != want[len(ext)]:
+            raise SolverError(f"decoration {kind} realizes {got} on slots "
+                              f"{list(ext)}, wanted {want[len(ext)]}")
 
 
 def solve_matchgate(grid: SignatureGrid, a: Scalar, b: Scalar, sign: int) -> Scalar:

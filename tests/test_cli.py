@@ -342,6 +342,28 @@ def write_cubic_grid(tmp_path, sig):
     return str(path)
 
 
+def test_duplicate_node_id_is_an_input_error(tmp_path):
+    # the second record of node 0 used to replace the first without a word
+    path = write_grid(tmp_path, [(0, "left", ["L"], ["1", "5"]),
+                                 (0, "left", ["L"], ["1", "7"]),
+                                 (1, "right", ["R"], ["1", "1"])],
+                      [[0, 0, 1, 0]])
+    for verb in ("eval", "solve"):
+        assert "node 0 appears twice" in cli_input_error(verb, path)
+
+
+def test_shared_signature_records_keep_true_apart_from_1(tmp_path):
+    # a parsed record is reused only for the same all-string record, so
+    # [true,0,0,1] after [1,0,0,1] is still refused
+    path = write_grid(tmp_path, [(0, "left", ["L"] * 3, [1, 0, 0, 1]),
+                                 (1, "left", ["L"] * 3, [True, 0, 0, 1]),
+                                 (2, "right", ["R"] * 3, ["1", "0", "0", "1"]),
+                                 (3, "right", ["R"] * 3, ["1", "0", "0", "1"])],
+                      [[i, s, 2 + (i + s) % 2, s] for i in (0, 1)
+                       for s in range(3)])
+    assert "cannot be a boolean" in cli_input_error("eval", path)
+
+
 def test_solve_hard_signature_is_an_input_error(tmp_path):
     path = write_cubic_grid(tmp_path, [0, 1, 0, 0])
     assert "#P-hard" in cli_input_error("solve", path)
@@ -366,15 +388,14 @@ def test_solve_rejects_dangling_slots(tmp_path, sig):
 @pytest.mark.parametrize("breakage", ["orientation", "decoration"])
 def test_solver_invariant_failure_exits_4(tmp_path, monkeypatch, capsys, breakage):
     from planar_holant import cli, solvers
-    from planar_holant.signatures import SymSignature
     if breakage == "orientation":
         monkeypatch.setattr(solvers.KasteleynOrientation, "verify",
                             lambda self: False)
         argv = ["pm", data_path("cover_example_graph.json")]
         message = "Kasteleyn verification failed"
     else:
-        monkeypatch.setattr(solvers, "pm_fragment_signature",
-                            lambda kind, w=1: SymSignature([0, 0, 0, 0]))
+        monkeypatch.setattr(solvers, "_pattern_values",
+                            lambda kind, w: {(): 0})
         argv = ["solve", write_cubic_grid(tmp_path, [3, 1, 1, 3])]
         message = "decoration even realizes"
     assert cli.main(argv) == cli.EXIT_INTERNAL

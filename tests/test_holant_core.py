@@ -231,6 +231,30 @@ def test_grid_json_roundtrip():
     assert g2.to_json_dict() == grid.to_json_dict()
 
 
+def test_each_distinct_signature_record_is_parsed_once(monkeypatch):
+    # 100 nodes, two distinct all-string records: two parses; a record with
+    # a non-string entry is parsed every time
+    spec = grid_from_cubic_bipartite(generate_cubic_bipartite_plane(100, 1),
+                                     SymSignature([2, 1, 1, 2])).to_json_dict()
+    spec["nodes"][0]["symmetric"] = [2, "1", "1", "2"]
+    spec["nodes"][1]["symmetric"] = [2, "1", "1", "2"]
+    parsed = []
+    from_json = SymSignature.from_json
+
+    def spy(vals):
+        parsed.append(tuple(vals))
+        return from_json(vals)
+
+    monkeypatch.setattr(SymSignature, "from_json", staticmethod(spy))
+    grid = SignatureGrid.from_json_dict(spec)
+    assert set(parsed) == {(2, "1", "1", "2"), ("1", "0", "0", "1"),
+                           ("2", "1", "1", "2")}
+    assert len(parsed) == 4
+    assert grid.to_json_dict() == {**spec, "nodes": [
+        {**rec, "symmetric": [str(v) for v in rec["symmetric"]]}
+        for rec in spec["nodes"]]}
+
+
 def terms(grid, pin):
     """Reference enumerator: the product of node values for each of the 2^n
     states of the variables the evaluator eliminates.  One variable per

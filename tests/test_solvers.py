@@ -14,10 +14,11 @@ from planar_holant.plane_graph import grid_from_cubic_bipartite
 from planar_holant.scalars import Scalar, sqrt_exact
 from planar_holant.signatures import SymSignature
 from planar_holant.plane_graph import GraphBuilder, PlaneGraph
-from planar_holant.solvers import (AFFINE_PATTERNS, WrongForm, _decorate,
-                                   _pfaffian, brute_force_pm, count_pm,
-                                   gauss_sum_gf2, kasteleyn_orient,
-                                   pm_fragment_signature, solve_affine,
+from planar_holant.plane_graph import grid_builder
+from planar_holant.solvers import (AFFINE_PATTERNS, SolverError, WrongForm,
+                                   _decorate, _pattern_values, _pfaffian,
+                                   brute_force_pm, count_pm, gauss_sum_gf2,
+                                   kasteleyn_orient, solve_affine,
                                    solve_case5, solve_degenerate, solve_geneq,
                                    solve_matchgate)
 
@@ -469,11 +470,80 @@ def test_count_pm_decorated_signed_weights():
 
 
 def test_fragment_signatures():
+    # every one of the 8 external patterns gives the value at its weight
     w = Fraction(5, 3)
-    assert pm_fragment_signature("even", w).values == (1, 0, w, 0)
-    assert pm_fragment_signature("odd", w).values == (0, w, 0, 1)
-    assert pm_fragment_signature("one").values == (0, 1, 0, 0)
-    assert pm_fragment_signature("two").values == (0, 0, 1, 0)
+    for kind, want in (("even", (1, 0, w, 0)), ("odd", (0, w, 0, 1)),
+                       ("one", (0, 1, 0, 0)), ("two", (0, 0, 1, 0))):
+        values = _pattern_values(kind, w)
+        assert len(values) == 8
+        assert all(v == want[len(ext)] for ext, v in values.items()), kind
+
+
+def test_preflight_checks_every_pattern(monkeypatch):
+    # slots a, b, c alone on vertices 0, 1, 2, and three parallel edges 2-3:
+    # pattern {a, b} gives 3, {a, c} and {b, c} give 0, so the mean over
+    # weight 2 is the 1 that "two" stands for, but no pattern gives it
+    monkeypatch.setitem(solvers._FRAGMENTS, "two",
+                        ((("a",), ("b",), ("c", 0, 2, 4), (5, 3, 1)), ()))
+    values = _pattern_values("two", Fraction(1))
+    assert [values[ext] for ext in ((0, 1), (0, 2), (1, 2))] == [3, 0, 0]
+    assert all(v == 0 for ext, v in values.items() if len(ext) != 2)
+    grid = grid_from_cubic_bipartite(generate_cubic_bipartite_plane(4, 0),
+                                     SymSignature([3, -1, -1, 3]))
+    with pytest.raises(SolverError, match=r"^decoration two realizes 3 on "
+                                          r"slots \[0, 1\], wanted 1$"):
+        solve_matchgate(grid, Fraction(3), Fraction(-1), 1)
+
+
+def literal_splice(grid, left_kind, right_kind, left_weight):
+    """Reference for _decorate: every grid node replaced by its whole
+    fragment of _FRAGMENTS, port vertices included, nothing contracted."""
+    b = grid_builder(grid)
+    weights = {}
+    next_v, d0 = max(b.rotation) + 1, b.fresh_dart()
+    for nid in sorted(grid.nodes):
+        left = grid.nodes[nid].side == "left"
+        rots, weighted = solvers._FRAGMENTS[left_kind if left else right_kind]
+        if len(rots) == 1:
+            continue
+        ext = b.rotation.pop(nid)
+        ends = sum(isinstance(x, int) for rot in rots for x in rot)
+        for j in range(0, ends, 2):
+            b.retwin(d0 + j, d0 + j + 1)
+        for j in weighted:
+            weights[d0 + 2 * j] = left_weight if left else Fraction(1)
+        for v, rot in enumerate(rots):
+            b.add_vertex(next_v + v, [ext["abc".index(x)] if isinstance(x, str)
+                                      else d0 + x for x in rot])
+        next_v += len(rots)
+        d0 += ends
+    return b.freeze(), weights
+
+
+# "even" with weighted legs: its legs are no ports, so they stay, and each
+# right port merges with one of them
+HEAVY_LEGS = (solvers._FRAGMENTS["even"][0], (0, 1, 2, 3, 4, 5))
+# Kasteleyn order over |U| = |V| per left kind against "even": 6 (3 per
+# node) is the truncation, 3 the medial graph, 4 is |U| + 3|V|
+ORDER_PER_U = {"even": 6, "odd": 3, "two": 4, "one": 1, "heavy": 6}
+
+
+@pytest.mark.parametrize("kind", sorted(ORDER_PER_U))
+def test_decorate_matches_the_literal_splice(kind, monkeypatch):
+    monkeypatch.setitem(solvers._FRAGMENTS, "heavy", HEAVY_LEGS)
+    rng = random.Random(kind)
+    nonzero = 0
+    for n in (2, 4, 6):
+        for seed in range(5):
+            grid = grid_from_cubic_bipartite(
+                generate_cubic_bipartite_plane(n, seed), SymSignature([1, 0, 0, 1]))
+            w = Fraction(rng.choice([-3, -1, 2, 5]), rng.choice([1, 2, 3]))
+            want = brute_force_pm(*literal_splice(grid, kind, "even", w))
+            dec, weights = _decorate(grid, kind, "even", w)
+            assert count_pm(dec, weights) == want
+            assert len(dec.rotation) == ORDER_PER_U[kind] * n // 2
+            nonzero += want != 0
+    assert nonzero >= 5
 
 
 def grids(count, seed0):
