@@ -81,6 +81,8 @@ def _load_crossings(path: str) -> list:
 
 def _parse_sig(text: str) -> SymSignature:
     vals = json.loads(text)
+    if not isinstance(vals, list):
+        raise CliError(f"--sig needs a JSON list of scalars, not {text}")
     return SymSignature([parse_scalar(v) for v in vals])
 
 

@@ -30,12 +30,11 @@ class GridBuilder:
         self.dangling = grid.dangling
         self.next_id = max(self.nodes, default=-1) + 1
 
-    def node(self, side: str, sig, arity=None, slots=None) -> int:
+    def node(self, side: str, sig, slots=None) -> int:
         nid = self.next_id
         self.next_id += 1
         if slots is None:
-            facing = "L" if side == "left" else "R"
-            slots = (facing,) * (sig.arity if arity is None else arity)
+            slots = ("L" if side == "left" else "R",) * sig.arity
         if isinstance(sig, SymSignature):
             self.nodes[nid] = GridNode(nid, side, tuple(slots), sym=sig)
         else:

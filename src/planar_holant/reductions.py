@@ -323,12 +323,11 @@ class GadgetPReport:
         return self.support_ok and self.uniqueness_ok
 
 
-def verify_P(grid: Optional[SignatureGrid] = None) -> GadgetPReport:
+def verify_P() -> GadgetPReport:
     """Exhaustively check the pinned-0 cross-over properties: value nonzero
     exactly when both blue ends are 0 and the red ends agree, with a unique
     internal assignment in each surviving case."""
-    if grid is None:
-        grid = build_gadget_P()
+    grid = build_gadget_P()
     table = eval_gadget(grid)
     counts = gadget_assignment_counts(grid)
     # row (red_l, blue_l, red_r, blue_r) lives iff the blues are 0 and the

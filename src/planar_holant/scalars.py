@@ -218,7 +218,11 @@ def parse_scalar(s) -> Scalar:
         raise ValueError(f"a scalar cannot be a boolean: {s}")
     if isinstance(s, int):
         return Fraction(s)
-    return Fraction(str(s))
+    try:
+        return Fraction(str(s))
+    except ZeroDivisionError:
+        raise ValueError(f"a scalar cannot have a zero denominator: {s}") \
+            from None
 
 
 def format_scalar(x: Scalar):

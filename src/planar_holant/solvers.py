@@ -13,8 +13,9 @@ counts (cases 4 and 5), one GF(2) Gauss sum over each affine family's
 sign form (AFFINE_FORMS), or closed products (degenerate, generalized
 equality), and every one is oracle-tested against exact evaluation of the
 grid (holant_core).  Case 4 counts the matchings of a Fisher-style
-decoration whose degree-2 port vertices are reduced away while it is
-spliced, so its Kasteleyn order is 3 per grid node for [a,b,b,a] (the
+decoration: each grid node becomes its kind's core, a triangle or one
+vertex, and a leg to a degree-2 port is joined or contracted across its
+grid edge, so the Kasteleyn order is 3 per grid node for [a,b,b,a] (the
 truncation) and 1.5 for [a,b,-b,-a] (the medial graph).
 """
 
@@ -439,100 +440,81 @@ def solve_case5(grid: SignatureGrid, a: Scalar, b: Scalar) -> Scalar:
 
 # -- matchgate case: Fisher-style decorations ----------------------------
 
-# One matchgate fragment per kind, as the ccw rotation of each fragment
-# vertex.  A rotation lists slots 'a', 'b', 'c' (the node's external darts,
-# in its ccw order) and ends of internal edges: edge j has end 2j at one
-# vertex and end 2j + 1 at the other.  The listed edges carry the left
-# weight.  A fragment of one vertex is the node itself.  A port is a vertex
-# of one slot and one unweighted internal edge, whose other end is the
-# port's inner end.
-_FRAGMENTS: Dict[str, Tuple[Tuple[tuple, ...], Tuple[int, ...]]] = {
-    # triangle 0-1-2 with pendant legs to ports 3, 4, 5: external degree 0 or 2
-    "even": (((6, 0, 5), (8, 2, 1), (10, 4, 3),
-              ("a", 7), ("b", 9), ("c", 11)), (0, 1, 2)),
-    # plain triangle: external degree 1 or 3
-    "odd": ((("a", 0, 5), ("b", 2, 1), ("c", 4, 3)), (0, 1, 2)),
-    # star centre: exactly one
-    "one": ((("a", "b", "c"),), ()),
-    # claw, ports 0, 1, 2 around centre 3: exactly two
-    "two": ((("a", 1), ("b", 3), ("c", 5), (0, 2, 4)), ()),
+# kind -> (triangle, legs): each kind's fragment as its core and whether every
+# slot hangs off that core by a leg, an unweighted edge to a port vertex.  The
+# core is a triangle whose corner i holds slot i (ccw: the slot, the edge to
+# corner i + 1, the edge to corner i - 1), its edges carrying the left
+# weight, or one vertex holding the three slots in the node's ccw order.
+_FRAGMENTS: Dict[str, Tuple[bool, bool]] = {
+    "even": (True, True),    # external degree 0 or 2
+    "odd": (True, False),    # 1 or 3
+    "one": (False, False),   # the star centre: exactly one
+    "two": (False, True),    # the claw: exactly two
 }
 
 
-def _fragment(kind: str):
-    """(rotations with slot i written ~i, weighted edges, internal edges as
-    vertex pairs, ports as slot i -> the end of the port's edge at its inner
-    end)."""
-    if kind not in _FRAGMENTS:
-        raise SolverError(f"unknown decoration {kind}")
-    rots, weighted = _FRAGMENTS[kind]
-    rots = [[~"abc".index(x) if isinstance(x, str) else x for x in rot]
-            for rot in rots]
-    end_at = {x: v for v, rot in enumerate(rots) for x in rot if x >= 0}
-    edges = [(end_at[j], end_at[j + 1]) for j in range(0, len(end_at), 2)]
-    ports = {~min(rot): max(rot) ^ 1 for rot in rots
-             if len(rot) == 2 and min(rot) < 0 <= max(rot)
-             and max(rot) // 2 not in weighted}
-    return rots, weighted, edges, ports
+def _fragment(kind: str, w: Scalar):
+    """The whole fragment of a kind, ports included: (the vertex holding
+    each slot, edges as (u, v, weight)), vertices 0, 1, 2 the triangle or
+    0 the single core vertex, then one port per leg."""
+    triangle, legs = _FRAGMENTS[kind]
+    at = (0, 1, 2) if triangle else (0, 0, 0)
+    edges = [(i, (i + 1) % 3, w) for i in range(3)] if triangle else []
+    if legs:
+        core = 3 if triangle else 1
+        edges += [(at[i], core + i, Fraction(1)) for i in range(3)]
+        at = (core, core + 1, core + 2)
+    return at, edges
 
 
 def _decorate(grid: SignatureGrid, left_kind: str, right_kind: str,
               left_weight: Scalar):
-    """Replace every grid node by its fragment from _FRAGMENTS, left_kind's
-    for left nodes and right_kind's for right nodes, in grid_builder's
-    graph, but make no port vertex.  A port has degree 2, weight 1 on both
-    its edges and two distinct neighbours, so perfect matchings allow the
-    classical reductions: across a grid edge between two ports their inner
-    ends are joined by one edge, and across a grid edge between a port and
-    a fragment vertex that vertex and the port's inner end become one
-    (contract_edge).  Every kind pair solve_matchgate uses has "even" on
-    the right, whose inner ends carry one port and no slot each, so no
+    """Replace every grid node by the core of its kind in _FRAGMENTS,
+    left_kind's for left nodes and right_kind's for right nodes, in
+    grid_builder's graph, on fresh vertex ids and darts (a triangle's six
+    first, then one per leg), and make no port vertex.  A port has degree
+    2, weight 1 on both its edges and two distinct neighbours, so perfect
+    matchings allow the classical reductions: across a grid edge with legs
+    at both ends their core ends are joined by one edge, and across one
+    with a leg at one end that core end and the other end's vertex become
+    one (contract_edge).  Every kind pair solve_matchgate uses has "even"
+    on the right, whose legs end at corners holding no slot, so no
     contraction meets a vertex that an earlier one made from both its ends.
     The graph is validated once; only if that fails is the grid's own
     graph validated, so that the error names grid nodes.  Returns (plane
-    graph, weights): left_weight on the weighted edges of left fragments,
+    graph, weights): left_weight on the triangle edges of left nodes;
     every other edge weighs 1 and has no entry."""
     b = grid_builder(grid)
     weights: Dict[int, Scalar] = {}
-    next_v = max(b.rotation) + 1
-    d0 = b.fresh_dart()
-    inner: Dict[int, int] = {}   # grid dart at a port -> dart at its inner end
-    plans = {}
-    for side, kind in (("left", left_kind), ("right", right_kind)):
-        rots, weighted, edges, ports = _fragment(kind)
-        port_edges = {end // 2 for end in ports.values()}
-        plans[side] = (
-            len(rots), 2 * len(edges), weighted if side == "left" else (),
-            [(v, rot) for v, rot in enumerate(rots)   # all but the ports
-             if ~min(rot) not in ports],
-            [j for j in range(len(edges)) if j not in port_edges], ports)
+    v, d = max(b.rotation) + 1, b.fresh_dart()
+    leg: Dict[int, int] = {}   # grid dart at a leg's slot -> the leg's core end
     for nid in sorted(grid.nodes):
-        size, ends, weighted, kept, joined, ports = plans[grid.nodes[nid].side]
-        if size == 1:
-            continue  # the node itself
-        # the fragment takes over all of nid's darts, which remove_vertex
-        # would delete, so only the rotation goes
-        ext = b.rotation.pop(nid)
-        for i, end in ports.items():
-            inner[ext[i]] = d0 + end
-        for j in joined:
-            b.retwin(d0 + 2 * j, d0 + 2 * j + 1)
-        for j in weighted:
-            weights[d0 + 2 * j] = left_weight
-        for v, rot in kept:
-            b.add_vertex(next_v + v, [ext[~x] if x < 0 else d0 + x for x in rot])
-        next_v += size
-        d0 += ends
-    for g, d in inner.items():
+        left = grid.nodes[nid].side == "left"
+        triangle, legs = _FRAGMENTS[left_kind if left else right_kind]
+        slots = ext = b.rotation.pop(nid)
+        if legs:
+            slots = range(d + 6 * triangle, d + 6 * triangle + 3)
+            leg.update(zip(ext, slots))
+        if triangle:
+            for i in range(3):
+                b.retwin(d + 2 * i, d + 2 * i + 1)
+                b.add_vertex(v + i, (slots[i], d + 2 * i, d + (2 * i - 1) % 6))
+                if left:
+                    weights[d + 2 * i] = left_weight
+        else:
+            b.add_vertex(v, slots)
+        v += 1 + 2 * triangle
+        d += 6 * triangle + 3 * legs
+    for g, end in leg.items():
         t = b.twin[g]
-        if t in inner:       # two ports: their inner ends are joined
+        if t in leg:         # legs at both ends: their core ends are joined
             if g < t:
-                b.retwin(d, inner[t])
-        else:                # one port: its inner end joins t's vertex
-            b.retwin(d, t)
-            b.contract_edge(d, next_v)
-            next_v += 1
-    for g in inner:
+                b.retwin(end, leg[t])
+        else:                # a leg at one end: its core end joins t's vertex
+            b.retwin(end, t)
+            b.contract_edge(end, v)
+            v += 1
+    for g in leg:
         del b.twin[g], b.vertex_of[g]
     try:
         return b.freeze(), weights
@@ -542,19 +524,17 @@ def _decorate(grid: SignatureGrid, left_kind: str, right_kind: str,
 
 
 def _pattern_values(kind: str, w: Scalar) -> Dict[Tuple[int, ...], Scalar]:
-    """Local matching value of a fragment of _FRAGMENTS, ports included,
-    per external pattern (the tuple of slot indices, 0 to 2, matched
-    outside it), by direct enumeration of internal matchings."""
-    rots, weighted, edges, _ = _fragment(kind)
-    wedges = [(u, v, w if j in weighted else Fraction(1))
-              for j, (u, v) in enumerate(edges)]
-    at = {~x: v for v, rot in enumerate(rots) for x in rot if x < 0}
+    """Local matching value of a kind's whole fragment (_fragment), per
+    external pattern (the tuple of slot indices, 0 to 2, matched outside
+    it), by direct enumeration of internal matchings."""
+    at, edges = _fragment(kind, w)
+    vertices = sorted(set(at).union(*((u, x) for u, x, _ in edges)))
     out = {}
     for wgt in range(4):
         for ext in combinations(range(3), wgt):
             used = [at[i] for i in ext]
             out[ext] = Fraction(0) if len(set(used)) != len(used) else \
-                _match_sum([v for v in range(len(rots)) if v not in used], wedges)
+                _match_sum([x for x in vertices if x not in used], edges)
     return out
 
 

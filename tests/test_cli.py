@@ -291,6 +291,18 @@ def test_running_example_demo_prints_nine():
     assert values == ["9"] * 4
 
 
+def test_bench_script_help_exits_0():
+    # scripts/bench.py imports elimination_width, leapfrog, relabel,
+    # find_p3em and count_pm by name before it parses its options; it puts
+    # the checkout's src/ on its own path
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", "bench.py"), "--help"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: bench.py")
+
+
 def test_eval_rejects_slot_facing_the_wrong_side(tmp_path):
     # two right =2 nodes chained through an L-facing slot: evaluated
     # anyway, the eq-eq edge would drop one equality (6 instead of 3)
@@ -549,6 +561,40 @@ def test_malformed_assignment_json_is_an_input_error(tmp_path, capsys, verb,
 ])
 def test_malformed_scalar_is_an_input_error(sig, message):
     assert message in cli_input_error("classify", "--sig", sig)
+
+
+@pytest.mark.parametrize("argv", [["classify", "--sig", "5"],
+                                  ["classify", "--sig", "null"],
+                                  ["classify", "--sig", '{"a":1}'],
+                                  ["gadget", "g1", "--sig", "5"],
+                                  ["reduce", "absorb", "grid", "--sig", '"1"',
+                                   "--x", "3", "--y", "-1"]])
+def test_sig_that_is_not_a_list_is_an_input_error(capsys, argv):
+    from planar_holant import cli
+    argv = [data_path("cover_example_grid.json") if a == "grid" else a
+            for a in argv]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: --sig needs a JSON list") and \
+        err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["classify", "--sig", '[1,2,3,"1/0"]'],
+                                  ["eval", "zero"], ["solve", "zero"],
+                                  ["reduce", "absorb", "grid", "--sig",
+                                   "[1,1,2,1]", "--x", "1/0", "--y", "-1"]])
+def test_zero_denominator_is_an_input_error(tmp_path, capsys, argv):
+    from planar_holant import cli
+    with open(data_path("cover_example_grid.json")) as fh:
+        spec = json.load(fh)
+    spec["nodes"][0]["symmetric"][3] = "1/0"
+    zero = tmp_path / "grid.json"
+    zero.write_text(json.dumps(spec))
+    paths = {"zero": str(zero), "grid": data_path("cover_example_grid.json")}
+    assert cli.main([paths.get(a, a) for a in argv]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: a scalar cannot have a zero denominator: ")
+    assert "1/0" in err and err.count("\n") == 1
 
 
 def test_object_scalar_in_options_and_grid_json(tmp_path):

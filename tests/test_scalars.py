@@ -68,6 +68,13 @@ def test_serialization_roundtrip():
         assert parse_scalar(format_scalar(v)) == v
 
 
+@pytest.mark.parametrize("s", ["1/0", "-3/0", {"a": "1", "b": "2/0", "d": "2"}])
+def test_zero_denominator_is_a_value_error(s):
+    with pytest.raises(ValueError, match=r"^a scalar cannot have a zero "
+                                         r"denominator: -?\d/0$"):
+        parse_scalar(s)
+
+
 def test_as_fraction():
     assert as_fraction(QuadExt(Fraction(2), Fraction(0), 3)) == 2
     with pytest.raises(ValueError):
