@@ -53,9 +53,10 @@ read the same file or JSON text with their own code.  The inputs:
   1), n = 1000, 4000 and 10^4; then the whole op, cli.main([verb, file]),
   with equal stdout and exit code, on every fkt-solve entry of
   perfbench/oracles.json, built as perfbench/workloads.py builds it, and
-  cli.main(["solve", file]) on the [2,1,1,2] and [2,1,-1,-2] grids of
-  generate_cubic_bipartite_plane(n, 1), n = 1000 and 4000, one group per
-  signature;
+  cli.main(["solve", file]) on the [2,1,1,2], [2,1,-1,-2], [1,3,3,1] and
+  [1,3,-3,-1] grids of generate_cubic_bipartite_plane(n, 1), n = 1000 and
+  4000, one group per signature: two per matchgate form, and of the four
+  only [2,1,-1,-2] has the value 0 there;
 * p3em-fullerene and p3em-random (either record gets both):
   cli.main(["p3em", "find", file]), with equal stdout and exit code, on
   C180, C540 and C1620 under relabel seeds 1, 2 and 3, and on
@@ -121,7 +122,7 @@ AB_FULLERENE_SIZES = (180, 540, 1620)
 AB_P3EM_SIZES = (800, 3200)
 AB_PM_SIZES = (1000, 4000, 10000)
 AB_SOLVE_SIZES = (1000, 4000)
-AB_SOLVE_SIGS = ((2, 1, 1, 2), (2, 1, -1, -2))
+AB_SOLVE_SIGS = ((2, 1, 1, 2), (2, 1, -1, -2), (1, 3, 3, 1), (1, 3, -3, -1))
 AB_SEEDS = (1, 2, 3)
 AB_ROUNDS = 10
 

@@ -352,8 +352,7 @@ class GraphBuilder:
     subdivide (written with those two), remove_vertex, drop_dart,
     delete_edge and contract_edge.  Builder users change twins, vertices
     and rotations through the verbs, so each change can also run in place
-    on a FaceKernel, which logs every verb; solvers._decorate alone pops a
-    node's rotation and deletes its legs' grid darts directly.
+    on a FaceKernel, which logs every verb.
     """
 
     def __init__(self, g: Optional[PlaneGraph] = None):

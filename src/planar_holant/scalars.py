@@ -204,7 +204,9 @@ def to_float(x: Scalar) -> float:
 
 def parse_scalar(s) -> Scalar:
     """Parse "p/q" strings, ints, or {"a":..,"b":..,"d":..} objects, the
-    last read as a + b*sqrt(d) for rationals a, b and an integer d."""
+    last read as a + b*sqrt(d) for rationals a, b and an integer d.  A JSON
+    number with a fraction or an exponent arrives as a float, rounded to a
+    binary double (1e-400 as 0.0), so a float is refused."""
     if isinstance(s, dict):
         if sorted(s) != ["a", "b", "d"]:
             raise ValueError(f"a scalar object needs the keys a, b and d: {s}")
@@ -216,6 +218,8 @@ def parse_scalar(s) -> Scalar:
         return a + b * sqrt_exact(d)
     if isinstance(s, bool):
         raise ValueError(f"a scalar cannot be a boolean: {s}")
+    if isinstance(s, float):
+        raise ValueError(f'a scalar cannot be a JSON float ({s} as read); write "p/q"')
     if isinstance(s, int):
         return Fraction(s)
     try:

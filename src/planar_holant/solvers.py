@@ -6,17 +6,17 @@ of each component's faces, then the Pfaffian of one Kasteleyn matrix (no
 entry for a loop, one summed entry per parallel pair), kept as per-row
 dicts of nonzeros, by sparse skew elimination with greedy minimum-degree
 pivots, exact and in ints until a pivot is not +-1.  Every perfect matching
-carries the same sign under a Pfaffian orientation; with all weights
-positive the weighted Pfaffian shows it, otherwise a second, unit-weight
-Pfaffian reads it.  The five class solvers reduce to perfect-matching
-counts (cases 4 and 5), one GF(2) Gauss sum over each affine family's
-sign form (AFFINE_FORMS), or closed products (degenerate, generalized
-equality), and every one is oracle-tested against exact evaluation of the
-grid (holant_core).  Case 4 counts the matchings of a Fisher-style
-decoration: each grid node becomes its kind's core, a triangle or one
-vertex, and a leg to a degree-2 port is joined or contracted across its
-grid edge, so the Kasteleyn order is 3 per grid node for [a,b,b,a] (the
-truncation) and 1.5 for [a,b,-b,-a] (the medial graph).
+carries the same sign under a Pfaffian orientation; with signed weights it
+is read off the term of one known matching.  The five class solvers
+reduce to perfect-matching counts (cases 4 and 5), one GF(2) Gauss sum
+over each affine family's sign form (AFFINE_FORMS), or closed products
+(degenerate, generalized equality), and every one is oracle-tested against
+exact evaluation of the grid (holant_core).  Case 4 runs one Pfaffian on a
+Fisher-style decoration written straight from the grid's plane graph:
+each grid node becomes its kind's core, a triangle or one vertex, and a
+leg to a degree-2 port is joined or contracted across its grid edge, so
+the Kasteleyn order is 3 per grid node for [a,b,b,a] (the truncation) and
+1.5 for [a,b,-b,-a] (the medial graph).
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ import heapq
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .plane_graph import (NonPlanarEmbedding, PlaneGraph, grid_builder,
-                          plane_graph_of_grid)
+from .plane_graph import PlaneGraph, plane_graph_of_grid, reach
 from .holant_core import SignatureGrid
 from .scalars import Scalar
 from .signatures import SymSignature, hadamard3
@@ -63,37 +62,44 @@ class KasteleynOrientation:
                    for f in self.graph.faces() if f.id not in roots)
 
 
-def kasteleyn_orient(g: PlaneGraph) -> KasteleynOrientation:
-    """Pfaffian orientation of a plane multigraph, one component at a
-    time: a breadth-first walk of the faces from the root face (the face
-    of the component's smallest dart) crosses each dart into a face not
-    yet reached, so the crossed edges span the dual and the others span the
-    component.  Every edge is first oriented out of its smaller dart; then
-    the crossed edges are set in reverse walk order, where a face's only
-    undecided edge is the one it was reached by, to make the face odd."""
-    twin, face_of, boundary = g.twin, g.face_of, g.face_boundary
+def _dual_walk(twin: Dict[int, int], faces: Dict[int, Sequence[int]]
+               ) -> Tuple[Dict[int, bool], List[int]]:
+    """Pfaffian orientation (dart -> its edge points out of its vertex, and
+    the root faces) of a plane multigraph given by its twins and faces (id
+    -> darts), one component at a time: a breadth-first walk of the faces
+    from the root face (the component's first) crosses each dart into a
+    face not yet reached, so the crossed edges span the dual.  Every edge is
+    first oriented out of its smaller dart; then the crossed edges are set
+    in reverse walk order, each making the face it reached odd."""
+    face_of = {d: fid for fid, darts in faces.items() for d in darts}
     oriented_out = {d: d < t for d, t in twin.items()}
     root_faces: List[int] = []
     reached = set()
-    for root in g.faces():       # in id order, so each root comes first
-        if root.id in reached:
+    for root in faces:
+        if root in reached:
             continue
-        root_faces.append(root.id)
-        reached.add(root.id)
-        walk = [root.id]
+        root_faces.append(root)
+        reached.add(root)
+        walk = [root]
         reached_by: List[int] = []   # per reached face, the dart on it crossed
         for fid in walk:             # walk grows while it is read
-            for d in boundary(fid):
-                far = face_of(twin[d])
+            for d in faces[fid]:
+                far = face_of[twin[d]]
                 if far not in reached:
                     reached.add(far)
                     walk.append(far)
                     reached_by.append(twin[d])
         for d in reversed(reached_by):
-            aligned = sum(oriented_out[x] for x in boundary(face_of(d)) if x != d)
+            aligned = sum(oriented_out[x] for x in faces[face_of[d]] if x != d)
             oriented_out[d] = aligned % 2 == 0
             oriented_out[twin[d]] = aligned % 2 == 1
-    ko = KasteleynOrientation(g, oriented_out, root_faces)
+    return oriented_out, root_faces
+
+
+def kasteleyn_orient(g: PlaneGraph) -> KasteleynOrientation:
+    """_dual_walk on g's faces in id order, verified."""
+    faces = {f.id: f.boundary for f in g.faces()}
+    ko = KasteleynOrientation(g, *_dual_walk(g.twin, faces))
     if not ko.verify():
         raise SolverError("Kasteleyn verification failed")
     return ko
@@ -168,72 +174,66 @@ def _pfaffian(rows: List[Dict[int, Scalar]]) -> Scalar:
                         del row[s], rows[s][r]
         for r in x.keys() | rj.keys():
             heapq.heappush(heap, (len(rows[r]), r))
-    # sign of sigma from its cycles
+    pf = Fraction(pf) if type(pf) is int else pf
+    return pf if _perm_sign(order) > 0 else -pf
+
+
+def _perm_sign(order: List[int]) -> int:
+    """Sign of the permutation k -> order[k], from its cycles."""
     sign = 1
-    seen = [False] * n
-    for start in range(n):
+    seen = [False] * len(order)
+    for start in range(len(order)):
         k = start
         while not seen[k]:
             seen[k] = True
             k = order[k]
             if k != start:
                 sign = -sign
-    pf = Fraction(pf) if type(pf) is int else pf
-    return pf if sign > 0 else -pf
+    return sign
 
 
-def count_pm(g: PlaneGraph, weights: Optional[Dict[int, Scalar]] = None) -> Scalar:
-    """Weighted perfect-matching sum of a plane multigraph, exactly.
-
-    The Kasteleyn matrix is built on g as given: a self-loop never matches
-    and has no entry, and parallel edges add into one entry (the Pfaffian is
-    linear in each entry).  One matrix covers every component: its Pfaffian
-    is, up to one global sign, the product of the components' Pfaffians.
-    """
+def count_pm(g: PlaneGraph) -> Scalar:
+    """Perfect matchings of a plane multigraph, counted exactly."""
     if any(len(comp) % 2 for comp in g.connected_components()):
         return Fraction(0)
-    weights = weights or {}
     ko = kasteleyn_orient(g)
     idx = {v: i for i, v in enumerate(g.vertices())}
-    ends = [(e, *g.edge_ends(e)) for e in g.edges()]
-    # a self-loop never matches: it gets no entry and no say in the sign
-    edges = [(e, idx[u], idx[v]) for e, u, v in ends if u != v]
-
-    def pfaff(weighted: bool) -> Scalar:
-        rows: List[Dict[int, Scalar]] = [{} for _ in idx]
-        for e, i, j in edges:
-            w = weights.get(e, 1) if weighted else 1
-            if w == 0:
-                continue
-            if not ko.oriented_out[e]:
-                w = -w
-            if j in rows[i]:
-                w += rows[i][j]   # a parallel edge
-            if w != 0:
-                rows[i][j], rows[j][i] = w, -w
-            else:
-                del rows[i][j], rows[j][i]
-        return _pfaffian(rows)
-
-    # all matchings carry one global sign under a Pfaffian orientation; with
-    # every weight positive the weighted Pfaffian shows it, otherwise the
-    # unit-weight Pfaffian does (zero means no matchings at all)
-    pf = pfaff(True)
-    if all(weights.get(e, 1) > 0 for e, _, _ in edges):
-        return pf if pf > 0 else -pf
-    unit = pfaff(False)
-    if unit == 0:
-        return Fraction(0)
-    return pf if unit > 0 else -pf
+    row = {d: idx[v] for d, v in g.vertex_of.items()}
+    return _kasteleyn_sum(len(idx), row, g.twin, ko.oriented_out, {})
 
 
-def brute_force_pm(g: PlaneGraph, weights: Optional[Dict[int, Scalar]] = None) -> Scalar:
-    """Independent oracle: enumerate perfect matchings recursively.  A
-    self-loop never matches, as its far end is not among the vertices
-    _match_sum has left to match."""
-    weights = weights or {}
-    edges = [(*g.edge_ends(e), weights.get(e, Fraction(1))) for e in g.edges()]
-    return _match_sum(g.vertices(), edges)
+def _kasteleyn_sum(n: int, row: Dict[int, int], twin: Dict[int, int],
+                   oriented_out: Dict[int, bool], weights: Dict[int, Scalar],
+                   matching: Optional[Callable[[], List[int]]] = None) -> Scalar:
+    """Weighted perfect-matching sum of a plane multigraph whose darts lie
+    at rows 0..n-1 (row[d]), under a Pfaffian orientation, from the
+    Pfaffian of one Kasteleyn matrix (weights by edge id, default 1; no
+    entry for a loop, one summed entry per parallel pair), whose terms all
+    have one sign.  That sign is read off the term of matching(), one dart
+    per edge of a perfect matching; with no matching every weight must be
+    positive, and the sign is the Pfaffian's own."""
+    rows: List[Dict[int, Scalar]] = [{} for _ in range(n)]
+    for e, t in twin.items():
+        i, j, w = row[e], row[t], weights.get(e, 1)
+        if e > t or i == j or not w:
+            continue
+        if not oriented_out[e]:
+            w = -w
+        if j in rows[i]:
+            w += rows[i][j]   # a parallel edge
+        if w:
+            rows[i][j], rows[j][i] = w, -w
+        else:
+            del rows[i][j], rows[j][i]
+    pf = _pfaffian(rows)
+    if pf == 0 or matching is None:
+        return pf if pf >= 0 else -pf
+    darts = matching()
+    order = [row[x] for d in darts for x in (d, twin[d])]
+    if sorted(order) != list(range(n)):
+        raise SolverError("the sign matching is not a perfect matching")
+    sign = _perm_sign(order) * (-1) ** sum(not oriented_out[d] for d in darts)
+    return pf if sign > 0 else -pf
 
 
 # -- grid plumbing -------------------------------------------------------
@@ -467,60 +467,69 @@ def _fragment(kind: str, w: Scalar):
     return at, edges
 
 
-def _decorate(grid: SignatureGrid, left_kind: str, right_kind: str,
-              left_weight: Scalar):
-    """Replace every grid node by the core of its kind in _FRAGMENTS,
-    left_kind's for left nodes and right_kind's for right nodes, in
-    grid_builder's graph, on fresh vertex ids and darts (a triangle's six
-    first, then one per leg), and make no port vertex.  A port has degree
-    2, weight 1 on both its edges and two distinct neighbours, so perfect
-    matchings allow the classical reductions: across a grid edge with legs
-    at both ends their core ends are joined by one edge, and across one
-    with a leg at one end that core end and the other end's vertex become
-    one (contract_edge).  Every kind pair solve_matchgate uses has "even"
-    on the right, whose legs end at corners holding no slot, so no
-    contraction meets a vertex that an earlier one made from both its ends.
-    The graph is validated once; only if that fails is the grid's own
-    graph validated, so that the error names grid nodes.  Returns (plane
-    graph, weights): left_weight on the triangle edges of left nodes;
-    every other edge weighs 1 and has no entry."""
-    b = grid_builder(grid)
-    weights: Dict[int, Scalar] = {}
-    v, d = max(b.rotation) + 1, b.fresh_dart()
-    leg: Dict[int, int] = {}   # grid dart at a leg's slot -> the leg's core end
-    for nid in sorted(grid.nodes):
-        left = grid.nodes[nid].side == "left"
-        triangle, legs = _FRAGMENTS[left_kind if left else right_kind]
-        slots = ext = b.rotation.pop(nid)
-        if legs:
-            slots = range(d + 6 * triangle, d + 6 * triangle + 3)
-            leg.update(zip(ext, slots))
-        if triangle:
-            for i in range(3):
-                b.retwin(d + 2 * i, d + 2 * i + 1)
-                b.add_vertex(v + i, (slots[i], d + 2 * i, d + (2 * i - 1) % 6))
-                if left:
-                    weights[d + 2 * i] = left_weight
-        else:
-            b.add_vertex(v, slots)
-        v += 1 + 2 * triangle
-        d += 6 * triangle + 3 * legs
-    for g, end in leg.items():
-        t = b.twin[g]
-        if t in leg:         # legs at both ends: their core ends are joined
-            if g < t:
-                b.retwin(end, leg[t])
-        else:                # a leg at one end: its core end joins t's vertex
-            b.retwin(end, t)
-            b.contract_edge(end, v)
-            v += 1
-    for g in leg:
-        del b.twin[g], b.vertex_of[g]
-    try:
-        return b.freeze(), weights
-    except NonPlanarEmbedding:
-        plane_graph_of_grid(grid)
-        raise
+def _decoration(grid: SignatureGrid, kind: str, w: Scalar):
+    """The Fisher decoration of H, the grid's plane graph (validated, so
+    errors name grid nodes), from H's darts and faces: left nodes become
+    kind's core in _FRAGMENTS, right nodes "even"'s.  Node k in id order has
+    darts 3k..3k + 2 ccw; a triangle's corner at dart h holds h's slot, and
+    its edge to the next corner has darts M + 2h, M + 2h + 1 (M = len(H.twin))
+    and weight w at a left node.  A grid edge with legs at both ends is an
+    edge on H's darts; with a leg at the right end only, that corner is the
+    left end's vertex.  The faces: each triangle's inside, and one per face
+    of H.  Rows come in the order the port-contracting splice made vertices
+    (the order _pfaffian's pivots were tuned on): cores in dart order, then
+    one per contraction, in right-end dart order.  Returns _kasteleyn_sum's
+    arguments; matching() gives "even"'s joined legs or, for "odd", triangle
+    edges joining the H edges _kotzig pairs; None for kinds at weight 1."""
+    H = plane_graph_of_grid(grid)
+    twin_h, M = H.twin, len(H.twin)
+    triangle, legs = _FRAGMENTS[kind]
+    left = [grid.nodes[H.vertex_of[h]].side == "left" for h in range(M)]
+    tri = [triangle or not lf for lf in left]
+    core = [h if tri[h] else h - h % 3 for h in range(M)]  # vertex, by a dart
+    if not legs:
+        core = [c if left[h] else core[twin_h[h]] for h, c in enumerate(core)]
+    last = {c: h for h, c in enumerate(core) if legs or not left[h]}
+    rank = {c: r for r, c in enumerate(sorted(last, key=last.get))}
+    row = {h: rank[core[h]] for h in range(M)} if legs else {}
+    twin = dict(twin_h) if legs else {}
+    nxt = [h - h % 3 + (h + 1) % 3 for h in range(M)]
+    weights, faces = {}, {}
+    for h in range(M):
+        if tri[h]:
+            twin[M + 2 * h], twin[M + 2 * h + 1] = M + 2 * h + 1, M + 2 * h
+            row[M + 2 * h], row[M + 2 * h + 1] = rank[core[h]], rank[core[nxt[h]]]
+            if left[h]:
+                weights[M + 2 * h] = w
+            if h % 3 == 0:
+                faces[-1 - h] = [M + 2 * x + 1 for x in (h, h + 1, h + 2)]
+    for f in H.faces():   # per dart: its joining edge, the far triangle's edge
+        faces[f.id] = [d for h in f.boundary for d in
+                       (h,) * legs + (M + 2 * twin_h[h],) * tri[twin_h[h]]]
+    joined = lambda: [h for h in range(M) if h < twin_h[h]]
+    paired = lambda: [M + 2 * (a if b == nxt[a] else b) for a, b in _kotzig(H)]
+    return (len(rank), row, twin, _dual_walk(twin, faces)[0], weights,
+            (joined if legs else paired) if triangle else None)
+
+
+def _kotzig(g: PlaneGraph) -> List[Tuple[int, int]]:
+    """g's edges paired at a common vertex, as their darts there (Kotzig
+    1957): on each component's search tree (reach), children before
+    parents, a vertex pairs its unpaired edges but the one to its parent,
+    and that one too if they are odd in number."""
+    pairs: List[Tuple[int, int]] = []
+    done = set()
+    for comp in g.connected_components():
+        entry = reach(g, comp[0])
+        for v in reversed(list(entry)):
+            up = None if entry[v] is None else g.twin[entry[v]]
+            free = [d for d in g.rotation[v] if d != up and d not in done]
+            if len(free) % 2 and up is not None:
+                free.append(up)
+            for a, b in zip(free[::2], free[1::2]):
+                pairs.append((a, b))
+                done.update((a, b, g.twin[a], g.twin[b]))
+    return pairs
 
 
 def _pattern_values(kind: str, w: Scalar) -> Dict[Tuple[int, ...], Scalar]:
@@ -583,6 +592,6 @@ def solve_matchgate(grid: SignatureGrid, a: Scalar, b: Scalar, sign: int) -> Sca
         if fh[scale] != 0:
             w = fh[weight] / fh[scale]
             _preflight(kind, w, tuple(v / fh[scale] for v in fh.values))
-            dec, weights = _decorate(grid, kind, "even", w)
-            return quarter * fh[scale] ** nU * count_pm(dec, weights)
+            pm = _kasteleyn_sum(*_decoration(grid, kind, w))
+            return quarter * fh[scale] ** nU * pm
     return Fraction(0)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -595,6 +596,34 @@ def test_zero_denominator_is_an_input_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: a scalar cannot have a zero denominator: ")
     assert "1/0" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, read", [
+    (["classify", "--sig", "[1e-400,0,0,1]"], "0.0"),
+    (["classify", "--sig", "[12345678901234567891.0,0,0,1]"],
+     "1.2345678901234567e+19"),
+    (["reduce", "absorb", "grid", "--sig", "[1,1,2,1]", "--x",
+      '{"a": 0.5, "b": 1, "d": 2}', "--y", "-1"], "0.5"),
+    (["eval", "symmetric"], "0.1"), (["solve", "symmetric"], "0.1"),
+    (["eval", "table"], "2.5")])
+def test_json_float_is_an_input_error(tmp_path, capsys, argv, read):
+    # a JSON number with a fraction or an exponent is read as a binary
+    # double, so it is refused rather than rounded
+    from planar_holant import cli
+    with open(data_path("cover_example_grid.json")) as fh:
+        spec = json.load(fh)
+    paths = {"grid": data_path("cover_example_grid.json")}
+    spec["nodes"][0]["symmetric"][0] = 0.1
+    paths["symmetric"] = str(tmp_path / "symmetric.json")
+    Path(paths["symmetric"]).write_text(json.dumps(spec))
+    del spec["nodes"][0]["symmetric"]
+    spec["nodes"][0]["table"] = [1, 0, 0, 2.5, 0, 1, 1, 0]
+    paths["table"] = str(tmp_path / "table.json")
+    Path(paths["table"]).write_text(json.dumps(spec))
+    assert cli.main([paths.get(a, a) for a in argv]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == f'error: a scalar cannot be a JSON float ({read} as read); ' \
+                  f'write "p/q"\n'
 
 
 def test_object_scalar_in_options_and_grid_json(tmp_path):

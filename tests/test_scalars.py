@@ -75,6 +75,18 @@ def test_zero_denominator_is_a_value_error(s):
         parse_scalar(s)
 
 
+def test_float_is_refused_and_decimal_text_is_exact():
+    # a float has been through a binary double (json.loads of 1e-400 gives
+    # 0.0); decimal text never has
+    for x in (1e-400, 0.5, 2.0):
+        with pytest.raises(ValueError, match=r"^a scalar cannot be a JSON float"):
+            parse_scalar(x)
+    with pytest.raises(ValueError, match="JSON float"):
+        parse_scalar({"a": 0.5, "b": "1", "d": "2"})
+    assert parse_scalar("1e-400") == Fraction(1, 10 ** 400)
+    assert parse_scalar("0.1") == Fraction(1, 10)
+
+
 def test_as_fraction():
     assert as_fraction(QuadExt(Fraction(2), Fraction(0), 3)) == 2
     with pytest.raises(ValueError):

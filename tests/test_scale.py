@@ -4,8 +4,10 @@ The solve grids are grid_from_cubic_bipartite(generate_cubic_bipartite_plane(
 10^4, 1), f), one per class; pm runs on that graph and p3em find on
 generate_cubic_plane(10^4, 1).  Each verb must exit 0, and the value it
 prints must parse back to the value the verb computed in the process.
-Three classes have closed forms; for all of them solve must equal eval on
-the same grid at 1000 vertices.
+Three classes have closed forms.  The signed matchgate class has two
+signatures: [2,1,-1,-2], whose value is 0 on these grids, and [1,3,-3,-1],
+whose value is not, so that one sign error shows.  For every class solve
+must equal eval on the same grid at 1000 vertices.
 """
 
 import io
@@ -31,6 +33,7 @@ CLASSES = {
     "affine-signed": [1, 1, -1, -1],
     "matchgate": [2, 1, 1, 2],
     "matchgate-signed": [2, 1, -1, -2],
+    "matchgate-signed-nonzero": [1, 3, -3, -1],
     "case5": [4, -2, 0, 2],          # a = b = 1
 }
 
@@ -105,6 +108,8 @@ def test_solve_at_scale(name, bipartite, pm_value, tmp_path):
               "case5": 2 ** u * pm_value}
     if name in closed:
         assert value == closed[name]
+    if name == "matchgate-signed-nonzero":
+        assert value != 0
 
 
 @pytest.mark.parametrize("name", CLASSES)

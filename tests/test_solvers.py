@@ -12,17 +12,67 @@ from planar_holant.generators import (generate_cubic_bipartite_plane,
                                       generate_cubic_plane, leapfrog,
                                       move_closure)
 from planar_holant.holant_core import eval_grid
-from planar_holant.plane_graph import grid_from_cubic_bipartite
+from planar_holant.plane_graph import grid_from_cubic_bipartite, plane_graph_of_grid
 from planar_holant.scalars import Scalar, sqrt_exact
 from planar_holant.signatures import SymSignature
 from planar_holant.plane_graph import GraphBuilder, PlaneGraph
 from planar_holant.plane_graph import grid_builder
 from planar_holant.solvers import (AFFINE_PATTERNS, SolverError, WrongForm,
-                                   _decorate, _pattern_values, _pfaffian,
-                                   brute_force_pm, count_pm, gauss_sum_gf2,
-                                   kasteleyn_orient, solve_affine,
-                                   solve_case5, solve_degenerate, solve_geneq,
-                                   solve_matchgate)
+                                   _decoration, _kasteleyn_sum, _match_sum,
+                                   _pattern_values, _pfaffian, count_pm,
+                                   gauss_sum_gf2, kasteleyn_orient,
+                                   solve_affine, solve_case5, solve_degenerate,
+                                   solve_geneq, solve_matchgate)
+
+
+def brute_force_pm(g, weights=None):
+    """Independent oracle: enumerate perfect matchings recursively.  A
+    self-loop never matches, as its far end is not among the vertices
+    _match_sum has left to match."""
+    weights = weights or {}
+    edges = [(*g.edge_ends(e), weights.get(e, Fraction(1))) for e in g.edges()]
+    return _match_sum(g.vertices(), edges)
+
+
+def first_matching(vertices, edges):
+    """One perfect matching, as the keys of its edges (u, v, key), found by
+    enumeration; None if there is none."""
+    if not vertices:
+        return []
+    v, rest = vertices[0], vertices[1:]
+    for a, b, key in edges:
+        other = b if a == v else a if b == v else None
+        if other is not None and other in rest:
+            tail = first_matching([x for x in rest if x != other], edges)
+            if tail is not None:
+                return [key] + tail
+    return None
+
+
+def weighted_pm(g, weights=None):
+    """count_pm's FKT path with edge weights: _kasteleyn_sum on g's
+    Kasteleyn orientation, the sign read off a perfect matching that
+    enumeration finds."""
+    if any(len(comp) % 2 for comp in g.connected_components()):
+        return Fraction(0)
+    idx = {v: i for i, v in enumerate(g.vertices())}
+    row = {d: idx[v] for d, v in g.vertex_of.items()}
+    m = first_matching(g.vertices(), [(*g.edge_ends(e), e) for e in g.edges()])
+    return _kasteleyn_sum(len(idx), row, g.twin, kasteleyn_orient(g).oriented_out,
+                          weights or {}, None if m is None else lambda: m)
+
+
+def unit_pfaffian(n, row, twin, oriented_out):
+    """The Pfaffian of the unit-weight Kasteleyn matrix: up to its sign the
+    number of perfect matchings, and its sign the one every term carries,
+    the oracle for the sign that _kasteleyn_sum reads off one matching."""
+    rows = [{} for _ in range(n)]
+    for d, t in twin.items():
+        i, j = row[d], row[t]
+        if d < t and i != j:
+            a = rows[i].get(j, 0) + (1 if oriented_out[d] else -1)
+            rows[i][j], rows[j][i] = a, -a
+    return _pfaffian([{s: a for s, a in r.items() if a} for r in rows])
 
 
 def c4():
@@ -79,7 +129,7 @@ def test_count_pm_of_disjoint_unions(parts):
     for _ in range(3):
         w = {e: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
              for e in g.edges()}
-        assert count_pm(g, w) == brute_force_pm(g, w)
+        assert weighted_pm(g, w) == brute_force_pm(g, w)
     assert count_pm(g) == brute_force_pm(g)
 
 
@@ -263,8 +313,8 @@ def _pfaffian_reference(rows: List[Dict[int, Scalar]]) -> Scalar:
 
 
 def kasteleyn_rows(monkeypatch, g, weights=None):
-    """count_pm(g, weights) and the rows of every Kasteleyn matrix it
-    built."""
+    """count_pm(g), or weighted_pm(g, weights) if weights are given, and
+    the rows of every Kasteleyn matrix it built."""
     built = []
     pfaffian = solvers._pfaffian
 
@@ -273,7 +323,7 @@ def kasteleyn_rows(monkeypatch, g, weights=None):
         return pfaffian(rows)
 
     monkeypatch.setattr(solvers, "_pfaffian", record)
-    value = count_pm(g, weights)
+    value = count_pm(g) if weights is None else weighted_pm(g, weights)
     monkeypatch.undo()
     return value, built
 
@@ -325,14 +375,20 @@ def test_pfaffian_matches_reference(monkeypatch):
 
 
 def test_count_pm_builds_no_graph(monkeypatch):
-    # count_pm orients the multigraph it is given and builds no copy of it
+    # count_pm orients the multigraph it is given and builds no copy of it;
+    # a matchgate decoration builds only the grid's own graph, H
     theta = fixtures.m23()
     weights = dict(zip(theta.edges(), (Fraction(2), Fraction(3), Fraction(5))))
     grid = grid_from_cubic_bipartite(generate_cubic_bipartite_plane(2, 0),
                                      SymSignature([1, 0, 0, 1]))
-    dec, w = _decorate(grid, "even", "even", Fraction(5, 3))
-    cases = [(theta, weights, 10), (theta, None, 3),
-             (fixtures.dumbbell(), None, 1), (dec, w, brute_force_pm(dec, w))]
+    w = Fraction(5, 3)
+    splice = brute_force_pm(*literal_splice(grid, "even", "even", w))
+    dumbbell = fixtures.dumbbell()
+    cases = [(lambda: weighted_pm(theta, weights), 10, []),
+             (lambda: count_pm(theta), 3, []),
+             (lambda: count_pm(dumbbell), 1, []),
+             (lambda: _kasteleyn_sum(*_decoration(grid, "even", w)), splice,
+              ["freeze", "PlaneGraph"])]
     built = []
     init, freeze = PlaneGraph.__init__, GraphBuilder.freeze
 
@@ -346,9 +402,10 @@ def test_count_pm_builds_no_graph(monkeypatch):
 
     monkeypatch.setattr(PlaneGraph, "__init__", spy_init)
     monkeypatch.setattr(GraphBuilder, "freeze", spy_freeze)
-    for g, wts, want in cases:
-        assert count_pm(g, wts) == want != 0
-    assert built == []
+    for run, want, graphs in cases:
+        built.clear()
+        assert run() == want != 0
+        assert built == graphs
 
 
 def is_loop(g, e):
@@ -405,7 +462,8 @@ def test_count_pm_matches_enumeration_on_multigraphs(kind):
     for g in graphs:
         assert kasteleyn_orient(g).verify()
         for weights in oracle_weightings(g, rng):
-            assert count_pm(g, weights) == brute_force_pm(g, weights)
+            assert weighted_pm(g, weights) == brute_force_pm(g, weights)
+        assert count_pm(g) == brute_force_pm(g)
         pairs = [tuple(sorted(g.edge_ends(e))) for e in g.edges()]
         loops += any(u == v for u, v in pairs)
         parallels += len(set(pairs)) < len(pairs)
@@ -415,8 +473,8 @@ def test_count_pm_matches_enumeration_on_multigraphs(kind):
 
 
 def test_loop_weights_do_not_pick_the_sign_run(monkeypatch):
-    # the sign test reads the edges that can match: with those positive,
-    # one weighted Pfaffian gives the value, whatever the loops weigh
+    # loops have no entry and no say in the sign: one weighted Pfaffian and
+    # the matching's term give the value, whatever the loops weigh
     g = fixtures.dumbbell()
     w = {e: Fraction(-2) if is_loop(g, e) else Fraction(3) for e in g.edges()}
     value, built = kasteleyn_rows(monkeypatch, g, w)
@@ -424,7 +482,7 @@ def test_loop_weights_do_not_pick_the_sign_run(monkeypatch):
     assert [len(row) for row in built[0]] == [1, 1]   # no loop entries
     w = {e: -v for e, v in w.items()}
     value, built = kasteleyn_rows(monkeypatch, g, w)
-    assert value == -3 and len(built) == 2
+    assert value == -3 and len(built) == 1
 
 
 def test_count_pm_random_weighted():
@@ -433,42 +491,139 @@ def test_count_pm_random_weighted():
         g = generate_cubic_plane(rng.choice([2, 4, 6, 8]), seed)
         w = {e: Fraction(rng.randint(-3, 3), rng.randint(1, 2))
              for e in g.edges()}
-        assert count_pm(g, w) == brute_force_pm(g, w)
+        assert weighted_pm(g, w) == brute_force_pm(g, w)
 
 
-def relabel_vertices(g, rng):
-    ids = list(g.rotation)
-    new = dict(zip(ids, rng.sample(range(3 * len(ids)), len(ids))))
-    return PlaneGraph(dict(g.twin), {d: new[v] for d, v in g.vertex_of.items()},
-                      {new[v]: r for v, r in g.rotation.items()})
+def decoration(grid, kind, w):
+    """_decoration(grid, kind, w), and the faces it oriented and their
+    root faces."""
+    walked = []
+    walk = solvers._dual_walk
+
+    def spy(twin, faces):
+        out, roots = walk(twin, faces)
+        walked.append((faces, roots))
+        return out, roots
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_dual_walk", spy)
+        args = _decoration(grid, kind, w)
+    return args, walked[0][0], walked[0][1]
+
+
+def decoration_edges(args, weights):
+    """A decoration's edges as (u, v, weight) on its rows."""
+    n, row, twin, *_ = args
+    return [(row[d], row[t], weights.get(d, 1)) for d, t in twin.items() if d < t]
+
+
+def sign_matching(args):
+    """The decoration's matching(), or one found by enumeration."""
+    n, row, twin, _, _, matching = args
+    if matching is not None:
+        return matching
+    m = first_matching(list(range(n)), [(row[d], row[t], d)
+                                        for d, t in twin.items() if d < t])
+    return lambda: m
 
 
 def test_count_pm_decorated_signed_weights():
     # Fisher decorations have triangles and many faces, so the global sign
-    # of the Pfaffian orientation and the pivot-order sign both matter;
-    # negative weights need the unit-weight sign run
+    # of the Pfaffian orientation and the pivot-order sign both matter:
+    # under random signed edge weights and a random numbering of the rows,
+    # one Pfaffian and the sign read off a matching give the enumerated sum
     rng = random.Random(11)
-    kinds = [("even", "even"), ("odd", "even"), ("two", "even"),
-             ("one", "even"), ("odd", "odd")]
     checked = 0
-    for n in (2, 4):
+    for n in (2, 4, 6):
         for seed in range(4):
             grid = grid_from_cubic_bipartite(
                 generate_cubic_bipartite_plane(n, seed), SymSignature([1, 0, 0, 1]))
-            for left, right in kinds:
+            for kind in ("even", "odd", "two", "one"):
                 w0 = Fraction(rng.choice([-3, -1, 2]), rng.choice([1, 2, 5]))
-                g, w = _decorate(grid, left, right, w0)
-                if len(g.vertices()) > 30:
+                args = _decoration(grid, kind, w0)
+                order, row, twin, out, w, _ = args
+                if order > 30:
                     continue
-                signed = {e: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                          for e in g.edges()}
+                signed = {d: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                          for d in twin}
+                matching = sign_matching(args)
                 for weights in (w, signed):
-                    want = brute_force_pm(g, weights)
-                    assert count_pm(g, weights) == want
+                    want = _match_sum(list(range(order)),
+                                      decoration_edges(args, weights))
+                    got = _kasteleyn_sum(order, row, twin, out, weights, matching)
+                    assert got == want
                     for _ in range(2):
-                        assert count_pm(relabel_vertices(g, rng), weights) == want
+                        perm = rng.sample(range(order), order)
+                        shuffled = {d: perm[r] for d, r in row.items()}
+                        assert _kasteleyn_sum(order, shuffled, twin, out,
+                                              weights, matching) == want
                 checked += 1
     assert checked >= 30
+
+
+def test_matching_sign_equals_the_unit_pfaffian_sign():
+    # the sign every term carries, read off one matching's term, against
+    # the sign of the unit-weight Pfaffian (count_pm's former second run)
+    rng = random.Random(12)
+    cases = []
+    for n in (2, 4, 8, 20, 60):
+        for seed in range(3):
+            grid = grid_from_cubic_bipartite(
+                generate_cubic_bipartite_plane(n, seed), SymSignature([1, 0, 0, 1]))
+            cases += [_decoration(grid, kind, Fraction(-2)) for kind in ("even", "odd")]
+    for g in multigraph_family("contracted")[:10]:
+        idx = {v: i for i, v in enumerate(g.vertices())}
+        m = first_matching(g.vertices(), [(*g.edge_ends(e), e) for e in g.edges()])
+        if m is not None:
+            cases.append((len(idx), {d: idx[v] for d, v in g.vertex_of.items()},
+                          g.twin, kasteleyn_orient(g).oriented_out, {}, lambda m=m: m))
+    signs = set()
+    for order, row, twin, out, _, matching in cases:
+        unit = unit_pfaffian(order, row, twin, out)
+        if unit == 0:
+            continue
+        assert _kasteleyn_sum(order, row, twin, out, {}, matching) == abs(unit)
+        signs.add(unit > 0)
+    assert signs == {True, False} and len(cases) >= 30
+
+
+def test_the_sign_matching_must_be_perfect():
+    grid = grid_from_cubic_bipartite(generate_cubic_bipartite_plane(4, 1),
+                                     SymSignature([1, 0, 0, 1]))
+    for kind in ("even", "odd"):
+        order, row, twin, out, w, matching = _decoration(grid, kind, Fraction(3))
+        assert _kasteleyn_sum(order, row, twin, out, w, matching) != 0
+        m = matching()
+        for bad in (m[1:], m[1:] + m[:1] * 2):   # a vertex missed, one twice
+            with pytest.raises(SolverError, match="not a perfect matching"):
+                _kasteleyn_sum(order, row, twin, out, w, lambda: bad)
+
+
+def test_matchgate_solve_runs_one_pfaffian_on_one_graph(monkeypatch):
+    # one Pfaffian, the sign from a matching, and no graph but H; the six
+    # signatures reach the kinds even, odd, two and one
+    g = generate_cubic_bipartite_plane(20, 1)
+    calls = []
+    pfaffian, init = solvers._pfaffian, PlaneGraph.__init__
+
+    def spy_pfaffian(rows):
+        calls.append("pfaffian")
+        return pfaffian(rows)
+
+    def spy_init(self, *args):
+        calls.append("PlaneGraph")
+        init(self, *args)
+
+    for f, sign in (([2, 1, 1, 2], 1), ([2, 1, -1, -2], -1), ([1, 3, -3, -1], -1),
+                    ([1, 3, 3, 1], 1), ([-3, 1, 1, -3], 1), ([3, 1, -1, -3], -1)):
+        grid = grid_from_cubic_bipartite(g, SymSignature(f))
+        want = eval_grid(grid)
+        calls.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers, "_pfaffian", spy_pfaffian)
+            mp.setattr(PlaneGraph, "__init__", spy_init)
+            assert solve_matchgate(grid, Fraction(f[0]), Fraction(f[1]), sign) == want
+        assert sorted(calls) == ["PlaneGraph", "pfaffian"], f
 
 
 def test_fragment_signatures():
@@ -550,7 +705,7 @@ def test_pattern_values_match_edge_subsets_of_the_reference(kind):
 
 
 def literal_splice(grid, left_kind, right_kind, left_weight):
-    """Reference for _decorate: every grid node replaced by its whole
+    """Reference for _decoration: every grid node replaced by its whole
     fragment of REFERENCE_FRAGMENTS, port vertices included, nothing
     contracted."""
     b = grid_builder(grid)
@@ -590,11 +745,35 @@ def test_decorate_matches_the_literal_splice(kind):
                 generate_cubic_bipartite_plane(n, seed), SymSignature([1, 0, 0, 1]))
             w = Fraction(rng.choice([-3, -1, 2, 5]), rng.choice([1, 2, 3]))
             want = brute_force_pm(*literal_splice(grid, kind, "even", w))
-            dec, weights = _decorate(grid, kind, "even", w)
-            assert count_pm(dec, weights) == want
-            assert len(dec.rotation) == ORDER_PER_U[kind] * n // 2
+            args, faces, roots = decoration(grid, kind, w)
+            order, row, twin, out, *_ = args
+            assert _kasteleyn_sum(*args) == want
+            assert order == ORDER_PER_U[kind] * n // 2
+            # every dart lies on one face, Euler's formula holds on each
+            # component, and every face but the roots is odd
+            assert sorted(d for f in faces.values() for d in f) == sorted(twin)
+            assert order - len(twin) // 2 + len(faces) == 2 * len(roots)
+            assert all(sum(out[d] for d in f) % 2 for fid, f in faces.items()
+                       if fid not in roots)
             nonzero += want != 0
     assert nonzero >= 5
+
+
+def test_decoration_rows_follow_the_splice_order():
+    # _pfaffian's pivots follow the row numbering, so the rows keep the
+    # order in which splicing the cores and contracting the ports makes
+    # the vertices: the truncation's corners in dart order, and the medial
+    # graph's vertices in the order of the right ends' darts
+    for seed in range(3):
+        grid = grid_from_cubic_bipartite(generate_cubic_bipartite_plane(20, seed),
+                                         SymSignature([1, 0, 0, 1]))
+        H = plane_graph_of_grid(grid)
+        M = len(H.twin)
+        row = _decoration(grid, "even", Fraction(2))[1]
+        assert [row[M + 2 * h] for h in range(M)] == list(range(M))
+        order, row = _decoration(grid, "odd", Fraction(2))[:2]
+        right = [h for h in range(M) if grid.nodes[H.vertex_of[h]].side == "right"]
+        assert [row[M + 2 * h] for h in right] == list(range(order))
 
 
 def grids(count, seed0):
