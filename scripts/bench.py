@@ -60,7 +60,9 @@ read the same file or JSON text with their own code.  The inputs:
 * p3em-fullerene and p3em-random (either record gets both):
   cli.main(["p3em", "find", file]), with equal stdout and exit code, on
   C180, C540 and C1620 under relabel seeds 1, 2 and 3, and on
-  generate_cubic_plane(n, s), n = 800 and 3200, s = 1, 2, 3;
+  generate_cubic_plane(n, s), n = 800 and 3200, s = 1, 2, 3; then
+  generate_cubic_plane(n, s) itself at the same n and s, whose graphs'
+  to_json_dict() must be equal;
 * holant-eval: the whole op, cli.main(["eval", file]) or
   cli.main(["reduce", "interpolate", file, "--sig", sig]) on the
   planarized grid, with equal stdout and exit code, on every holant-eval
@@ -310,6 +312,18 @@ def count_pm_run(count_pm_fn, g):
     return run
 
 
+def generate_run(generate, n, seed):
+    """A run of generate(n, seed): (the graph's to_json_dict(), seconds),
+    timed after a gc.collect()."""
+    def run():
+        gc.collect()
+        t0 = time.perf_counter()
+        g = generate(n, seed)
+        dt = time.perf_counter() - t0
+        return g.to_json_dict(), dt
+    return run
+
+
 def ab_groups(workload, parent, work):
     """(group, op, rows) for the A/B table of workload's record; each row
     holds its size, input recipe and one run per side.  Both sides read
@@ -348,10 +362,17 @@ def ab_groups(workload, parent, work):
         return [("holant-eval", "cli.main([*argv, file, *opts])", pool_rows)]
     if workload not in ("p3em-fullerene", "p3em-random"):
         raise SystemExit(f"no A/B table for workload {workload}")
-    return [(name, 'cli.main(["p3em", "find", file])',
-             [cli_row(n, recipe, ["p3em", "find"], g.to_json(), f"{name}-{i}")
-              for i, (n, recipe, g) in enumerate(ab_inputs(name))])
-            for name in ("p3em-fullerene", "p3em-random")]
+    gen = {"parent": parent("generators").generate_cubic_plane,
+           "change": generate_cubic_plane}
+    gen_rows = [{"n": n, "input": f"generate_cubic_plane({n}, {s})", "run": {
+        k: generate_run(gen[k], n, s) for k in gen}}
+        for n in AB_P3EM_SIZES for s in AB_SEEDS]
+    return [*[(name, 'cli.main(["p3em", "find", file])',
+               [cli_row(n, recipe, ["p3em", "find"], g.to_json(), f"{name}-{i}")
+                for i, (n, recipe, g) in enumerate(ab_inputs(name))])
+              for name in ("p3em-fullerene", "p3em-random")],
+            ("generate_cubic_plane", "generate_cubic_plane(n, s), "
+             "to_json_dict() equal", gen_rows)]
 
 
 def ab_table(parent_src, workload):

@@ -46,12 +46,16 @@ class FaceKernel(GraphBuilder):
     restores the graph and faces of before the step.  Faces carry the ids
     and boundaries PlaneGraph.faces() gives them.
 
-    A dart's face successor is the ccw successor of its twin, so it
-    changes only when its twin changes or its twin's ccw successor does.
-    commit marks a logged dart whose twin changed, and the old twin of
-    each dart of a logged old rotation that is gone or has another ccw
-    successor now.  The old faces of the marked darts die; every other
-    face keeps its Face object and id, also through a logged vertex.
+    A dart's face successor is the ccw successor (ccw_next, kept for
+    every dart) of its twin, so it changes only when its twin changes or
+    its twin's ccw successor does.  commit reads each logged rotation once,
+    into a map from its darts to their ccw successors now, which checks it
+    and then updates ccw_next.  It marks a logged dart whose twin changed,
+    and the old twin of each dart of a logged old rotation that the map
+    lacks or gives another ccw successor.  The old faces of the marked
+    darts die; every other face keeps its Face object and id, also through
+    a logged vertex.  The new faces are walked on ccw_next, and undo puts
+    back the successors of the rotations it restores.
     """
 
     def __init__(self, g: PlaneGraph):
@@ -61,8 +65,11 @@ class FaceKernel(GraphBuilder):
     def _start(self, faces: Iterable[Face]) -> None:
         self.face: Dict[int, Face] = {}
         self.face_of_dart: Dict[int, int] = {}
+        self.face_of = self.face_of_dart.__getitem__   # a dart's face id
         self._old_dart: Dict[int, Tuple[Optional[int], Optional[int]]] = {}
         self._old_rot: Dict[int, Optional[Tuple[int, ...]]] = {}
+        self.ccw_next: Dict[int, int] = {   # dart -> next dart ccw at its vertex
+            d: r[i + 1 - len(r)] for r in self.rotation.values() for i, d in enumerate(r)}
         for f in faces:
             self._add_face(f)
 
@@ -75,9 +82,6 @@ class FaceKernel(GraphBuilder):
 
     def faces(self) -> List[Face]:
         return [self.face[f] for f in sorted(self.face)]
-
-    def face_of(self, dart: int) -> int:
-        return self.face_of_dart[dart]
 
     def face_boundary(self, fid: int) -> Tuple[int, ...]:
         return self.face[fid].boundary
@@ -131,33 +135,39 @@ class FaceKernel(GraphBuilder):
         old_dart, old_rot = self._old_dart, self._old_rot
         self._old_dart, self._old_rot = {}, {}
         twin, vertex_of, rotation = self.twin, self.vertex_of, self.rotation
+        succ = {}           # dart at a logged vertex -> its ccw successor now
+        dv = dd = 0         # changes of V and of the number of darts
+        for v, r in old_rot.items():
+            now = rotation.get(v, ())
+            dv += (v in rotation) - (r is not None)
+            for i, d in enumerate(now):
+                if d in succ or vertex_of.get(d) != v:
+                    raise DartMissingFromRotation(f"rotation of vertex {v}")
+                succ[d] = now[i + 1 - len(now)]
         marked = set()      # darts of the old graph whose face successor changed
         for v, r in old_rot.items():
-            now = rotation.get(v)
-            if now is not None and (len(set(now)) != len(now)
-                                    or any(vertex_of.get(d) != v for d in now)):
-                raise DartMissingFromRotation(f"rotation of vertex {v}")
-            if not r or (now is not None and tuple(now) == r):
-                continue
-            for i, t in enumerate(r):   # t's old ccw successor is r[i + 1]
-                rot = rotation.get(vertex_of.get(t), ())
-                if t not in rot or rot[rot.index(t) + 1 - len(rot)] != r[i + 1 - len(r)]:
-                    marked.add(old_dart[t][0] if t in old_dart else twin[t])
-        for d, (t, v) in old_dart.items():
-            if t is not None and twin.get(d) != t:
+            if r and tuple(rotation.get(v, ())) != r:
+                for i, t in enumerate(r):   # t's old ccw successor is r[i + 1]
+                    if succ.get(t) != r[i + 1 - len(r)]:
+                        marked.add(old_dart[t][0] if t in old_dart else twin[t])
+        for d, (t, _) in old_dart.items():
+            now = twin.get(d)
+            dd += (now is not None) - (t is not None)
+            if t is not None and now != t:
                 marked.add(d)
-            t = twin.get(d)
-            if t is None:
+            if now is None:
                 if d in vertex_of:
                     raise DartMissingFromRotation(f"dart {d} has no twin")
-            elif t == d or twin.get(t) != d:
+            elif now == d or twin.get(now) != d:
                 raise NonInvolutionTwin(f"dart {d}")
-            elif d not in rotation.get(vertex_of.get(d), ()):
+            elif d not in succ and d not in rotation.get(vertex_of.get(d), ()):
                 raise DartMissingFromRotation(f"dart {d} at vertex {vertex_of.get(d)}")
         dead = [self._drop_face(f)
                 for f in sorted({self.face_of_dart[d] for d in marked})]
         seeds = [d for f in dead for d in f.boundary if d in twin]
         seeds += [d for d, (t, _) in old_dart.items() if t is None and d in twin]
+        ccw_next = self.ccw_next
+        ccw_next.update(succ)
         created = []
         face_of_dart = self.face_of_dart
         for d0 in seeds:
@@ -165,10 +175,8 @@ class FaceKernel(GraphBuilder):
                 continue
             orbit = [d0]
             d = d0
-            while True:     # d = next_dart(d), written out
-                t = twin[d]
-                rot = rotation[vertex_of[t]]
-                d = rot[(rot.index(t) + 1) % len(rot)]
+            while True:
+                d = ccw_next[twin[d]]   # next_dart(d)
                 if d == d0:
                     break
                 if d in face_of_dart:
@@ -179,8 +187,6 @@ class FaceKernel(GraphBuilder):
             f = Face(orbit[i], tuple(orbit[i:] + orbit[:i]))
             self._add_face(f)
             created.append(f.id)
-        dv = sum((v in rotation) - (r is not None) for v, r in old_rot.items())
-        dd = sum((d in twin) - (t is not None) for d, (t, _) in old_dart.items())
         return Surgery(old_dart, old_rot, dead, created,
                        dv - dd // 2 + len(created) - len(dead))
 
@@ -198,11 +204,16 @@ class FaceKernel(GraphBuilder):
             else:
                 self.twin[d] = t
                 self.vertex_of[d] = v
+        ccw_next = self.ccw_next
         for v, r in s.old_rot.items():
             if r is None:
                 self.rotation.pop(v, None)
-            else:
+            else:       # a rotation before a step is never empty
                 self.rotation[v] = list(r)
+                prev = r[-1]
+                for d in r:
+                    ccw_next[prev] = d
+                    prev = d
 
 
 class P3emKernel(FaceKernel):
@@ -252,8 +263,7 @@ class P3emKernel(FaceKernel):
                 for d in self.rotation.get(v, ())}
         for fid in kept.difference(s.created):
             heapq.heappush(self._chords, fid)
-        self._scan({*s.old_rot,
-                    *(self.vertex_of[d] for d in s.old_dart if d in self.vertex_of)})
+        self._scan(s.old_rot)   # a step that commits left no logged dart elsewhere
         return s
 
     # -- detection: the smallest of each kind, as a full scan finds it -------

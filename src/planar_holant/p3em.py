@@ -67,9 +67,10 @@ def verify(g: PlaneGraph, sigma: FaceAssignment,
     elif len(sigma) != len(g.twin) // 2:
         return VerifyReport(False, f"DomainViolation: {len(sigma)} of "
                                    f"{len(g.twin) // 2} edges assigned")
+    twin, face_of = g.twin, g.face_of
     for e in edges:
-        t = g.twin.get(e)
-        if t is None or sigma.get(e) not in (g.face_of(e), g.face_of(t)):
+        t = twin.get(e)
+        if t is None or sigma.get(e) not in (face_of(e), face_of(t)):
             return VerifyReport(False, f"IncidenceViolation: edge {e} -> face "
                                        f"{sigma.get(e)}")
     if counts is None:
@@ -282,20 +283,24 @@ def place_pool(options: Sequence[Tuple[int, ...]],
     closed: List[List[int]] = [[] for _ in options]   # faces last held at i
     for fid, i in last.items():
         closed[i].append(fid)
-    choice: List[int] = [0] * len(options)
-
-    def rec(i: int) -> bool:
-        if i == len(options):
-            return True
-        for fid in options[i]:
-            counts[fid] += 1
-            choice[i] = fid
-            if all(counts[f] % 3 == 0 for f in closed[i]) and rec(i + 1):
-                return True
-            counts[fid] -= 1
-        return False
-
-    return choice if rec(0) else None
+    pick = [-1] * len(options)      # index of the face chosen at each i
+    i = 0
+    while 0 <= i < len(options):
+        opts, j = options[i], pick[i]
+        if j >= 0:
+            counts[opts[j]] -= 1
+        pick[i] = j = j + 1
+        if j == len(opts):          # options[i] exhausted: back up
+            pick[i] = -1
+            i -= 1
+            continue
+        counts[opts[j]] += 1
+        for f in closed[i]:
+            if counts[f] % 3:
+                break
+        else:
+            i += 1
+    return None if i < 0 else [opts[j] for opts, j in zip(options, pick)]
 
 
 def search_assignment(g: PlaneGraph) -> Optional[FaceAssignment]:
@@ -327,8 +332,9 @@ def find_p3em(g: PlaneGraph):
     sigma: FaceAssignment = {}
     bad_kinds: List[str] = []
     bad_comps: List[List[int]] = []
-    for comp in g.connected_components():
-        sub = g.induced(comp)
+    comps = g.connected_components()
+    for comp in comps:
+        sub = g if len(comps) == 1 else g.induced(comp)
         kind = exceptional_kind(sub)
         if kind is not None:
             bad_kinds.append(kind)

@@ -13,7 +13,9 @@ A lift runs when the children's certificates are done, so the kernel holds
 the child again.  Edges on faces the step kept keep their face.  An edge
 on a face the step created moves, through its dart on that face, to the
 parent face that dart was on; an edge whose two darts share one created
-face but came from two parent faces joins the pool.  Then the surgery is
+face but came from two parent faces joins the pool.  The moves are kept
+per edge, as the parent face of its first dart on the face, and a second
+dart that names another face marks the edge ambiguous.  Then the surgery is
 undone, and the pool (the fragment edges and those ambiguous ones) is
 placed by an exact local search over the faces it touches, which the proof
 guarantees to be feasible.  The pentagon case instead derives its ten
@@ -231,31 +233,35 @@ def _remap(k: P3emKernel, s: Surgery, pool: Set[int],
         fid = sigma.pop(e, None)
         if fid is not None:
             counts[fid] -= 1
-    parent_face = {d: f.id for f in s.dead for d in f.boundary}
-    moves: Dict[int, Set[int]] = {}
+    parent_face = {}
+    for fid, boundary in s.dead:
+        for d in boundary:
+            parent_face[d] = fid
+    moves: Dict[int, int] = {}      # edge -> parent face of its first dart
+    ambiguous = set()               # edges whose darts name two parent faces
     twin = k.twin
     for cf in s.created:
-        on_face = set()
+        known = len(moves)
         for d in k.face[cf].boundary:
             t = twin[d]
             e = d if d < t else t   # k.edge_of(d)
             if sigma.get(e) == cf:
                 if d not in parent_face:
                     raise P3emError(f"dart {d} of new face {cf} has no parent face")
-                on_face.add(e)
-                moves.setdefault(e, set()).add(parent_face[d])
-        if len(on_face) != counts.pop(cf):
+                if moves.setdefault(e, parent_face[d]) != parent_face[d]:
+                    ambiguous.add(e)
+        if len(moves) - known != counts.pop(cf):
             raise P3emError(f"IncidenceViolation: face {cf} is assigned edges "
                             "off its boundary")
     for f in s.dead:
         counts[f.id] = 0
-    for e, faces in moves.items():
-        if len(faces) == 1:
-            sigma[e] = fid = faces.pop()
-            counts[fid] += 1
-        else:
+    for e, fid in moves.items():
+        if e in ambiguous:
             del sigma[e]
             pool.add(e)
+        else:
+            sigma[e] = fid
+            counts[fid] += 1
     return pool, set(moves)
 
 

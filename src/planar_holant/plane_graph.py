@@ -21,6 +21,7 @@ components instead of walking and checking them again.
 
 from __future__ import annotations
 
+import bisect
 import json
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -67,7 +68,6 @@ class PlaneGraph:
         self.twin = dict(twin)
         self.vertex_of = dict(vertex_of)
         self.rotation = {v: tuple(r) for v, r in rotation.items()}
-        self._boundary_of: Optional[Dict[int, Tuple[int, ...]]] = None
         self._validate()
 
     # -- validation ---------------------------------------------------
@@ -159,12 +159,10 @@ class PlaneGraph:
         return self._face_of_dart[dart]
 
     def face_boundary(self, fid: int) -> Tuple[int, ...]:
-        if self._boundary_of is None:
-            self._boundary_of = {f.id: f.boundary for f in self._faces}
-        try:
-            return self._boundary_of[fid]
-        except KeyError:
-            raise GraphError(f"no face {fid}") from None
+        i = bisect.bisect_left(self._faces, fid, key=lambda f: f.id)
+        if i == len(self._faces) or self._faces[i].id != fid:
+            raise GraphError(f"no face {fid}")
+        return self._faces[i].boundary
 
     def edge_faces(self, e: int) -> Tuple[int, int]:
         """The two (possibly equal) face ids incident to edge e."""
@@ -197,7 +195,6 @@ class PlaneGraph:
         sub._faces = [f for f in self._faces if vertex_of[f.id] in keep]
         face_of_dart = self._face_of_dart
         sub._face_of_dart = {d: face_of_dart[d] for d in sub.twin}
-        sub._boundary_of = None
         return sub
 
     def bridges(self) -> set:

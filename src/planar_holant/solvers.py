@@ -250,10 +250,11 @@ def _grid_sides(grid: SignatureGrid):
 
 def _require_case(grid: SignatureGrid, f: SymSignature):
     lefts, rights = _grid_sides(grid)
-    for n in lefts:
-        if n.sym is None or n.sym.values != f.values:
+    # each signature object once: the nodes of equal grid records share one
+    for sym in {id(n.sym): n.sym for n in lefts}.values():
+        if sym is None or sym.values != f.values:
             raise WrongForm("left signatures do not match the declared case")
-    for n in rights:
+    for n in {id(n.sym): n for n in rights}.values():
         if not n.is_equality() or n.arity != 3:
             raise WrongForm("right nodes must be ternary equalities")
     return lefts, rights

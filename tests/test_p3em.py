@@ -166,6 +166,28 @@ def test_disconnected_union_assignment():
     assert verify(g, sigma).ok
 
 
+def test_find_p3em_copies_only_a_component_of_several(monkeypatch):
+    # a connected graph is solved as it is; each component of a
+    # disconnected one is cut out once
+    calls = []
+    induced = PlaneGraph.induced
+
+    def spy(g, comp):
+        calls.append(list(comp))
+        return induced(g, comp)
+
+    monkeypatch.setattr(PlaneGraph, "induced", spy)
+    for g in (fixtures.cube(), fixtures.dodecahedron(), generate_cubic_plane(200, 1)):
+        assert verify(g, find_p3em(g)).ok
+    assert calls == []
+    g1 = fixtures.cube()
+    g2 = fixtures.relabeled(fixtures.dodecahedron(), 100, 1000)
+    g = PlaneGraph({**g1.twin, **g2.twin}, {**g1.vertex_of, **g2.vertex_of},
+                   {**g1.rotation, **g2.rotation})
+    assert verify(g, find_p3em(g)).ok
+    assert calls == g.connected_components() and len(calls) == 2
+
+
 CASE_FIXTURES = {
     "pentagon": fixtures.dodecahedron,
     "bridge": fixtures.bridge_fixture,
@@ -840,6 +862,33 @@ def test_kernel_logs_subdivide():
                 assert _frozen_checked(k) == b.freeze() and s.euler == 0
                 k.undo(s)
                 assert _frozen_checked(k) == g
+
+
+def test_remap_pools_an_edge_from_two_parent_faces(monkeypatch):
+    # an edge assigned to a face the step created moves to the parent face
+    # its darts on that face came from; when its two darts came from two
+    # parent faces, it leaves the certificate for the pool
+    remap, ambiguous = p3em_cases._remap, []
+
+    def checked(k, s, pool, cert):
+        before = dict(cert.sigma)
+        parent_face = {d: f.id for f in s.dead for d in f.boundary}
+        out, moved = remap(k, s, pool, cert)
+        for e in moved:
+            on_face = k.face[before[e]].boundary
+            origins = {parent_face[d] for d in (e, k.twin[e]) if d in on_face}
+            if len(origins) == 2:
+                ambiguous.append(e)
+                assert e in out and e not in cert.sigma
+            else:
+                assert e not in out and {cert.sigma[e]} == origins
+        return out, moved
+
+    monkeypatch.setattr(p3em_cases, "_remap", checked)
+    for g in [generate_cubic_plane(400, 0)] + [generate_cubic_plane(200, s)
+                                              for s in range(3)]:
+        assert verify(g, find_p3em(g)).ok
+    assert ambiguous
 
 
 def _orbit_faces(k):

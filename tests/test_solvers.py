@@ -1,3 +1,4 @@
+import dataclasses
 import heapq
 import random
 from fractions import Fraction
@@ -905,3 +906,27 @@ def test_wrong_form_rejected():
     grid = grid_from_cubic_bipartite(fixtures.cube(), SymSignature([1, 0, -1, 2]))
     with pytest.raises(WrongForm):
         solve_geneq(grid, Fraction(1), Fraction(2))
+
+
+def test_require_case_compares_each_signature_object_once():
+    # a grid from records gives the nodes of equal records one signature
+    # object; nodes with equal but distinct objects must solve alike, and
+    # one node of another signature must still be rejected
+    f = SymSignature([2, 1, 1, 2])
+    g = fixtures.cube()
+    grid = grid_from_cubic_bipartite(g, f)
+    want = solve_matchgate(grid, Fraction(2), Fraction(1), 1)
+    lefts = grid.left_nodes()
+    for n in lefts:
+        grid.nodes[n.id] = dataclasses.replace(n, sym=SymSignature(f.values))
+    assert len({id(n.sym) for n in grid.left_nodes()}) == len(lefts)
+    assert solve_matchgate(grid, Fraction(2), Fraction(1), 1) == want
+    odd = lefts[len(lefts) // 2]
+    grid.nodes[odd.id] = dataclasses.replace(odd, sym=SymSignature([2, 1, 1, 3]))
+    with pytest.raises(WrongForm):
+        solve_matchgate(grid, Fraction(2), Fraction(1), 1)
+    grid = grid_from_cubic_bipartite(g, f)
+    odd = grid.right_nodes()[-1]
+    grid.nodes[odd.id] = dataclasses.replace(odd, sym=SymSignature([1, 0, 0, 2]))
+    with pytest.raises(WrongForm):
+        solve_matchgate(grid, Fraction(2), Fraction(1), 1)
