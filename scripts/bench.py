@@ -61,8 +61,11 @@ read the same file or JSON text with their own code.  The inputs:
   cli.main(["p3em", "find", file]), with equal stdout and exit code, on
   C180, C540 and C1620 under relabel seeds 1, 2 and 3, and on
   generate_cubic_plane(n, s), n = 800 and 3200, s = 1, 2, 3; then
-  generate_cubic_plane(n, s) itself at the same n and s, whose graphs'
-  to_json_dict() must be equal;
+  find_p3em(g), whose certificates must be equal, on the disjoint unions
+  of m = 125, 250 and 500 dodecahedra (n = 20m), each side's graph read
+  from the same JSON text; then generate_cubic_plane(n, s) itself at
+  n = 800 and 3200, s = 1, 2, 3, whose graphs' to_json_dict() must be
+  equal;
 * holant-eval: the whole op, cli.main(["eval", file]) or
   cli.main(["reduce", "interpolate", file, "--sig", sig]) on the
   planarized grid, with equal stdout and exit code, on every holant-eval
@@ -70,7 +73,10 @@ read the same file or JSON text with their own code.  The inputs:
   it.
 
 Per input the table keeps both sides' times and the ratio change/parent
-of every pair; per size, the median and quartiles of its pairs' ratios.
+of every pair; per size, the median and quartiles of its pairs' ratios;
+and for a group of several sizes, the median and quartiles over the
+rounds of each side's least-squares exponent of the round's median time
+at a size against n.
 Both sides share the process and its load, so the ratio holds on a busy
 host where the scale tables' absolute times do not.
 """
@@ -126,6 +132,7 @@ AB_PM_SIZES = (1000, 4000, 10000)
 AB_SOLVE_SIZES = (1000, 4000)
 AB_SOLVE_SIGS = ((2, 1, 1, 2), (2, 1, -1, -2), (1, 3, 3, 1), (1, 3, -3, -1))
 AB_SEEDS = (1, 2, 3)
+AB_UNIONS = (125, 250, 500)     # dodecahedra per union
 AB_ROUNDS = 10
 
 
@@ -239,6 +246,18 @@ def ab_inputs(workload):
     return out
 
 
+def dodecahedra(m):
+    """The disjoint union of m dodecahedra, copy i with its vertex ids
+    shifted by 20i and its dart ids by 60i."""
+    twin, vertex_of, rotation = {}, {}, {}
+    for i in range(m):
+        g = fixtures.relabeled(fixtures.dodecahedron(), 20 * i, 60 * i)
+        twin.update(g.twin)
+        vertex_of.update(g.vertex_of)
+        rotation.update(g.rotation)
+    return plane_graph.PlaneGraph(twin, vertex_of, rotation)
+
+
 def pool_inputs(workload):
     """(size, recipe, argv before the input file, argv after it, input
     file text) for every entry of workload (fkt-solve or holant-eval) in
@@ -312,6 +331,18 @@ def count_pm_run(count_pm_fn, g):
     return run
 
 
+def find_run(find, g):
+    """A run of find(g): (the sorted certificate, seconds), timed after a
+    gc.collect()."""
+    def run():
+        gc.collect()
+        t0 = time.perf_counter()
+        sigma = find(g)
+        dt = time.perf_counter() - t0
+        return sorted(sigma.items()), dt
+    return run
+
+
 def generate_run(generate, n, seed):
     """A run of generate(n, seed): (the graph's to_json_dict(), seconds),
     timed after a gc.collect()."""
@@ -330,6 +361,8 @@ def ab_groups(workload, parent, work):
     the same input file under work, or the same JSON text, with their own
     code."""
     mains = {"parent": parent("cli").main, "change": cli.main}
+    from_json = {"parent": parent("plane_graph").from_json,
+                 "change": plane_graph.from_json}
 
     def cli_row(n, recipe, argv, text, name, opts=()):
         path = Path(work) / f"{name}.json"
@@ -342,8 +375,6 @@ def ab_groups(workload, parent, work):
                      for i, (n, recipe, argv, opts, text)
                      in enumerate(pool_inputs(workload))]
     if workload == "fkt-solve":
-        from_json = {"parent": parent("plane_graph").from_json,
-                     "change": plane_graph.from_json}
         pm = {"parent": parent("solvers").count_pm, "change": count_pm}
         pm_rows = [{"n": n, "input": recipe, "run": {
             k: count_pm_run(pm[k], from_json[k](g.to_json())) for k in pm}}
@@ -367,10 +398,15 @@ def ab_groups(workload, parent, work):
     gen_rows = [{"n": n, "input": f"generate_cubic_plane({n}, {s})", "run": {
         k: generate_run(gen[k], n, s) for k in gen}}
         for n in AB_P3EM_SIZES for s in AB_SEEDS]
+    find = {"parent": parent("p3em").find_p3em, "change": find_p3em}
+    union_rows = [{"n": 20 * m, "input": f"dodecahedra({m})", "run": {
+        k: find_run(find[k], from_json[k](text)) for k in find}}
+        for m in AB_UNIONS for text in [dodecahedra(m).to_json()]]
     return [*[(name, 'cli.main(["p3em", "find", file])',
                [cli_row(n, recipe, ["p3em", "find"], g.to_json(), f"{name}-{i}")
                 for i, (n, recipe, g) in enumerate(ab_inputs(name))])
               for name in ("p3em-fullerene", "p3em-random")],
+            ("dodecahedra", "find_p3em(g), certificates equal", union_rows),
             ("generate_cubic_plane", "generate_cubic_plane(n, s), "
              "to_json_dict() equal", gen_rows)]
 
@@ -400,10 +436,21 @@ def ab_table(parent_src, workload):
                 row["ratios"] = [c / p for p, c in zip(row["parent_s"], row["change_s"])]
                 row["ratio"] = quartiles(row["ratios"])
                 by_size.setdefault(row["n"], []).extend(row["ratios"])
-            table["workloads"][name] = {
+            table["workloads"][name] = group = {
                 "op": op, "inputs": rows,
                 "ratio_by_size": {str(n): {**quartiles(rs), "pairs": len(rs)}
                                   for n, rs in by_size.items()}}
+            if len(by_size) > 1:
+                # one fit per round, whose sizes ran seconds apart, so a
+                # change of the host's load between rounds bends no fit
+                group["exponent"] = {}
+                for k in ("parent", "change"):
+                    fits = [exponent([{"n": n, "s": statistics.median(
+                        row[k + "_s"][r] for row in rows if row["n"] == n)}
+                        for n in by_size], "s") for r in range(AB_ROUNDS)]
+                    group["exponent"][k] = quartiles(fits)
+                    print(f"{name}: {k} exponent {group['exponent'][k]['median']:.3f}",
+                          file=sys.stderr)
             for n, rs in by_size.items():
                 q = quartiles(rs)
                 print(f"{name} n={n}: change/parent {q['median']:.3f} "

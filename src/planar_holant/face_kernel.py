@@ -6,7 +6,8 @@ exactly.  It keeps the face map and nothing else.  Two subclasses add
 what their users read:
 
 * P3emKernel, here, keeps the candidate heaps from which the matching
-  construction (see p3em_cases) picks its reduction steps;
+  construction (see p3em_cases) picks its reduction steps; its part()
+  cuts every kernel of a component out of a graph or a kernel;
 * generators.GrowthKernel keeps the sorted lists and id counters from
   which the expansion moves draw.
 
@@ -46,30 +47,31 @@ class FaceKernel(GraphBuilder):
     restores the graph and faces of before the step.  Faces carry the ids
     and boundaries PlaneGraph.faces() gives them.
 
-    A dart's face successor is the ccw successor (ccw_next, kept for
-    every dart) of its twin, so it changes only when its twin changes or
-    its twin's ccw successor does.  commit reads each logged rotation once,
-    into a map from its darts to their ccw successors now, which checks it
-    and then updates ccw_next.  It marks a logged dart whose twin changed,
-    and the old twin of each dart of a logged old rotation that the map
-    lacks or gives another ccw successor.  The old faces of the marked
-    darts die; every other face keeps its Face object and id, also through
-    a logged vertex.  The new faces are walked on ccw_next, and undo puts
-    back the successors of the rotations it restores.
+    A dart's face successor is the ccw successor (ccw_next, copied from
+    the graph's and kept for every dart) of its twin, so it changes only
+    when its twin changes or its twin's ccw successor does.  commit reads
+    each logged rotation once, into a map from its darts to their ccw
+    successors now, which checks it and then updates ccw_next.  It marks
+    a logged dart whose twin changed, and the old twin of each dart of a
+    logged old rotation that the map lacks or gives another ccw successor.
+    The old faces of the marked darts die; every other face keeps its Face
+    object and id, also through a logged vertex.  The new faces are walked
+    on ccw_next, and a walk that does not close within as many steps as
+    there are darts raises; undo puts back the successors of the rotations
+    it restores.
     """
 
     def __init__(self, g: PlaneGraph):
         super().__init__(g)
-        self._start(g.faces())
+        self._start(g.faces(), dict(g.ccw_next))
 
-    def _start(self, faces: Iterable[Face]) -> None:
+    def _start(self, faces: Iterable[Face], ccw_next: Dict[int, int]) -> None:
         self.face: Dict[int, Face] = {}
         self.face_of_dart: Dict[int, int] = {}
         self.face_of = self.face_of_dart.__getitem__   # a dart's face id
         self._old_dart: Dict[int, Tuple[Optional[int], Optional[int]]] = {}
         self._old_rot: Dict[int, Optional[Tuple[int, ...]]] = {}
-        self.ccw_next: Dict[int, int] = {   # dart -> next dart ccw at its vertex
-            d: r[i + 1 - len(r)] for r in self.rotation.values() for i, d in enumerate(r)}
+        self.ccw_next = ccw_next    # dart -> next dart ccw at its vertex
         for f in faces:
             self._add_face(f)
 
@@ -170,12 +172,13 @@ class FaceKernel(GraphBuilder):
         ccw_next.update(succ)
         created = []
         face_of_dart = self.face_of_dart
+        steps = range(len(twin))    # no face has more darts
         for d0 in seeds:
             if d0 in face_of_dart:
                 continue
             orbit = [d0]
             d = d0
-            while True:
+            for _ in steps:
                 d = ccw_next[twin[d]]   # next_dart(d)
                 if d == d0:
                     break
@@ -183,6 +186,9 @@ class FaceKernel(GraphBuilder):
                     raise GraphError(f"face walk from dart {d0} ran into "
                                      f"face {face_of_dart[d]}, which the step kept")
                 orbit.append(d)
+            else:
+                raise GraphError(f"face walk from dart {d0} did not close "
+                                 f"in {len(twin)} steps")
             i = orbit.index(min(orbit))
             f = Face(orbit[i], tuple(orbit[i:] + orbit[:i]))
             self._add_face(f)
@@ -232,28 +238,33 @@ class P3emKernel(FaceKernel):
     also pushes, once each, the kept faces with a dart at a logged vertex.
     """
 
-    def _start(self, faces: Iterable[Face]) -> None:
+    def _start(self, faces: Iterable[Face], ccw_next: Dict[int, int]) -> None:
         self._short: Dict[int, List[int]] = {3: [], 4: [], 5: []}
         self._loops: List[int] = []
         self._pairs: List[Tuple[int, int]] = []
         self._bridges: List[int] = []    # edges with both darts on one face
         self._chords: List[int] = []     # ids of faces that may have a chord
-        super()._start(faces)
+        super()._start(faces, ccw_next)
         self._push_bridges(self.face)
         self._scan(self.rotation)
 
-    def split_off(self, vertices: Iterable[int]) -> "P3emKernel":
-        """A kernel of its own for a union of components, faces copied."""
+    @staticmethod
+    def part(src, vertices: Iterable[int]) -> "P3emKernel":
+        """A kernel of its own for the union of components of src (a
+        PlaneGraph or a FaceKernel) on vertices, with src's ccw successors
+        and faces copied; a vertex set that a twin leaves raises."""
         k = P3emKernel.__new__(P3emKernel)
         GraphBuilder.__init__(k)
-        fids = set()
         for v in sorted(vertices):
-            k.rotation[v] = list(self.rotation[v])
-            for d in self.rotation[v]:
-                k.twin[d] = self.twin[d]
+            k.rotation[v] = list(src.rotation[v])
+            for d in src.rotation[v]:
+                k.twin[d] = src.twin[d]
                 k.vertex_of[d] = v
-                fids.add(self.face_of_dart[d])
-        k._start(self.face[f] for f in sorted(fids))
+        if k.twin.keys() != set(k.twin.values()):
+            raise NonInvolutionTwin("a twin leaves the part")
+        fids = sorted({src.face_of(d) for d in k.twin})
+        k._start([Face(f, src.face_boundary(f)) for f in fids],
+                 {d: src.ccw_next[d] for d in k.twin})
         return k
 
     def commit(self) -> Surgery:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import fixtures
+from .face_kernel import P3emKernel
 from .plane_graph import GraphBuilder, PlaneGraph
 
 
@@ -334,13 +335,13 @@ def find_p3em(g: PlaneGraph):
     bad_comps: List[List[int]] = []
     comps = g.connected_components()
     for comp in comps:
-        sub = g if len(comps) == 1 else g.induced(comp)
-        kind = exceptional_kind(sub)
+        k = P3emKernel(g) if len(comps) == 1 else P3emKernel.part(g, comp)
+        kind = exceptional_kind(k.freeze()) if len(comp) <= 4 else None
         if kind is not None:
             bad_kinds.append(kind)
             bad_comps.append(comp)
             continue
-        sigma.update(solve_component(sub))
+        sigma.update(solve_component(k))
     if bad_kinds:
         return ExceptionalGraph(bad_kinds, bad_comps)
     rep = verify(g, sigma)

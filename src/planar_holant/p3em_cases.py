@@ -5,7 +5,8 @@ its surgery in place (contractions, deletions and retwins keep dart ids
 stable away from the fragment) and commits it, which re-walks only the
 faces whose dart cycle changed; the kernel itself is then the child.  The
 bridge, chord and pentagon-coincidence cases leave two components, and
-each is copied into a kernel of its own.  Every pick (loop, parallel pair,
+P3emKernel.part, which also cuts find_p3em's input into its components,
+copies each into a kernel of its own.  Every pick (loop, parallel pair,
 short face, bridge, chord) comes from the kernel's candidate heaps and is
 the one a full scan would make, so no step scans the whole graph.
 
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .face_kernel import P3emKernel, Surgery
-from .plane_graph import GraphError, PlaneGraph, reach
+from .plane_graph import GraphError, reach
 from .p3em import (BASE_MAX_VERTICES, FaceAssignment, P3emError, base_case,
                    exceptional_kind, place_pool, solve_sigma, verify)
 
@@ -57,9 +58,9 @@ class ReductionStep:
     lift: Callable[[List[Certificate]], Certificate]
 
 
-def solve_component(g: PlaneGraph) -> FaceAssignment:
-    """Certificate for a connected, non-exceptional cubic plane graph."""
-    return solve_kernel(P3emKernel(g)).sigma
+def solve_component(k: P3emKernel) -> FaceAssignment:
+    """Certificate for the connected, non-exceptional graph k holds."""
+    return solve_kernel(k).sigma
 
 
 def solve_kernel(k: P3emKernel) -> Certificate:
@@ -201,7 +202,7 @@ def _split(k: P3emKernel, label: str, pool: Set[int], s: Surgery,
     parts = [reach(k, v) for v in seeds]
     if seeds[0] in parts[1] or len(parts[0]) + len(parts[1]) != len(k.rotation):
         raise P3emError(f"{label}: surgery did not split the graph in two")
-    return ReductionStep(label, [k.split_off(p) for p in parts],
+    return ReductionStep(label, [P3emKernel.part(k, p) for p in parts],
                          lambda certs: _lift(k, s, pool, _merge(certs)))
 
 
@@ -390,13 +391,11 @@ def _case_chord(k: P3emKernel, chord: int) -> ReductionStep:
     at E' and F'."""
     qA, qB = chord, k.twin[chord]
     A, B = k.vertex_of[qA], k.vertex_of[qB]
-    rA, rB = k.rotation[A], k.rotation[B]
-    i, j = rA.index(qA), rB.index(qB)
-    dAC, dAE = rA[i - 1], rA[(i + 1) % 3]
-    dBF = rB[j - 1]
+    nxt = k.ccw_next        # cubic: a dart's ccw predecessor is nxt[nxt[d]]
+    dAE, dAC, dBF = nxt[qA], nxt[nxt[qA]], nxt[nxt[qB]]
     xE, xF = k.twin[dAE], k.twin[dBF]
     Ev = k.vertex_of[xE]
-    into_ab = {k.twin[d] for d in rA + rB}
+    into_ab = {k.twin[d] for d in k.rotation[A] + k.rotation[B]}
     region2 = reach(k, Ev, into_ab)
     if k.vertex_of[xF] not in region2 or k.vertex_of[k.twin[dAC]] in region2:
         raise P3emError("chord region identification failed")

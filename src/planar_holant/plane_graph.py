@@ -13,10 +13,10 @@ smallest dart id on their boundary.  Embeddings live on the sphere: no
 outer face is distinguished, and consumers that need one (matching
 reductions, the orientation sweep) pick a face themselves.
 
-Validation walks every face once, for Euler's formula, and the graph
-keeps what it walked: faces(), face_of and the bridges read it.  The
-subgraph on a union of components (induced) shares those faces and
-components instead of walking and checking them again.
+Validation builds each dart's ccw successor at its vertex (ccw_next)
+and walks every face once on it, for Euler's formula, and the graph keeps
+both: next_dart, faces(), face_of, the bridges and the canonical form
+read them, and a FaceKernel starts from a copy of them.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ class PlaneGraph:
     """Immutable validated plane multigraph.
 
     twin: dict dart -> dart; vertex_of: dict dart -> vertex;
-    rotation: dict vertex -> tuple of darts in ccw order.  The faces and
-    components that validation finds are kept.
+    rotation: dict vertex -> tuple of darts in ccw order.  The ccw
+    successors, faces and components that validation finds are kept.
     """
 
     def __init__(self, twin: Dict[int, int], vertex_of: Dict[int, int],
@@ -77,7 +77,7 @@ class PlaneGraph:
         for d, t in twin.items():
             if t == d or t not in twin or twin[t] != d:
                 raise NonInvolutionTwin(f"dart {d}")
-        succ = {}           # dart -> ccw-next dart at its vertex
+        self.ccw_next = succ = {}   # dart -> ccw-next dart at its vertex
         for v, rot in self.rotation.items():
             for i, d in enumerate(rot):
                 if d in succ or d not in twin:
@@ -147,9 +147,7 @@ class PlaneGraph:
 
     def next_dart(self, d: int) -> int:
         """Face successor: ccw-next dart after twin(d) at vertex(twin(d))."""
-        t = self.twin[d]
-        rot = self.rotation[self.vertex_of[t]]
-        return rot[(rot.index(t) + 1) % len(rot)]
+        return self.ccw_next[self.twin[d]]
 
     def faces(self) -> List[Face]:
         """The faces in order of id, each boundary from its smallest dart."""
@@ -175,28 +173,6 @@ class PlaneGraph:
         smallest vertex; fresh copies of the ones validation found."""
         return [list(c) for c in self._components]
 
-    def induced(self, comp: Sequence[int]) -> "PlaneGraph":
-        """The subgraph on comp, a union of connected components.  It is
-        valid because this graph is, so it shares this graph's faces and
-        components instead of validating again; a comp that a twin leaves
-        raises as validation would.  Darts keep this graph's dict order;
-        building the dicts in rotation order instead made the P3EM
-        benchmarks measurably slower."""
-        keep = set(comp)
-        vertex_of = self.vertex_of
-        sub = PlaneGraph.__new__(PlaneGraph)
-        sub.twin = {d: t for d, t in self.twin.items() if vertex_of[d] in keep}
-        for d, t in sub.twin.items():
-            if vertex_of[t] not in keep:
-                raise NonInvolutionTwin(f"dart {d}")
-        sub.vertex_of = {d: v for d, v in vertex_of.items() if v in keep}
-        sub.rotation = {v: self.rotation[v] for v in comp}
-        sub._components = [c for c in self._components if c[0] in keep]
-        sub._faces = [f for f in self._faces if vertex_of[f.id] in keep]
-        face_of_dart = self._face_of_dart
-        sub._face_of_dart = {d: face_of_dart[d] for d in sub.twin}
-        return sub
-
     def bridges(self) -> set:
         """Edge ids whose removal disconnects their component: in a plane
         graph, the non-loop edges whose two darts lie on one face."""
@@ -217,10 +193,8 @@ class PlaneGraph:
         if len(comps) != 1:
             raise GraphError("canonical_form requires a connected graph")
         best = None
-        for rot in (self.rotation,
-                    {v: r[::-1] for v, r in self.rotation.items()}):
-            succ = {d: r[(i + 1) % len(r)]
-                    for r in rot.values() for i, d in enumerate(r)}
+        mirror = {n: d for d, n in self.ccw_next.items()}   # reversed rotations
+        for succ in (self.ccw_next, mirror):
             for start in self.darts():
                 code = _trace_code(self.twin, succ, start, best)
                 if code is not None:

@@ -166,26 +166,35 @@ def test_disconnected_union_assignment():
     assert verify(g, sigma).ok
 
 
-def test_find_p3em_copies_only_a_component_of_several(monkeypatch):
-    # a connected graph is solved as it is; each component of a
-    # disconnected one is cut out once
-    calls = []
-    induced = PlaneGraph.induced
+def test_find_p3em_parts_only_a_graph_of_several_components(monkeypatch):
+    # a connected graph gets a kernel of its own, with no part cut; each
+    # component of a disconnected one is cut out once, and every dart of
+    # the graph is copied once over those cuts (the splits of the
+    # reduction steps cut parts of kernels, which are not counted)
+    calls, copied = [], []
+    part = P3emKernel.part
 
-    def spy(g, comp):
-        calls.append(list(comp))
-        return induced(g, comp)
+    def spy(src, vertices):
+        k = part(src, vertices)
+        if isinstance(src, PlaneGraph):
+            calls.append(list(vertices))
+            copied.extend(k.twin)
+        return k
 
-    monkeypatch.setattr(PlaneGraph, "induced", spy)
-    for g in (fixtures.cube(), fixtures.dodecahedron(), generate_cubic_plane(200, 1)):
+    monkeypatch.setattr(P3emKernel, "part", staticmethod(spy))
+    for g in (fixtures.cube(), fixtures.dodecahedron(), fixtures.bridge_fixture(),
+              generate_cubic_plane(200, 1)):
         assert verify(g, find_p3em(g)).ok
-    assert calls == []
+    assert calls == [] and copied == []
     g1 = fixtures.cube()
     g2 = fixtures.relabeled(fixtures.dodecahedron(), 100, 1000)
-    g = PlaneGraph({**g1.twin, **g2.twin}, {**g1.vertex_of, **g2.vertex_of},
-                   {**g1.rotation, **g2.rotation})
+    g3 = fixtures.relabeled(fixtures.bridge_fixture(), 200, 2000)
+    g = PlaneGraph({**g1.twin, **g2.twin, **g3.twin},
+                   {**g1.vertex_of, **g2.vertex_of, **g3.vertex_of},
+                   {**g1.rotation, **g2.rotation, **g3.rotation})
     assert verify(g, find_p3em(g)).ok
-    assert calls == g.connected_components() and len(calls) == 2
+    assert calls == g.connected_components() and len(calls) == 3
+    assert sorted(copied) == g.darts()
 
 
 CASE_FIXTURES = {
@@ -991,3 +1000,23 @@ def test_commit_change_sets_are_exact(monkeypatch):
         res = find_p3em(g)
         assert isinstance(res, ExceptionalGraph) or verify(g, res).ok
     assert counts["commits"] > 1000 and counts["kept"] > counts["commits"] // 2
+
+
+def test_commit_bounds_a_face_walk_that_cycles():
+    # a stale ccw successor at a vertex the step did not log makes the
+    # walk of a face it re-walks circle without meeting its seed; commit
+    # raises once the walk is longer than the graph has darts
+    g = fixtures.cube()
+    e = g.edges()[0]
+    u, w = g.edge_ends(e)
+    dead = sorted({g.face_of(e), g.face_of(g.twin[e])})
+    merged = [d for fid in dead for d in g.face_boundary(fid)
+              if d not in (e, g.twin[e])]
+    # commit walks from merged[0] first; x is a later dart of that walk
+    # whose twin sits at a vertex the step does not log
+    x = next(d for d in merged[1:] if g.vertex_of[g.twin[d]] not in (u, w))
+    k = P3emKernel(g)
+    k.delete_edge(e)
+    k.ccw_next[g.twin[x]] = x     # the walk reaches x and stays there
+    with pytest.raises(GraphError, match="did not close"):
+        k.commit()

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from planar_holant import fixtures
+from planar_holant.face_kernel import P3emKernel
 from planar_holant.plane_graph import (Face, GraphError, NonPlanarEmbedding,
                                        PlaneGraph, build, from_json,
                                        incidence_grid, merge_degree2_left_map,
@@ -253,7 +254,7 @@ def test_canonical_form_matches_reference():
         assert g.canonical_form() == _canonical_form_reference(g)
 
 
-# -- the faces validation keeps, and induced subgraphs ------------------------
+# -- what validation keeps, and kernels cut from it ---------------------------
 
 FIXTURE_NAMES = ["k4", "m23", "dumbbell", "cube", "prism", "base_b", "base_c",
                  "base_d", "base_e", "base_g", "base_h", "pentagon_wheel",
@@ -261,18 +262,28 @@ FIXTURE_NAMES = ["k4", "m23", "dumbbell", "cube", "prism", "base_b", "base_c",
                  "coincident_pentagon_fixture"]
 
 
+def _ccw_next_reference(g):
+    """Each dart's ccw successor at its vertex, found by rot.index."""
+    def succ(d):
+        rot = g.rotation[g.vertex_of[d]]
+        return rot[(rot.index(d) + 1) % len(rot)]
+    return {d: succ(d) for d in g.darts()}
+
+
 def _faces_reference(g):
-    """The lazy face walk: an orbit of next_dart from every dart not yet
-    on a face, in dart order, named by its smallest dart."""
+    """The lazy face walk: an orbit of the face successor (the ccw
+    successor of the twin, by rot.index) from every dart not yet on a
+    face, in dart order, named by its smallest dart."""
+    succ = _ccw_next_reference(g)
     faces, face_of = [], {}
     for d0 in g.darts():
         if d0 in face_of:
             continue
         orbit = [d0]
-        d = g.next_dart(d0)
+        d = succ[g.twin[d0]]
         while d != d0:
             orbit.append(d)
-            d = g.next_dart(d)
+            d = succ[g.twin[d]]
         fid = min(orbit)
         face_of.update(dict.fromkeys(orbit, fid))
         faces.append(Face(fid, tuple(orbit)))
@@ -311,33 +322,45 @@ def test_kept_faces_match_the_lazy_walk():
             assert g.face_boundary(f.id) == f.boundary
 
 
-def test_induced_equals_a_validated_component():
+def test_ccw_next_and_next_dart_match_the_rotations():
+    for g in _graphs_with_components():
+        succ = _ccw_next_reference(g)
+        assert g.ccw_next == succ
+        assert {d: g.next_dart(d) for d in g.darts()} == {
+            d: succ[g.twin[d]] for d in g.darts()}
+
+
+def _kernel_state(k):
+    """What a P3emKernel keeps, and the first pick of each of its heaps."""
+    return (k.twin, k.vertex_of, k.rotation, k.faces(), k.face_of_dart,
+            k.ccw_next, k.smallest_loop(), k.smallest_parallel_pair(),
+            k.smallest_bridge(), k.smallest_chord(),
+            [k.smallest_face(n) for n in (3, 4, 5)])
+
+
+def test_part_equals_a_kernel_of_a_validated_component():
     unions = 0
     for g in _graphs_with_components():
         comps = g.connected_components()
         unions += len(comps) > 1
+        whole = P3emKernel(g)
         for comp in comps + [sorted(v for c in comps[::2] for v in c)]:
-            sub = g.induced(comp)
             keep = set(comp)
-            ref = PlaneGraph({d: t for d, t in g.twin.items() if g.vertex_of[d] in keep},
-                             {d: v for d, v in g.vertex_of.items() if v in keep},
-                             {v: g.rotation[v] for v in comp})
-            assert sub == ref
-            assert list(sub.twin) == list(ref.twin)
-            assert list(sub.vertex_of) == list(ref.vertex_of)
-            assert list(sub.rotation) == list(ref.rotation)
-            assert sub.faces() == ref.faces()
-            assert sub._face_of_dart == ref._face_of_dart
-            assert {d: sub.face_of(d) for d in sub.darts()} == _faces_reference(ref)[1]
-            assert sub.connected_components() == ref.connected_components()
-            assert sub.bridges() == ref.bridges()
+            ref = P3emKernel(PlaneGraph(
+                {d: t for d, t in g.twin.items() if g.vertex_of[d] in keep},
+                {d: v for d, v in g.vertex_of.items() if v in keep},
+                {v: g.rotation[v] for v in comp}))
+            want = _kernel_state(ref)
+            assert _kernel_state(P3emKernel.part(g, comp)) == want
+            assert _kernel_state(P3emKernel.part(whole, comp)) == want
     assert unions >= 3
 
 
-def test_induced_refuses_a_part_of_a_component():
+def test_part_refuses_a_part_of_a_component():
     g = fixtures.cube()
-    with pytest.raises(GraphError):
-        g.induced(g.vertices()[:3])
+    for src in (g, P3emKernel(g)):
+        with pytest.raises(GraphError):
+            P3emKernel.part(src, g.vertices()[:3])
 
 
 def test_non_planar_message_names_the_first_bad_component():

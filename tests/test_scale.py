@@ -2,8 +2,10 @@
 
 The solve grids are grid_from_cubic_bipartite(generate_cubic_bipartite_plane(
 10^4, 1), f), one per class; pm runs on that graph and p3em find on
-generate_cubic_plane(10^4, 1).  Each verb must exit 0, and the value it
-prints must parse back to the value the verb computed in the process.
+generate_cubic_plane(10^4, 1) and on the disjoint union of 500
+dodecahedra, whose certificate must also pass verify.  Each verb must exit
+0, and the value it prints must parse back to the value the verb computed
+in the process.
 Three classes have closed forms.  The signed matchgate class has two
 signatures: [2,1,-1,-2], whose value is 0 on these grids, and [1,3,-3,-1],
 whose value is not, so that one sign error shows.  For every class solve
@@ -18,10 +20,11 @@ from fractions import Fraction
 
 import pytest
 
-from planar_holant import cli
+from planar_holant import cli, fixtures
 from planar_holant.generators import (generate_cubic_bipartite_plane,
                                       generate_cubic_plane)
-from planar_holant.plane_graph import grid_from_cubic_bipartite
+from planar_holant.p3em import verify
+from planar_holant.plane_graph import PlaneGraph, grid_from_cubic_bipartite
 from planar_holant.scalars import parse_scalar
 from planar_holant.signatures import SymSignature
 
@@ -123,3 +126,18 @@ def test_p3em_find_at_scale(tmp_path):
                       "find_p3em")
     assert len(sigma) == 3 * N // 2
     assert {int(e): f for e, f in out["assignment"].items()} == sigma
+
+
+def test_p3em_find_on_many_components(tmp_path):
+    # N vertices in N / 20 components, each cut out of the graph once
+    twin, vertex_of, rotation = {}, {}, {}
+    for i in range(N // 20):
+        g = fixtures.relabeled(fixtures.dodecahedron(), 20 * i, 60 * i)
+        twin.update(g.twin)
+        vertex_of.update(g.vertex_of)
+        rotation.update(g.rotation)
+    g = PlaneGraph(twin, vertex_of, rotation)
+    out, sigma = _cli(tmp_path, "p3em find", g, "find_p3em")
+    assert len(g.connected_components()) == 500
+    assert {int(e): f for e, f in out["assignment"].items()} == sigma
+    assert verify(g, sigma).ok
