@@ -20,14 +20,16 @@ from .signatures import (EQ3, NormalizationZero, StraddledMatrix,
 
 
 class GridBuilder:
-    """Incremental grid assembly, empty or from a copy of a grid without
-    its embedding: nodes get explicit slot lists and fresh ids; wire()
-    links two (node, slot) ends; remaining slots dangle in given order."""
+    """Incremental grid assembly, empty or on a grid's nodes, edges and
+    dangling slots without its embedding, in fresh containers that share
+    the grid's GridNode objects (nothing mutates one): nodes get explicit
+    slot lists and fresh ids; wire() links two (node, slot) ends;
+    remaining slots dangle in given order."""
 
     def __init__(self, grid: Optional[SignatureGrid] = None):
-        grid = SignatureGrid.empty() if grid is None else grid.copy()
-        self.nodes, self.edges = grid.nodes, grid.edges
-        self.dangling = grid.dangling
+        grid = SignatureGrid.empty() if grid is None else grid
+        self.nodes, self.edges = dict(grid.nodes), list(grid.edges)
+        self.dangling = list(grid.dangling)
         self.next_id = max(self.nodes, default=-1) + 1
 
     def node(self, side: str, sig, slots=None) -> int:

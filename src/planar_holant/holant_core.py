@@ -138,13 +138,6 @@ class SignatureGrid:
     def empty() -> "SignatureGrid":
         return SignatureGrid({}, [])
 
-    def copy(self) -> "SignatureGrid":
-        return SignatureGrid(
-            {i: GridNode(n.id, n.side, n.slots, n.sym, n.table)
-             for i, n in self.nodes.items()},
-            list(self.edges), list(self.dangling),
-            None if self.embedding is None else dict(self.embedding))
-
     def left_nodes(self) -> List[GridNode]:
         return [n for n in self.nodes.values() if n.side == "left"]
 
@@ -154,15 +147,21 @@ class SignatureGrid:
     # -- JSON ----------------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        """Each signature object and each distinct table is encoded once;
+        the records that carry it share the one list."""
+        syms: Dict[int, list] = {}
+        tables: Dict[tuple, list] = {}
         nodes = []
         for i in sorted(self.nodes):
             n = self.nodes[i]
             rec = {"id": n.id, "side": n.side,
                    "slots": [{"side": s} for s in n.slots]}
             if n.sym is not None:
-                rec["symmetric"] = n.sym.to_json()
+                rec["symmetric"] = syms.get(id(n.sym)) or syms.setdefault(
+                    id(n.sym), n.sym.to_json())
             else:
-                rec["table"] = [format_scalar(v) for v in n.table]
+                rec["table"] = tables.get(n.table) or tables.setdefault(
+                    n.table, [format_scalar(v) for v in n.table])
             nodes.append(rec)
         out = {"nodes": nodes,
                "edges": [list(e) for e in self.edges],

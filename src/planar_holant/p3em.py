@@ -327,23 +327,23 @@ def base_case(g: PlaneGraph) -> Optional[FaceAssignment]:
 
 
 def find_p3em(g: PlaneGraph):
-    """FaceAssignment for g, or ExceptionalGraph naming the bad components."""
+    """FaceAssignment for g, or ExceptionalGraph naming the bad components.
+    Every component of at most 4 vertices is checked before any is solved;
+    each component is cut out of g once."""
     from .p3em_cases import solve_component
     g.require_cubic()
-    sigma: FaceAssignment = {}
-    bad_kinds: List[str] = []
-    bad_comps: List[List[int]] = []
     comps = g.connected_components()
-    for comp in comps:
-        k = P3emKernel(g) if len(comps) == 1 else P3emKernel.part(g, comp)
-        kind = exceptional_kind(k.freeze()) if len(comp) <= 4 else None
-        if kind is not None:
-            bad_kinds.append(kind)
-            bad_comps.append(comp)
-            continue
-        sigma.update(solve_component(k))
-    if bad_kinds:
-        return ExceptionalGraph(bad_kinds, bad_comps)
+
+    def cut(comp):
+        return P3emKernel(g) if len(comps) == 1 else P3emKernel.part(g, comp)
+    small = {i: cut(c) for i, c in enumerate(comps) if len(c) <= 4}
+    kinds = {i: exceptional_kind(k.freeze()) for i, k in small.items()}
+    bad = [i for i, kind in kinds.items() if kind is not None]
+    if bad:
+        return ExceptionalGraph([kinds[i] for i in bad], [comps[i] for i in bad])
+    sigma: FaceAssignment = {}
+    for i, comp in enumerate(comps):
+        sigma.update(solve_component(small[i] if i in small else cut(comp)))
     rep = verify(g, sigma)
     if not rep.ok:
         raise P3emError(f"internal: constructed assignment invalid: {rep.reason}")

@@ -12,7 +12,7 @@ and checked property by property.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import islice
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -21,7 +21,7 @@ from .gadgets import (GridBuilder, absorb_g1, absorb_g2, gamma_params,
                       wire_absorber)
 from .holant_core import (GridNode, SignatureGrid, eval_grid, eval_gadget,
                           gadget_assignment_counts)
-from .p3em import ExceptionalGraph, find_p3em, triples
+from .p3em import ExceptionalGraph, find_p3em, group_triples
 from .plane_graph import merge_degree2_left_map
 from .scalars import Scalar, format_scalar
 from .signatures import EQ3, EXACT_ONE_3, SymSignature, connect_unary
@@ -163,12 +163,10 @@ def interpolate_recover(grid: SignatureGrid, cross_ids: Sequence[int],
     xs = list(islice(gamma_params(f), n + 1))
     vals: List[Scalar] = []
     for x_s in xs:
-        sub = grid.copy()
         table = chain_table(x_s, Fraction(1))
-        for nid in cross_ids:
-            node = sub.nodes[nid]
-            sub.nodes[nid] = GridNode(nid, "table", node.slots, table=table)
-        vals.append(oracle(sub))
+        vals.append(oracle(replace(grid, nodes={**grid.nodes, **{
+            nid: GridNode(nid, "table", grid.nodes[nid].slots, table=table)
+            for nid in cross_ids}})))
     coeffs = _solve_vandermonde(xs, vals)
     return InterpolationRun(xs, vals, coeffs, coeffs[n])
 
@@ -241,17 +239,18 @@ def unary_absorption_transform(grid: SignatureGrid, f: SymSignature, x: Scalar,
     """
     fb = connect_unary(f, SymSignature([1, x]))
     lefts = grid.left_nodes()
-    for n in lefts:
-        if n.sym is None or n.arity != 2 or n.sym.values != fb.values:
+    # each signature object once: the nodes of equal grid records share one
+    for sym in {id(n.sym): n.sym for n in lefts}.values():
+        if sym is None or sym.arity != 2 or sym.values != fb.values:
             raise ReductionError("left nodes must carry the contracted binary")
-    for n in grid.right_nodes():
+    for n in {id(n.sym): n for n in grid.right_nodes()}.values():
         if not n.is_equality() or n.arity != 3:
             raise ReductionError("right nodes must be ternary equalities")
     g, edge_map = merge_degree2_left_map(grid)
-    match = find_p3em(g)
+    match = find_p3em(g)   # verified there
     if isinstance(match, ExceptionalGraph):
         raise ExceptionalGraphError(match)
-    grp = triples(g, match)
+    grp = group_triples(g, match)
     g1 = absorb_g1(y)
     kind, factor1 = ("g1", g1) if g1 != 0 else ("g2", absorb_g2(f, y))
     if factor1 == 0:

@@ -232,7 +232,7 @@ def parse_scalar(s) -> Scalar:
 def format_scalar(x: Scalar):
     """Inverse of parse_scalar: "p/q" string or {"a","b","d"} dict."""
     if isinstance(x, QuadExt):
-        if x.b == 0:
-            return str(x.a)
-        return {"a": str(x.a), "b": str(x.b), "d": str(x.d)}
+        if x.b != 0:
+            return {"a": str(x.a), "b": str(x.b), "d": str(x.d)}
+        x = x.a
     return str(Fraction(x))

@@ -155,14 +155,7 @@ def works(M: StraddledMatrix) -> bool:
     """The gadget 'works': non-singular and eigenvalue ratio lam/mu is not
     a root of unity.  Over the rationals that holds iff det != 0, tr != 0
     and tr^2 is none of det, 2 det, 3 det, 4 det."""
-    d = M.det()
-    if d == 0:
-        return False
-    t = M.trace()
-    if t == 0:
-        return False
-    t2 = t * t
-    return all(t2 != k * d for k in (1, 2, 3, 4))
+    return not works_diagnostics(M)
 
 
 def works_diagnostics(M: StraddledMatrix) -> List[str]:

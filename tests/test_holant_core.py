@@ -521,3 +521,32 @@ def test_one_contraction_per_call(monkeypatch):
         calls.clear()
         fn(grid)
         assert sorted(calls) == ["_compile", "_elimination_order"]
+
+
+def test_to_json_dict_encodes_each_signature_and_table_once(monkeypatch):
+    # a QuadExt with b = 0 equals the Fraction a and is written as it; a
+    # table equal to one already written reuses its encoding, and so does
+    # a node holding a signature object already written
+    from planar_holant import holant_core
+    from planar_holant.scalars import QuadExt
+    half, three = Fraction(1, 2), Fraction(3)
+    assert format_scalar(QuadExt(half, Fraction(0), 2)) == format_scalar(half)
+    f = SymSignature([1, 2])
+    nodes = {0: GridNode(0, "table", ("L",), table=(half, three)),
+             1: GridNode(1, "table", ("R",), table=(
+                 QuadExt(half, Fraction(0), 2), QuadExt(three, Fraction(0), 3))),
+             2: GridNode(2, "left", ("L",), sym=f),
+             3: GridNode(3, "right", ("R",), sym=f),
+             4: GridNode(4, "right", ("R",), sym=SymSignature([1, 2]))}
+    grid = SignatureGrid(nodes, [(0, 0, 1, 0), (2, 0, 3, 0)], [(4, 0)])
+    seen, to_json = [], SymSignature.to_json
+    real = holant_core.format_scalar
+    monkeypatch.setattr(holant_core, "format_scalar",
+                        lambda v: seen.append(v) or real(v))
+    monkeypatch.setattr(SymSignature, "to_json",
+                        lambda s: seen.append(s) or to_json(s))
+    out = grid.to_json_dict()
+    assert [r.get("table", r.get("symmetric")) for r in out["nodes"]] == [
+        ["1/2", "3"]] * 2 + [["1", "2"]] * 3
+    assert len(seen) == 2 + 2     # one table's entries, two signatures
+    assert SignatureGrid.from_json(grid.to_json()).to_json() == grid.to_json()

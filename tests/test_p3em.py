@@ -197,6 +197,46 @@ def test_find_p3em_parts_only_a_graph_of_several_components(monkeypatch):
     assert sorted(copied) == g.darts()
 
 
+def _union(*graphs):
+    """The disjoint union, the i-th graph's ids moved up by i * 10^5."""
+    parts = [fixtures.relabeled(g, i * 10 ** 5, i * 10 ** 5)
+             for i, g in enumerate(graphs)]
+    return PlaneGraph({d: t for p in parts for d, t in p.twin.items()},
+                      {d: v for p in parts for d, v in p.vertex_of.items()},
+                      {v: r for p in parts for v, r in p.rotation.items()})
+
+
+def test_find_p3em_answers_exceptional_components_first(monkeypatch):
+    # a K4 beside a large graph is answered before any component is
+    # solved; a small component that is not exceptional (the dumbbell) is
+    # still cut out once, and solved from that cut
+    parts, solved = [], []
+    part, solve = P3emKernel.part, p3em_cases.solve_component
+
+    def spy_part(src, vertices):
+        if isinstance(src, PlaneGraph):
+            parts.append(sorted(vertices))
+        return part(src, vertices)
+
+    def spy_solve(k):
+        solved.append(sorted(k.rotation))
+        return solve(k)
+
+    monkeypatch.setattr(P3emKernel, "part", staticmethod(spy_part))
+    monkeypatch.setattr(p3em_cases, "solve_component", spy_solve)
+    g = _union(generate_cubic_plane(2000, 1), fixtures.k4())
+    res = find_p3em(g)
+    assert isinstance(res, ExceptionalGraph) and res.kinds == ["K4"]
+    assert [sorted(c) for c in res.components] == [
+        sorted(10 ** 5 + v for v in fixtures.k4().rotation)]
+    assert solved == []
+    parts.clear()
+    g = _union(fixtures.cube(), fixtures.dumbbell())
+    assert verify(g, find_p3em(g)).ok
+    comps = sorted(sorted(c) for c in g.connected_components())
+    assert sorted(parts) == comps and sorted(solved) == comps
+
+
 CASE_FIXTURES = {
     "pentagon": fixtures.dodecahedron,
     "bridge": fixtures.bridge_fixture,

@@ -143,6 +143,8 @@ def test_absorption_equality_on_small_bases():
             continue
         bases.append(g)
         seen += 1
+    # and generated graphs, whose outputs have widths 8 / 11 / 11
+    bases += [generate_cubic_plane(n, 1) for n in (100, 200, 300)]
     for g in bases:
         grid = incidence_grid(g, fb, EQ3)
         base = eval_grid(grid)
@@ -262,3 +264,40 @@ def test_gadget_p_wiring():
     assert sorted(grid.nodes) == list(range(9)) + list(range(10, 19))
     assert all(grid.nodes[e[0]].side == "left" for e in grid.edges)
     assert grid.edges[:3] == [(13, 0, 0, 0), (13, 1, 6, 0), (10, 0, 0, 1)]
+
+
+def test_absorb_validates_two_grids_and_verifies_one_certificate(
+        tmp_path, monkeypatch):
+    # one reduce absorb op validates the whole grid twice, its input and
+    # its output, verifies the matching in full once, in find_p3em, and
+    # leaves the grid it was given as it was
+    import io
+    from contextlib import redirect_stdout
+    from planar_holant import cli, p3em, p3em_cases
+    f = SymSignature([1, 2, 3, 5])
+    grid = incidence_grid(generate_cubic_plane(200, 1),
+                          connect_unary(f, SymSignature([1, 3])), EQ3)
+    path = tmp_path / "inc.json"
+    path.write_text(grid.to_json())
+    sizes, full = [], []
+    post_init, verify = SignatureGrid.__post_init__, p3em.verify
+
+    def spy_post_init(self):
+        sizes.append(len(self.nodes))
+        post_init(self)
+
+    def spy_verify(g, sigma, counts=None, faces=None, edges=None):
+        full.append(edges is None)
+        return verify(g, sigma, counts, faces, edges)
+
+    monkeypatch.setattr(SignatureGrid, "__post_init__", spy_post_init)
+    for module in (p3em, p3em_cases):
+        monkeypatch.setattr(module, "verify", spy_verify)
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["reduce", "absorb", str(path), "--sig", "[1,2,3,5]",
+                         "--x", "3", "--y", "2"]) == 0
+    assert sum(n >= len(grid.nodes) for n in sizes) == 2
+    assert full.count(True) == 1
+    before = grid.to_json()
+    unary_absorption_transform(grid, f, Fraction(3), Fraction(2))
+    assert grid.to_json() == before

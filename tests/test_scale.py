@@ -1,11 +1,13 @@
-"""Every solve class, pm and p3em find through cli.main at 10^4 vertices.
+"""Every solve class, pm, p3em find and reduce absorb through cli.main at
+the north star's size.
 
 The solve grids are grid_from_cubic_bipartite(generate_cubic_bipartite_plane(
 10^4, 1), f), one per class; pm runs on that graph and p3em find on
 generate_cubic_plane(10^4, 1) and on the disjoint union of 500
-dodecahedra, whose certificate must also pass verify.  Each verb must exit
-0, and the value it prints must parse back to the value the verb computed
-in the process.
+dodecahedra, whose certificate must also pass verify.  reduce absorb runs
+on the 10^4-node incidence grid of generate_cubic_plane(4000, 1).  Each
+verb must exit 0, and the value it prints must parse back to the value the
+verb computed in the process.
 Three classes have closed forms.  The signed matchgate class has two
 signatures: [2,1,-1,-2], whose value is 0 on these grids, and [1,3,-3,-1],
 whose value is not, so that one sign error shows.  For every class solve
@@ -21,12 +23,15 @@ from fractions import Fraction
 import pytest
 
 from planar_holant import cli, fixtures
+from planar_holant.gadgets import absorb_g1
 from planar_holant.generators import (generate_cubic_bipartite_plane,
                                       generate_cubic_plane)
+from planar_holant.holant_core import SignatureGrid
 from planar_holant.p3em import verify
-from planar_holant.plane_graph import PlaneGraph, grid_from_cubic_bipartite
+from planar_holant.plane_graph import (PlaneGraph, grid_from_cubic_bipartite,
+                                       incidence_grid)
 from planar_holant.scalars import parse_scalar
-from planar_holant.signatures import SymSignature
+from planar_holant.signatures import EQ3, SymSignature, connect_unary
 
 N = 10 ** 4
 CLASSES = {
@@ -54,10 +59,11 @@ def _no_digit_cap():
             sys.set_int_max_str_digits(cap)
 
 
-def _cli(tmp_path, verb, obj, spied):
-    """Run the verb on obj's JSON through cli.main, with the cli function
-    spied wrapped.  Returns the printed JSON and the one value the spy saw:
-    the argument of format_scalar, the result of anything else."""
+def _cli(tmp_path, verb, obj, spied, *options):
+    """Run the verb on obj's JSON, then the options, through cli.main, with
+    the cli function spied wrapped.  Returns the printed JSON and the one
+    value the spy saw: the argument of format_scalar, the result of
+    anything else."""
     path = tmp_path / "in.json"
     path.write_text(obj.to_json())
     seen = []
@@ -70,7 +76,7 @@ def _cli(tmp_path, verb, obj, spied):
 
     with pytest.MonkeyPatch.context() as mp, redirect_stdout(io.StringIO()) as out:
         mp.setattr(cli, spied, spy)
-        assert cli.main([*verb.split(), str(path)]) == 0
+        assert cli.main([*verb.split(), str(path), *options]) == 0
     (value,) = seen
     return json.loads(out.getvalue()), value
 
@@ -141,3 +147,18 @@ def test_p3em_find_on_many_components(tmp_path):
     assert len(g.connected_components()) == 500
     assert {int(e): f for e, f in out["assignment"].items()} == sigma
     assert verify(g, sigma).ok
+
+
+def test_reduce_absorb_at_scale(tmp_path):
+    # every binary node becomes f tied to one table, and g1 (y^3 + 1 = 9)
+    # absorbs each triple of ends with one circle
+    f = SymSignature([1, 2, 3, 5])
+    g = generate_cubic_plane(4000, 1)
+    grid = incidence_grid(g, connect_unary(f, SymSignature([1, 3])), EQ3)
+    out, factor = _cli(tmp_path, "reduce absorb", grid, "format_scalar",
+                       "--sig", "[1,2,3,5]", "--x", "3", "--y", "2")
+    edges = len(g.edges())
+    assert factor == absorb_g1(Fraction(2)) ** (edges // 3)
+    assert parse_scalar(out["factor"]) == factor
+    absorbed = SignatureGrid.from_json_dict(out["grid"])
+    assert len(absorbed.nodes) == len(grid.nodes) + edges + edges // 3
